@@ -5,18 +5,17 @@ from .analysis import (AnalysisPoint, EmcbResult, analysis_point, bias_floor,
                        optimal_diag_indices, predicted_mse,
                        projection_complement)
 from .channel import (ChannelProfile, ChannelRealization, ReceivedFrame,
-                      draw_channel, model_matrix, model_receive,
-                      reference_profile, stacked_signal_matrix,
-                      steering_matrix, transmit_receive)
+                      add_noise, draw_channel, model_matrix, model_receive,
+                      reference_profile, steering_matrix, transmit_receive)
 from .estimator import (CfoEstimate, DegenerateDiagonalError, EstimatorParams,
                         StackedFrame, candidate_grid, diag_ratio,
                         estimate_ml_grid, estimate_simplified, likelihood,
-                        likelihood_trace, stack)
+                        stack)
 from .harness import (ExperimentSpec, ResultRow, preset_spec, run_bench,
                       run_emcb, run_mse_vs_iota, run_mse_vs_snr, write_csv)
 from .numerics import RandomSource, cyclic_shift, dft, dft_matrix, phase_ramp
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, chu_sequence,
-                       period_gram, reference_config, shift_correlation)
+                       period_gram, reference_config)
 
 __version__ = "0.1.0"

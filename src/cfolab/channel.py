@@ -1,15 +1,17 @@
 """Frequency-selective Rayleigh channel and the CFO-rotated signal model.
 
-Two independent realizations of the same received frame are provided:
+Two independent realizations of the same noiseless received frame are
+provided:
 
 * ``transmit_receive`` works sample-by-sample in the time domain: cyclic
-  prefix prepend, linear convolution with the taps, CFO rotation, additive
-  noise, prefix removal.
+  prefix prepend, linear convolution with the taps, CFO rotation, prefix
+  removal.
 * ``model_receive`` assembles the equivalent matrix model explicitly and
   multiplies it out.
 
-With zero noise the two agree to ~1e-12 relative; that cross-check is the
-main correctness oracle of the repository, so keep the paths independent.
+The two agree to ~1e-12 relative; that cross-check is the main correctness
+oracle of the repository, so keep the paths independent.  ``add_noise`` is
+the one place noise enters a frame.
 
 Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
 rotation's phase reference is the start of the cyclic prefix, i.e. the kept
@@ -19,12 +21,11 @@ exp(j*2*pi*cfo*(n + cp_len)/N).  Channel taps are constant over the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import RandomSource, complex_normal, dft_matrix, phase_ramp
+from .numerics import RandomSource, complex_normal, phase_ramp
 from .training import ConfigError, SystemConfig, TrainingSet
 
 
@@ -94,7 +95,6 @@ class ReceivedFrame:
 
     samples:       (n_rx, N) complex.
     true_cfo:      the offset that was applied, in subcarrier spacings.
-    noise_var:     per-sample complex noise variance that was added.
     stacked_power: mean |entry|^2 of the equivalent stacked signal matrix
                    (the per-row signal power entering the SNR analysis);
                    equals received signal power per sample / n_tx.
@@ -102,7 +102,6 @@ class ReceivedFrame:
 
     samples: np.ndarray = field(repr=False)
     true_cfo: float
-    noise_var: float
     stacked_power: float
 
 
@@ -134,13 +133,12 @@ def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
 
 
 def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
-                     noise_var: float, cfg: SystemConfig,
-                     rng: RandomSource | None = None) -> ReceivedFrame:
-    """Time-domain simulation of one training frame.
+                     cfg: SystemConfig) -> ReceivedFrame:
+    """Noiseless time-domain simulation of one training frame.
 
     Per receive antenna: sum over transmit antennas of the linear convolution
     of the CP-extended time sequence with the taps, keep the N samples after
-    the prefix, rotate by the CFO ramp, add CN(0, noise_var) noise.
+    the prefix, rotate by the CFO ramp.
     """
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
@@ -155,12 +153,22 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
             acc += np.convolve(with_cp, ch.taps[nu, mu])[ng:ng + n]
         out[nu] = rot * acc
     signal_power = float(np.mean(np.abs(out) ** 2))
-    if noise_var > 0.0:
-        if rng is None:
-            raise ConfigError("noisy transmit_receive needs a RandomSource")
-        out = out + complex_normal(rng.generator(), out.shape, noise_var)
-    return ReceivedFrame(samples=out, true_cfo=cfo, noise_var=noise_var,
+    return ReceivedFrame(samples=out, true_cfo=cfo,
                          stacked_power=signal_power / cfg.n_tx)
+
+
+def add_noise(frames: dict[str, ReceivedFrame], noise_var: dict[str, float],
+              gen: np.random.Generator) -> dict[str, ReceivedFrame]:
+    """Add one CN(0, 1) draw to every frame, scaled by sqrt(noise_var[key]).
+
+    The draw takes all real parts, then all imaginary parts, from `gen`.  The
+    frames share it, so frames of different trainings see the same noise up
+    to scale.  A zero variance leaves the samples unchanged.
+    """
+    shape = next(iter(frames.values())).samples.shape
+    unit = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+    return {key: replace(frame, samples=frame.samples + np.sqrt(noise_var[key]) * unit)
+            for key, frame in frames.items()}
 
 
 def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:
@@ -198,7 +206,7 @@ def model_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     ramp = phase_ramp(n, cfo, n)
     out = np.vstack([front * ramp * (s @ ch.stacked(nu)) for nu in range(cfg.n_rx)])
     signal_power = float(np.mean(np.abs(out) ** 2))
-    return ReceivedFrame(samples=out, true_cfo=cfo, noise_var=0.0,
+    return ReceivedFrame(samples=out, true_cfo=cfo,
                          stacked_power=signal_power / cfg.n_tx)
 
 
@@ -208,38 +216,3 @@ def steering_matrix(cfo: float, cfg: SystemConfig) -> np.ndarray:
     q = np.arange(cfg.n_periods)
     offs = np.asarray(cfg.offsets, dtype=float)
     return np.exp(2j * np.pi * np.outer(q, offs + cfo) / cfg.n_periods)
-
-
-def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,
-                          cfg: SystemConfig) -> np.ndarray:
-    """Noiseless n_tx x (n_rx * P) stacked signal matrix.
-
-    Row mu, block nu holds the common length-P period transmitted by antenna
-    mu as seen at receive antenna nu, so that
-    steering_matrix(cfo) @ X reproduces the period-stacked noiseless frame.
-    """
-    _check_cfo(cfo, cfg)
-    if ts.kind != "cbts":
-        raise ConfigError("stacked signal model requires comb-structured (cbts) training")
-    n, p, l = cfg.n_subcarriers, cfg.pilot_len, cfg.chan_len
-    fp = dft_matrix(p)
-    front = np.sqrt(p) * np.exp(2j * np.pi * cfo * cfg.cp_len / n)
-    x = np.zeros((cfg.n_tx, cfg.n_rx * p), dtype=complex)
-    for mu in range(cfg.n_tx):
-        comb_response = np.exp(-2j * np.pi * np.outer(cfg.lattice(mu), np.arange(l)) / n)
-        ramp = phase_ramp(p, cfo + cfg.offsets[mu], n)
-        for nu in range(cfg.n_rx):
-            period = fp.conj().T @ (ts.freq_pilots[mu] * (comb_response @ ch.taps[nu, mu]))
-            x[mu, nu * p:(nu + 1) * p] = front * ramp * period
-    return x
-
-
-def frame_to_csv(frame: ReceivedFrame, fh: IO[str]) -> None:
-    """Debug dump: one row per (antenna, sample)."""
-    import csv as _csv
-
-    writer = _csv.writer(fh)
-    writer.writerow(["antenna", "sample", "real", "imag"])
-    for nu in range(frame.samples.shape[0]):
-        for n, v in enumerate(frame.samples[nu]):
-            writer.writerow([nu, n, f"{v.real:.12g}", f"{v.imag:.12g}"])

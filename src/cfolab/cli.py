@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import analysis, estimator, harness
-from .channel import draw_channel, transmit_receive
+from .channel import add_noise, draw_channel, transmit_receive
 from .numerics import RandomSource
 from .training import ConfigError, build_training, export_training_csv
 
@@ -50,13 +50,11 @@ def _cmd_estimate(args) -> int:
     gen = RandomSource(spec.seed, harness._trial_stream(0)).generator()
     ch = draw_channel(spec.profile, cfg, gen)
     cfo = args.cfo
-    clean = transmit_receive(ts, ch, cfo, 0.0, cfg)
-    if args.snr_db is None:
-        frame = clean
-    else:
-        nv = clean.stacked_power * cfg.n_tx / 10.0 ** (args.snr_db / 10.0)
-        frame = transmit_receive(ts, ch, cfo, nv, cfg,
-                                 RandomSource(spec.seed, harness._noise_stream(0, 1, 0)))
+    frame = transmit_receive(ts, ch, cfo, cfg)
+    if args.snr_db is not None:
+        nv = frame.stacked_power * cfg.n_tx / 10.0 ** (args.snr_db / 10.0)
+        gen = RandomSource(spec.seed, harness._noise_stream(0, 1, 0)).generator()
+        frame = add_noise({"cbts": frame}, {"cbts": nv}, gen)["cbts"]
     sf = estimator.stack(frame, cfg)
     if args.diag_index is not None:
         idx = args.diag_index

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ReceivedFrame, steering_matrix
+from .channel import ReceivedFrame
 from .training import SystemConfig
 
 
@@ -48,11 +48,9 @@ class StackedFrame:
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Tunables of the simplified estimator and the ML baseline grid."""
+    """Tunables of the simplified estimator."""
 
     diag_index: int
-    coarse_step: float = 0.05
-    fine_step: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -135,12 +133,6 @@ def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig) -> np.ndarray | float:
     zq = np.exp(2j * np.pi * np.outer(eps, q) / sf.n_periods)
     vals = 2.0 * np.real(zq @ weights)
     return vals if np.ndim(cfo) else float(vals[0])
-
-
-def likelihood_trace(sf: StackedFrame, cfo: float, cfg: SystemConfig) -> float:
-    """Trace form of the likelihood: Tr[B(eps)^H corr B(eps)], real by symmetry."""
-    b = steering_matrix(cfo, cfg)
-    return float(np.real(np.trace(b.conj().T @ sf.corr @ b)))
 
 
 def estimate_simplified(sf: StackedFrame, params: EstimatorParams,

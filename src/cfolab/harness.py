@@ -3,8 +3,8 @@
 Randomness is budgeted per purpose on fixed stream ids, so a campaign is a
 pure function of (spec, seed): channel and offset draws live on one stream
 per trial, noise on one stream per (SNR point, trial), the random-training
-draw and the bound's channel draws on reserved ranges.  Results are reduced
-in trial order, so thread count cannot change the output bytes.
+draw and the bound's channel draws on reserved ranges.  Trials run and are
+reduced in trial order.
 
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
@@ -13,16 +13,17 @@ leave the runtime column empty to keep their bytes reproducible.
 from __future__ import annotations
 
 import json
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import IO, Iterable
 
 import numpy as np
 
 from . import analysis, estimator
-from .channel import ChannelProfile, draw_channel, reference_profile, transmit_receive
+from .channel import (ChannelProfile, add_noise, draw_channel, reference_profile,
+                      transmit_receive)
 from .numerics import RandomSource
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, reference_config)
@@ -44,6 +45,10 @@ def _noise_stream(snr_index: int, trials: int, trial: int) -> int:
     return 3 + 2 * (snr_index * trials + trial)
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a campaign needs; serialisable to/from JSON."""
@@ -60,14 +65,32 @@ class ExperimentSpec:
     emcb_draws: int = 500
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for key, least in (("trials", 1), ("seed", 0), ("emcb_draws", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.noiseless, bool):
+            raise ConfigError(f"noiseless must be true or false, got {self.noiseless!r}")
         if self.epsilon_mode not in ("uniform", "fixed"):
             raise ConfigError(f"unknown epsilon_mode {self.epsilon_mode!r}")
-        if not self.estimators:
-            raise ConfigError("at least one estimator id is required")
+        half = self.config.cfo_half_range
+        if not _is_finite_number(self.epsilon_value) or (
+                self.epsilon_mode == "fixed" and not -half < self.epsilon_value < half):
+            raise ConfigError(f"epsilon_value must be a number in (-{half}, {half}), "
+                              f"got {self.epsilon_value!r}")
+        if (not isinstance(self.snr_points_db, (tuple, list)) or not self.snr_points_db
+                or not all(map(_is_finite_number, self.snr_points_db))):
+            raise ConfigError("snr_points_db must be a non-empty list of finite "
+                              f"numbers, got {self.snr_points_db!r}")
+        if (not isinstance(self.estimators, (tuple, list)) or not self.estimators
+                or not all(isinstance(e, str) for e in self.estimators)):
+            raise ConfigError("estimators must be a non-empty list of estimator "
+                              f"ids, got {self.estimators!r}")
         for est_id in self.estimators:
             parse_estimator_id(est_id, self.config)
+        # JSON hands over lists and integer SNRs; store the declared types
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "snr_points_db", tuple(map(float, self.snr_points_db)))
 
 
 @dataclass(frozen=True)
@@ -119,24 +142,6 @@ def _wrap_error(err: float, n_periods: int) -> float:
     return (err + half) % n_periods - half
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CFOLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_in_order(fn, items: Iterable):
-    """Map preserving order; threads only when CFOLAB_THREADS > 1."""
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
     kinds = {parse_estimator_id(e, spec.config)[1]
              for e in spec.estimators if not e.startswith("emcb")}
@@ -162,7 +167,7 @@ def _draw_trial(spec: ExperimentSpec, trainings: dict[str, TrainingSet], trial: 
         half = cfg.cfo_half_range
         # uniform() is closed at the lower end; nudge the endpoint inward
         cfo = float(np.nextafter(gen.uniform(-half, half), 0.0))
-    frames = {kind: transmit_receive(ts, ch, cfo, 0.0, cfg)
+    frames = {kind: transmit_receive(ts, ch, cfo, cfg)
               for kind, ts in trainings.items()}
     return cfo, frames
 
@@ -183,8 +188,7 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
     parsed = [(e, *parse_estimator_id(e, cfg)) for e in spec.estimators]
     mc_ids = [p for p in parsed if p[1] != "emcb"]
 
-    drawn = _map_in_order(lambda t: _draw_trial(spec, trainings, t),
-                          range(spec.trials))
+    drawn = [_draw_trial(spec, trainings, t) for t in range(spec.trials)]
     mean_power = {kind: float(np.mean([d[1][kind].stacked_power * cfg.n_tx
                                        for d in drawn]))
                   for kind in trainings}
@@ -204,19 +208,12 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
         snr = 10.0 ** (snr_db / 10.0)
         noise_var = {k: (0.0 if spec.noiseless else mean_power[k] / snr)
                      for k in trainings}
-
-        def one_trial(trial: int, _s=s_idx, _nv=noise_var):
-            cfo, frames = drawn[trial]
+        sq_errors: dict[str, list[float]] = {est_id: [] for est_id, *_ in mc_ids}
+        for trial, (cfo, frames) in enumerate(drawn):
             gen = RandomSource(spec.seed,
-                               _noise_stream(_s, spec.trials, trial)).generator()
-            unit = (gen.standard_normal((cfg.n_rx, cfg.n_subcarriers))
-                    + 1j * gen.standard_normal((cfg.n_rx, cfg.n_subcarriers))) / np.sqrt(2.0)
-            stacked = {}
-            for kind, frame in frames.items():
-                noisy = frame.samples + np.sqrt(_nv[kind]) * unit
-                stacked[kind] = estimator.stack(
-                    replace(frame, samples=noisy, noise_var=_nv[kind]), cfg)
-            out = {}
+                               _noise_stream(s_idx, spec.trials, trial)).generator()
+            stacked = {kind: estimator.stack(frame, cfg)
+                       for kind, frame in add_noise(frames, noise_var, gen).items()}
             for est_id, method, kind, idx in mc_ids:
                 try:
                     if method == "simplified":
@@ -224,14 +221,12 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
                             stacked[kind], estimator.EstimatorParams(idx), cfg)
                     else:
                         res = estimator.estimate_ml_grid(stacked[kind], cfg)
-                    out[est_id] = _wrap_error(res.value - cfo, cfg.n_periods) ** 2
                 except estimator.DegenerateDiagonalError:
-                    out[est_id] = None
-            return out
+                    continue
+                sq_errors[est_id].append(_wrap_error(res.value - cfo, cfg.n_periods) ** 2)
 
-        per_trial = _map_in_order(one_trial, range(spec.trials))
         for est_id, method, kind, idx in mc_ids:
-            errs = [r[est_id] for r in per_trial if r[est_id] is not None]
+            errs = sq_errors[est_id]
             degenerate = spec.trials - len(errs)
             analytic = None
             if kind == "cbts" and idx in floors:
@@ -275,15 +270,12 @@ def run_bench(spec: ExperimentSpec, repetitions: int = 200) -> list[BenchRow]:
     rng = RandomSource(spec.seed, STREAM_BENCH)
     ch = draw_channel(spec.profile, cfg, rng)
     cfo = 2.3 if cfg.cfo_half_range > 2.3 else 0.3
-    snr_db = spec.snr_points_db[0] if spec.snr_points_db else 15.0
-    frames = {}
-    for kind, ts in trainings.items():
-        clean = transmit_receive(ts, ch, cfo, 0.0, cfg)
-        nv = 0.0 if spec.noiseless else \
-            clean.stacked_power * cfg.n_tx / 10.0 ** (snr_db / 10.0)
-        frames[kind] = transmit_receive(ts, ch, cfo, nv, cfg,
-                                        rng.stream(STREAM_BENCH + 1))
-    stacked = {kind: estimator.stack(frame, cfg) for kind, frame in frames.items()}
+    snr = 10.0 ** (spec.snr_points_db[0] / 10.0)
+    clean = {kind: transmit_receive(ts, ch, cfo, cfg) for kind, ts in trainings.items()}
+    noise_var = {kind: 0.0 if spec.noiseless else frame.stacked_power * cfg.n_tx / snr
+                 for kind, frame in clean.items()}
+    noisy = add_noise(clean, noise_var, rng.stream(STREAM_BENCH + 1).generator())
+    stacked = {kind: estimator.stack(frame, cfg) for kind, frame in noisy.items()}
 
     rows = []
     for est_id in spec.estimators:
@@ -394,16 +386,20 @@ def spec_from_json(data: dict) -> ExperimentSpec:
             return data.pop(key)
         return getattr(base, key) if base else default
 
+    # values pass through uncoerced: ExperimentSpec rejects malformed ones
+    snr_points_db = pick("snr_points_db", (15.0,))
+    if isinstance(snr_points_db, Real):
+        snr_points_db = (snr_points_db,)
     spec = ExperimentSpec(
         config=config, profile=profile,
-        estimators=tuple(pick("estimators", ("simplified:1",))),
-        snr_points_db=tuple(float(v) for v in np.atleast_1d(pick("snr_points_db", (15.0,)))),
-        trials=int(pick("trials", 1000)),
-        seed=int(pick("seed", 42)),
-        epsilon_mode=str(pick("epsilon_mode", "uniform")),
-        epsilon_value=float(pick("epsilon_value", 0.0)),
-        noiseless=bool(pick("noiseless", False)),
-        emcb_draws=int(pick("emcb_draws", 500)),
+        estimators=pick("estimators", ("simplified:1",)),
+        snr_points_db=snr_points_db,
+        trials=pick("trials", 1000),
+        seed=pick("seed", 42),
+        epsilon_mode=pick("epsilon_mode", "uniform"),
+        epsilon_value=pick("epsilon_value", 0.0),
+        noiseless=pick("noiseless", False),
+        emcb_draws=pick("emcb_draws", 500),
     )
     data.pop("iotas", None)  # consumed by the CLI, not the spec
     if data:

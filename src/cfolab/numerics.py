@@ -46,14 +46,6 @@ def cyclic_shift(x: np.ndarray, m: int) -> np.ndarray:
     return np.roll(np.asarray(x), m)
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """max|A - A^H| normalised by max|A|; zero for an exactly Hermitian matrix."""
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T))) / scale
-
-
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """Circularly-symmetric complex Gaussian draws with the given total variance.
 

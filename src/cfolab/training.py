@@ -193,10 +193,13 @@ def build_training(cfg: SystemConfig, kind: str = "cbts",
 def period_gram(ts: TrainingSet, cfg: SystemConfig, lags) -> np.ndarray:
     """Correlations between every pair of tap-shifted antenna periods.
 
-    Element [a, k, b, m] equals shift_correlation(ts, cfg, lags[k], lags[m],
-    a, b): the Gram matrix of the periods that channel taps at `lags` produce
-    from each antenna, so a channel's stacked-signal correlation is a
-    bilinear form in its taps with these coefficients.
+    Element [a, k, b, m] is the inner product of antenna a's period shifted
+    cyclically by lags[k] with antenna b's period shifted by lags[m], under
+    the inter-comb phase ramp: the Gram matrix of the periods that channel
+    taps at `lags` produce from each antenna, so a channel's stacked-signal
+    correlation is a bilinear form in its taps with these coefficients.  For
+    the cbts kind it is P on the diagonal, exactly zero between other lags of
+    the same antenna, and small across antennas.
     """
     p = cfg.pilot_len
     base = np.sqrt(cfg.n_tx / cfg.n_periods) * dft(ts.freq_pilots, inverse=True)
@@ -206,20 +209,6 @@ def period_gram(ts: TrainingSet, cfg: SystemConfig, lags) -> np.ndarray:
     rows = (np.arange(p) - np.asarray(lags)[:, None]) % p  # cyclic shift per lag
     periods = base[:, rows] * ramp[:, None, :]              # (n_tx, len(lags), P)
     return np.einsum("akn,bmn->akbm", periods, periods.conj())
-
-
-def shift_correlation(ts: TrainingSet, cfg: SystemConfig,
-                      lag_a: int, lag_b: int, ant_a: int, ant_b: int) -> complex:
-    """Correlation between tap-shifted period sequences of two antennas.
-
-    Recovers each antenna's length-P period sequence from its pilots, applies
-    the extra cyclic shifts `lag_a`/`lag_b` (channel tap positions), and takes
-    the inner product under the inter-comb phase ramp.  For the cbts kind this
-    is P at (ant_a == ant_b, lag_a == lag_b), exactly zero at other lags of
-    the same antenna, and small across antennas: the quantity that justifies
-    treating the stacked-signal sample correlation as (scaled) identity.
-    """
-    return complex(period_gram(ts, cfg, (lag_a, lag_b))[ant_a, 0, ant_b, 1])
 
 
 def export_training_csv(ts: TrainingSet, cfg: SystemConfig, fh: IO[str]) -> None:

@@ -13,16 +13,16 @@ import pytest
 from cfolab import (EstimatorParams, RandomSource, SystemConfig,
                     build_training, chu_sequence, draw_channel,
                     estimate_ml_grid, estimate_simplified, likelihood,
-                    likelihood_trace, model_receive, optimal_diag_indices,
-                    reference_config, reference_profile, shift_correlation,
-                    stack, stacked_signal_matrix, steering_matrix,
+                    model_receive, optimal_diag_indices, reference_config,
+                    reference_profile, stack, steering_matrix,
                     transmit_receive)
 from cfolab.channel import ChannelRealization
 from cfolab.estimator import (StackedFrame, curvature_factor,
                               derivative_factor_residual, upper_diagonal_sums)
 from cfolab.harness import ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_snr
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import periodic_autocorr, shift_correlation_closed_form
+from support import (likelihood_trace, periodic_autocorr, shift_correlation,
+                     shift_correlation_closed_form, stacked_signal_matrix)
 
 CFO_POINTS = (-7.5, -2.3, 0.0, 0.5, 7.0)
 
@@ -115,7 +115,7 @@ def test_criterion_5_oracle_equivalence():
         ts = build_training(cfg, "cbts")
         ch = draw_channel(reference_profile(), cfg, RandomSource(101, 1))
         for cfo in CFO_POINTS:
-            td = transmit_receive(ts, ch, cfo, 0.0, cfg)
+            td = transmit_receive(ts, ch, cfo, cfg)
             mm = model_receive(ts, ch, cfo, cfg)
             assert np.max(np.abs(td.samples - mm.samples)) < 1e-9
             y = np.hstack([td.samples[nu].reshape(cfg.n_periods, cfg.pilot_len)
@@ -145,7 +145,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
 
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), complex)
     taps[:, :, 0] = 1.0
-    frame = transmit_receive(ts, ChannelRealization(taps=taps), 2.3, 0.0, cfg)
+    frame = transmit_receive(ts, ChannelRealization(taps=taps), 2.3, cfg)
     sf = stack(frame, cfg)
     assert derivative_factor_residual(sf, 7, cfg) < 5e-2
     worst_faded = 0.0
@@ -153,7 +153,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
         gen = RandomSource(29, 2 + 2 * t).generator()
         ch = draw_channel(reference_profile(), cfg, gen)
         cfo = gen.uniform(-8, 8)
-        sf_t = stack(transmit_receive(ts, ch, cfo, 0.0, cfg), cfg)
+        sf_t = stack(transmit_receive(ts, ch, cfo, cfg), cfg)
         worst_faded = max(worst_faded, derivative_factor_residual(sf_t, 7, cfg))
     assert worst_faded < 5e-2
 
@@ -161,7 +161,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
     ts1 = build_training(single, "cbts")
     taps1 = np.zeros((1, 1, 64), complex)
     taps1[0, 0, 0] = 1.0
-    frame1 = transmit_receive(ts1, ChannelRealization(taps=taps1), 1.7, 0.0, single)
+    frame1 = transmit_receive(ts1, ChannelRealization(taps=taps1), 1.7, single)
     assert derivative_factor_residual(stack(frame1, single), 9, single) < 1e-6
 
     z = np.exp(2j * np.pi * 2.3 / cfg.n_periods)
@@ -176,7 +176,7 @@ def test_criterion_7_noiseless_exactness():
     ts = build_training(cfg, "cbts")
     ch = draw_channel(reference_profile(), cfg, RandomSource(7, 1))
     for cfo in CFO_POINTS:
-        frame = transmit_receive(ts, ch, cfo, 0.0, cfg)
+        frame = transmit_receive(ts, ch, cfo, cfg)
         sf = stack(frame, cfg)
         simp = estimate_simplified(sf, EstimatorParams(7), cfg).value
         ml = estimate_ml_grid(sf, cfg).value

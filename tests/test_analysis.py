@@ -103,7 +103,7 @@ class TestBiasFloor:
             gen = RandomSource(77, 2 + 2 * t).generator()
             ch = draw_channel(ref_profile, ref_cfg_a, gen)
             cfo = gen.uniform(-8, 8)
-            sf = stack(transmit_receive(ts, ch, cfo, 0.0, ref_cfg_a), ref_cfg_a)
+            sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_a), ref_cfg_a)
             v = estimate_simplified(sf, EstimatorParams(8), ref_cfg_a).value
             assert ((v - cfo + 8) % 16 - 8) ** 2 < 1e-20
 
@@ -173,7 +173,7 @@ class TestCombSumCanVanish:
             gen = RandomSource(77, 2 + 2 * t).generator()
             ch = draw_channel(ref_profile, ref_cfg_b, gen)
             cfo = gen.uniform(-8, 8)
-            sf = stack(transmit_receive(ts, ch, cfo, 0.0, ref_cfg_b), ref_cfg_b)
+            sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_b), ref_cfg_b)
             v = estimate_simplified(sf, EstimatorParams(8), ref_cfg_b).value
             sq.append(((v - cfo + 8) % 16 - 8) ** 2)
         assert float(np.mean(sq)) > 3.0 * bias_floor(8, ref_cfg_b, ref_profile)

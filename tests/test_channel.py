@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
-                    build_training, draw_channel, model_matrix, model_receive,
-                    reference_config, reference_profile, stacked_signal_matrix,
+                    add_noise, build_training, draw_channel, model_matrix,
+                    model_receive, reference_config, reference_profile,
                     steering_matrix, transmit_receive)
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import circular_convolve
+from support import circular_convolve, frame_to_csv, stacked_signal_matrix
 
 
 def stack_rows(frame, cfg):
@@ -74,7 +74,7 @@ class TestOracleEquivalence:
         cfg = reference_config(offsets)
         ts = build_training(cfg, "cbts")
         ch = draw_channel(reference_profile(), cfg, RandomSource(11, 1))
-        td = transmit_receive(ts, ch, cfo, 0.0, cfg)
+        td = transmit_receive(ts, ch, cfo, cfg)
         mm = model_receive(ts, ch, cfo, cfg)
         assert np.max(np.abs(td.samples - mm.samples)) < 1e-9
 
@@ -82,7 +82,7 @@ class TestOracleEquivalence:
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, 2))
         for cfo in (-3.9, 0.0, 1.7):
-            td = transmit_receive(ts, ch, cfo, 0.0, toy_cfg)
+            td = transmit_receive(ts, ch, cfo, toy_cfg)
             mm = model_receive(ts, ch, cfo, toy_cfg)
             assert np.max(np.abs(td.samples - mm.samples)) < 1e-11
 
@@ -94,14 +94,14 @@ class TestOracleEquivalence:
         from cfolab.channel import ChannelRealization
 
         ch = ChannelRealization(taps=taps)
-        frame = transmit_receive(ts, ch, 0.0, 0.0, cfg)
+        frame = transmit_receive(ts, ch, 0.0, cfg)
         assert np.max(np.abs(frame.samples[0] - ts.time_sequences[0])) < 1e-12
 
     def test_rotation_inverse_recovers_zero_offset(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, 2))
-        rotated = transmit_receive(ts, ch, 2.3, 0.0, toy_cfg)
-        base = transmit_receive(ts, ch, 0.0, 0.0, toy_cfg)
+        rotated = transmit_receive(ts, ch, 2.3, toy_cfg)
+        base = transmit_receive(ts, ch, 0.0, toy_cfg)
         n, ng = toy_cfg.n_subcarriers, toy_cfg.cp_len
         counter = np.conj(np.exp(2j * np.pi * 2.3 * (np.arange(n) + ng) / n))
         assert np.max(np.abs(rotated.samples * counter - base.samples)) < 1e-12
@@ -109,7 +109,7 @@ class TestOracleEquivalence:
     def test_cp_removal_equals_circular_convolution(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(6, 0))
-        frame = transmit_receive(ts, ch, 0.0, 0.0, toy_cfg)
+        frame = transmit_receive(ts, ch, 0.0, toy_cfg)
         for nu in range(toy_cfg.n_rx):
             ref = sum(circular_convolve(ts.time_sequences[mu], ch.taps[nu, mu])
                       for mu in range(toy_cfg.n_tx))
@@ -119,7 +119,7 @@ class TestOracleEquivalence:
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, 2))
         with pytest.raises(ValueError, match="identifiable"):
-            transmit_receive(ts, ch, toy_cfg.cfo_half_range, 0.0, toy_cfg)
+            transmit_receive(ts, ch, toy_cfg.cfo_half_range, toy_cfg)
 
 
 class TestStackedSignalModel:
@@ -141,7 +141,7 @@ class TestStackedSignalModel:
         ts = build_training(cfg, "cbts")
         ch = draw_channel(reference_profile(), cfg, RandomSource(13, 1))
         cfo = -4.2
-        frame = transmit_receive(ts, ch, cfo, 0.0, cfg)
+        frame = transmit_receive(ts, ch, cfo, cfg)
         y = stack_rows(frame, cfg)
         bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(ts, ch, cfo, cfg)
         assert np.max(np.abs(y - bx)) < 1e-9
@@ -152,7 +152,7 @@ class TestStackedSignalModel:
         # is exactly Q times stacked energy
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(21, 0))
-        frame = transmit_receive(ts, ch, 1.2, 0.0, toy_cfg)
+        frame = transmit_receive(ts, ch, 1.2, toy_cfg)
         x = stacked_signal_matrix(ts, ch, 1.2, toy_cfg)
         assert frame.stacked_power == pytest.approx(float(np.mean(np.abs(x) ** 2)),
                                                     rel=1e-12)
@@ -174,11 +174,9 @@ class TestStackedSignalModel:
 def test_frame_csv_dump(toy_cfg, toy_profile):
     import io
 
-    from cfolab.channel import frame_to_csv
-
     ts = build_training(toy_cfg, "cbts")
     ch = draw_channel(toy_profile, toy_cfg, RandomSource(5, 1))
-    frame = transmit_receive(ts, ch, 0.7, 0.0, toy_cfg)
+    frame = transmit_receive(ts, ch, 0.7, toy_cfg)
     buf = io.StringIO()
     frame_to_csv(frame, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -190,22 +188,16 @@ class TestNoise:
     def test_noise_calibration(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(8, 0))
-        clean = transmit_receive(ts, ch, 0.5, 0.0, toy_cfg)
+        clean = transmit_receive(ts, ch, 0.5, toy_cfg)
         target = 2.0
         acc = 0.0
         count = 0
         for k in range(800):  # 800 * 128 samples > 1e5
-            noisy = transmit_receive(ts, ch, 0.5, target, toy_cfg,
-                                     RandomSource(8, 100 + k))
+            noisy = add_noise({"cbts": clean}, {"cbts": target},
+                              RandomSource(8, 100 + k).generator())["cbts"]
             acc += np.sum(np.abs(noisy.samples - clean.samples) ** 2)
             count += noisy.samples.size
         assert 0.97 <= (acc / count) / target <= 1.03
-
-    def test_noise_requires_rng(self, toy_cfg, toy_profile):
-        ts = build_training(toy_cfg, "cbts")
-        ch = draw_channel(toy_profile, toy_cfg, RandomSource(8, 0))
-        with pytest.raises(ConfigError):
-            transmit_receive(ts, ch, 0.5, 1.0, toy_cfg)
 
 
 class TestStackedCorrelationStructure:

@@ -3,13 +3,14 @@ import pytest
 
 from cfolab import (ChannelProfile, DegenerateDiagonalError, EstimatorParams,
                     RandomSource, SystemConfig, build_training, draw_channel,
-                    estimate_ml_grid, estimate_simplified, likelihood,
-                    likelihood_trace, reference_config, reference_profile,
-                    stack, transmit_receive)
+                    add_noise, estimate_ml_grid, estimate_simplified,
+                    likelihood, reference_config, reference_profile, stack,
+                    transmit_receive)
 from cfolab.channel import ChannelRealization, ReceivedFrame
 from cfolab.estimator import (StackedFrame, candidate_grid, comb_phase_sums,
                               curvature_factor, derivative_factor_residual,
                               diag_ratio, upper_diagonal_sums)
+from support import likelihood_trace
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -17,11 +18,12 @@ def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
     ts = build_training(cfg, "cbts")
     gen = RandomSource(seed, 2 + 2 * trial).generator()
     ch = draw_channel(profile, cfg, gen)
-    clean = transmit_receive(ts, ch, cfo, 0.0, cfg)
+    clean = transmit_receive(ts, ch, cfo, cfg)
     if snr_db is None:
         return clean, ch, ts
     nv = clean.stacked_power * cfg.n_tx / 10.0 ** (snr_db / 10.0)
-    noisy = transmit_receive(ts, ch, cfo, nv, cfg, RandomSource(seed, 3 + 2 * trial))
+    gen = RandomSource(seed, 3 + 2 * trial).generator()
+    noisy = add_noise({"cbts": clean}, {"cbts": nv}, gen)["cbts"]
     return noisy, ch, ts
 
 
@@ -42,7 +44,7 @@ class TestStack:
     def test_index_arithmetic(self):
         cfg = SystemConfig(4, 2, 1, 1, 2, 1, (0,))
         y = np.array([[1 + 0j, 2, 3, 4]])
-        frame = ReceivedFrame(samples=y, true_cfo=0.0, noise_var=0.0, stacked_power=1.0)
+        frame = ReceivedFrame(samples=y, true_cfo=0.0, stacked_power=1.0)
         sf = stack(frame, cfg)
         assert np.array_equal(sf.matrix, [[1, 2], [3, 4]])
         assert sf.corr[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
@@ -58,7 +60,7 @@ class TestStack:
 
     def test_shape_mismatch_rejected(self, toy_cfg):
         frame = ReceivedFrame(samples=np.zeros((1, 8), complex), true_cfo=0.0,
-                              noise_var=0.0, stacked_power=0.0)
+                              stacked_power=0.0)
         with pytest.raises(ValueError):
             stack(frame, toy_cfg)
 
@@ -107,7 +109,7 @@ class TestDiagRatio:
     def test_noiseless_phase_recovers_offset(self, cfo):
         cfg = reference_config()
         ts = build_training(cfg, "cbts")
-        frame = transmit_receive(ts, unit_taps(cfg), cfo, 0.0, cfg)
+        frame = transmit_receive(ts, unit_taps(cfg), cfo, cfg)
         sf = stack(frame, cfg)
         frac = (np.angle(diag_ratio(sf, 7)) / (2 * np.pi)) % 1.0
         delta = min(abs(frac - cfo % 1.0), 1.0 - abs(frac - cfo % 1.0))
@@ -199,7 +201,7 @@ class TestSimplifiedEstimator:
         n = ref_cfg_b.n_subcarriers
         shifted = ReceivedFrame(
             samples=frame.samples * np.exp(2j * np.pi * delta * np.arange(n) / n),
-            true_cfo=frame.true_cfo + delta, noise_var=0.0,
+            true_cfo=frame.true_cfo + delta,
             stacked_power=frame.stacked_power)
         base = estimate_simplified(stack(frame, ref_cfg_b),
                                    EstimatorParams(7), ref_cfg_b).value
@@ -248,7 +250,7 @@ class TestMlGrid:
 class TestDerivativeFactorisation:
     def test_residual_small_for_structured_training(self, ref_cfg_b):
         ts = build_training(ref_cfg_b, "cbts")
-        frame = transmit_receive(ts, unit_taps(ref_cfg_b), 2.3, 0.0, ref_cfg_b)
+        frame = transmit_receive(ts, unit_taps(ref_cfg_b), 2.3, ref_cfg_b)
         sf = stack(frame, ref_cfg_b)
         assert derivative_factor_residual(sf, 7, ref_cfg_b) < 5e-2
 
@@ -266,7 +268,7 @@ class TestDerivativeFactorisation:
         ts = build_training(cfg, "cbts")
         taps = np.zeros((1, 1, 8), complex)
         taps[0, 0, 0] = 1.0
-        frame = transmit_receive(ts, ChannelRealization(taps=taps), 1.2, 0.0, cfg)
+        frame = transmit_receive(ts, ChannelRealization(taps=taps), 1.2, cfg)
         sf = stack(frame, cfg)
         assert derivative_factor_residual(sf, 5, cfg) < 1e-6
 
@@ -309,7 +311,7 @@ class TestNoiselessDiagonalStructure:
             gen = RandomSource(55, 2 + 2 * t).generator()
             ch = draw_channel(ref_profile, ref_cfg_a, gen)
             cfo = gen.uniform(-8, 8)
-            frame = transmit_receive(ts, ch, cfo, 0.0, ref_cfg_a)
+            frame = transmit_receive(ts, ch, cfo, ref_cfg_a)
             sf = stack(frame, ref_cfg_a)
             acc += np.abs(sf.diag_sums) / n
             power += frame.stacked_power / n
@@ -344,10 +346,10 @@ class TestDegenerateDesignSweep:
             gen = RandomSource(11, 2 + 2 * t).generator()
             ch = draw_channel(toy_profile, blind_cfg, gen)
             cfo = gen.uniform(-4, 4)
-            clean = transmit_receive(ts, ch, cfo, 0.0, blind_cfg)
+            clean = transmit_receive(ts, ch, cfo, blind_cfg)
             nv = clean.stacked_power * blind_cfg.n_tx / 10.0
-            noisy = transmit_receive(ts, ch, cfo, nv, blind_cfg,
-                                     RandomSource(11, 3 + 2 * t))
+            noisy = add_noise({"cbts": clean}, {"cbts": nv},
+                              RandomSource(11, 3 + 2 * t).generator())["cbts"]
             sf = stack(noisy, blind_cfg)
             for idx in errs:
                 try:

@@ -11,6 +11,37 @@ from cfolab.harness import (CSV_HEADER, ExperimentSpec, parse_estimator_id,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
 
 
+# (field, value) pairs that must fail as a ConfigError, never be coerced
+MALFORMED_SPEC_VALUES = [
+    ("noiseless", "false"),
+    ("trials", 2.7),
+    ("trials", True),
+    ("snr_points_db", []),
+    ("snr_points_db", [float("nan")]),
+    ("emcb_draws", 0),
+    ("estimators", "ml_grid"),
+    ("snr_points_db", ["10"]),
+    ("seed", 1.5),
+    ("seed", -1),
+    ("epsilon_value", "0.5"),
+]
+MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
+
+# Full CSV of a small campaign covering both training kinds, ml_grid and the
+# bound.  A change that moves any byte updates this text and says so.
+GOLDEN_TOY_CSV = """\
+estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
+simplified:3,10,3,20,0.000169682215449,0.000156327767164,,,0
+simplified_rs:3,10,3,20,4.5896735162,,,,0
+ml_grid,10,,20,0.000158125020049,,,,0
+simplified:3,20,3,20,1.15570166363e-05,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,6.13022182372,,,,0
+ml_grid,20,,20,1.58009245484e-05,,,,0
+emcb,10,,10,,,0.000141538701817,,0
+emcb,20,,10,,,1.41538701817e-05,,0
+"""
+
+
 @pytest.fixture()
 def toy_spec(toy_cfg, toy_profile) -> ExperimentSpec:
     return ExperimentSpec(
@@ -68,6 +99,13 @@ class TestRunMseVsSnr:
             else:
                 os.environ["CFOLAB_THREADS"] = old
         assert threaded == first
+
+    def test_golden_bytes(self, toy_cfg, toy_profile):
+        spec = ExperimentSpec(
+            config=toy_cfg, profile=toy_profile,
+            estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
+            snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
+        assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
 
     def test_seed_changes_output(self, toy_spec):
         from dataclasses import replace
@@ -228,6 +266,27 @@ class TestSpecPlumbing:
                            estimators=("simplified:3",), snr_points_db=(10.0,),
                            trials=1, seed=1, epsilon_mode="gaussian")
 
+    def test_fixed_epsilon_outside_range_rejected(self, toy_spec, tmp_path, capsys):
+        from dataclasses import replace
+
+        half = toy_spec.config.cfo_half_range
+        with pytest.raises(ConfigError, match="epsilon_value"):
+            replace(toy_spec, epsilon_mode="fixed", epsilon_value=half)
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"preset": "paper-fig2", "trials": 1,
+                                        "epsilon_mode": "fixed",
+                                        "epsilon_value": 9.0}))
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
+        assert "epsilon_value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", MALFORMED_SPEC_VALUES,
+                             ids=MALFORMED_SPEC_IDS)
+    def test_malformed_values_rejected(self, toy_spec, field, value):
+        from dataclasses import replace
+
+        with pytest.raises(ConfigError, match=field):
+            replace(toy_spec, **{field: value})
+
 
 class TestCli:
     def _write_toy_json(self, path, **overrides):
@@ -284,6 +343,17 @@ class TestCli:
 
     def test_missing_config_exit_code(self):
         assert cli_main(["mse-vs-snr"]) == 2
+
+    @pytest.mark.parametrize("field,value", MALFORMED_SPEC_VALUES,
+                             ids=MALFORMED_SPEC_IDS)
+    def test_malformed_config_exit_code(self, tmp_path, capsys, field, value):
+        # with emcb requested, a zero draw count reaches the bound's own check
+        cfg_file = tmp_path / "bad.json"
+        self._write_toy_json(cfg_file, **{"estimators": ["simplified:3", "emcb"],
+                                          field: value})
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
 
     def test_bench_prints_table(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfolab.numerics import (RandomSource, complex_normal, cyclic_shift, dft,
-                             dft_matrix, hermitian_defect, phase_ramp)
+                             dft_matrix, phase_ramp)
 from support import dft_direct
 
 
@@ -72,13 +72,6 @@ class TestCyclicShift:
         x = rng.standard_normal(9)
         assert np.array_equal(cyclic_shift(cyclic_shift(x, a), b),
                               cyclic_shift(x, a + b))
-
-
-def test_hermitian_defect(rng):
-    y = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-    assert hermitian_defect(y @ y.conj().T) <= 1e-12
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert hermitian_defect(a) > 1e-3
 
 
 class TestRandomSource:

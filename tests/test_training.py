@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cfolab import (ConfigError, SystemConfig, build_training, chu_sequence,
-                    period_gram, reference_config, reference_profile,
-                    shift_correlation)
+                    period_gram, reference_config, reference_profile)
 from cfolab.numerics import RandomSource, dft
 from cfolab.training import OFFSETS_A, OFFSETS_B, export_training_csv
-from support import periodic_autocorr, shift_correlation_closed_form
+from support import (periodic_autocorr, shift_correlation,
+                     shift_correlation_closed_form)
 
 
 class TestSystemConfig:
