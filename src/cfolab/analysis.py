@@ -35,8 +35,7 @@ import numpy as np
 from .channel import ChannelProfile, draw_channel, model_matrix
 from .estimator import DegenerateDiagonalError
 from .numerics import RandomSource
-from .training import (ConfigError, SystemConfig, TrainingSet, build_training,
-                       period_gram)
+from .training import ConfigError, SystemConfig, build_training, period_gram
 
 # |sum of comb phasors| below this is treated as a blind diagonal.
 DEGENERATE_PHASE_SUM = 1e-9
@@ -59,8 +58,6 @@ class AnalysisPoint:
 class EmcbResult:
     snr_db: tuple[float, ...]
     values: tuple[float, ...]
-    n_draws: int
-    seed: int
 
 
 def _phase_sum(cfg: SystemConfig, power: int) -> complex:
@@ -251,7 +248,7 @@ def projection_complement(basis: np.ndarray) -> np.ndarray:
 
 
 def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
-         rng: RandomSource, ts: TrainingSet | None = None) -> EmcbResult:
+         rng: RandomSource) -> EmcbResult:
     """Extended Miller-Chang bound: snapshot CRB averaged over channel draws.
 
     The bound's block structure over receive antennas lets the projector be
@@ -263,9 +260,7 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     snr_db = tuple(float(v) for v in np.atleast_1d(snr_db))
-    if ts is None:
-        ts = build_training(cfg, "cbts")
-    s = model_matrix(ts, cfg)
+    s = model_matrix(build_training(cfg, "cbts"), cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     complement = projection_complement(s)
     ramp = np.arange(ng, ng + n, dtype=float)
@@ -294,5 +289,4 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     for db in snr_db:
         noise_var = mean_power / 10.0 ** (db / 10.0)
         values.append(float(np.mean(n * noise_var / (8.0 * np.pi ** 2 * quad))))
-    return EmcbResult(snr_db=snr_db, values=tuple(values),
-                      n_draws=n_draws, seed=rng.seed)
+    return EmcbResult(snr_db=snr_db, values=tuple(values))

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .numerics import RandomSource, complex_normal, phase_ramp
-from .training import ConfigError, SystemConfig, TrainingSet
+from .training import (ConfigError, SystemConfig, TrainingSet, is_finite_number,
+                       is_integer)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,12 @@ class ChannelProfile:
     powers_db: tuple[float, ...]
 
     def __post_init__(self):
+        for key, valid, what in (("delays", is_integer, "integers"),
+                                 ("powers_db", is_finite_number, "finite numbers")):
+            value = getattr(self, key)
+            if not isinstance(value, (tuple, list)) or not all(map(valid, value)):
+                raise ConfigError(f"profile {key} must be a list of {what}, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
         if len(self.delays) != len(self.powers_db) or not self.delays:
             raise ConfigError("profile needs equal-length, non-empty delay and power lists")
         if any(d < 0 for d in self.delays):

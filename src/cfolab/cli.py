@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import analysis, estimator, harness
-from .channel import add_noise, draw_channel, transmit_receive
-from .numerics import RandomSource
-from .training import ConfigError, build_training, export_training_csv
+from .training import ConfigError, export_training_csv
 
 
 def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
@@ -24,6 +23,9 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object, "
+                              f"got {type(raw).__name__}")
     if args.preset:
         raw.setdefault("preset", args.preset)
     if args.seed is not None:
@@ -46,23 +48,16 @@ def _emit(rows, out_path: str | None) -> None:
 def _cmd_estimate(args) -> int:
     spec, _ = _spec_from_args(args)
     cfg = spec.config
-    ts = build_training(cfg, "cbts")
-    gen = RandomSource(spec.seed, harness._trial_stream(0)).generator()
-    ch = draw_channel(spec.profile, cfg, gen)
-    cfo = args.cfo
-    frame = transmit_receive(ts, ch, cfo, cfg)
-    if args.snr_db is not None:
-        nv = frame.stacked_power * cfg.n_tx / 10.0 ** (args.snr_db / 10.0)
-        gen = RandomSource(spec.seed, harness._noise_stream(0, 1, 0)).generator()
-        frame = add_noise({"cbts": frame}, {"cbts": nv}, gen)["cbts"]
-    sf = estimator.stack(frame, cfg)
+    spec = replace(spec, estimators=("simplified:1",), snr_points_db=(args.snr_db,),
+                   noiseless=args.noiseless)
+    sf = harness.one_frame(spec, args.cfo)["cbts"]
     if args.diag_index is not None:
-        idx = args.diag_index
+        idx = harness.parse_estimator_id(f"simplified:{args.diag_index}", cfg)[2]
     else:
-        gamma = (10.0 ** (args.snr_db / 10.0) / cfg.n_tx) if args.snr_db is not None else 1e6
+        gamma = 1e6 if args.noiseless else 10.0 ** (args.snr_db / 10.0) / cfg.n_tx
         idx = analysis.optimal_diag_indices(gamma, cfg)[0]
     res = estimator.estimate_simplified(sf, estimator.EstimatorParams(idx), cfg)
-    print(f"true_cfo            {cfo:+.6f}")
+    print(f"true_cfo            {args.cfo:+.6f}")
     print(f"estimated_cfo       {res.value:+.6f}")
     print(f"diag_index          {idx}")
     print(f"diag_ratio          {res.diag_ratio.real:+.6e}{res.diag_ratio.imag:+.6e}j")
@@ -79,12 +74,14 @@ def _cmd_mse_vs_snr(args) -> int:
 
 def _cmd_mse_vs_iota(args) -> int:
     spec, extras = _spec_from_args(args)
+    # raw items go into the estimator ids, where the spec rejects non-integers
+    iotas = extras["iotas"]
     if args.iotas:
-        iotas = [int(v) for v in args.iotas.split(",")]
-    elif extras["iotas"]:
-        iotas = [int(v) for v in extras["iotas"]]
-    else:
-        iotas = list(range(1, spec.config.n_periods))
+        iotas = args.iotas.split(",")
+    elif not iotas:
+        iotas = range(1, spec.config.n_periods)
+    elif not isinstance(iotas, list):
+        raise ConfigError(f"iotas must be a list of diagonal indices, got {iotas!r}")
     _emit(harness.run_mse_vs_iota(spec, iotas), args.out)
     return 0
 
@@ -107,20 +104,17 @@ def _cmd_bench(args) -> int:
     if "ml_grid" in medians and simplified:
         print(f"speedup ml_grid/simplified: {medians['ml_grid'] / min(simplified):.1f}x")
     if args.out:
-        rows = [harness.ResultRow(
+        _emit([harness.ResultRow(
             estimator=r.estimator, snr_db=spec.snr_points_db[0], iota=None,
             trials=r.repetitions, empirical_mse=None, analytic_mse=None,
             emcb=None, mean_runtime_us=r.mean_us, degenerate_count=0)
-            for r in bench]
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            harness.write_csv(rows, fh)
+            for r in bench], args.out)
     return 0
 
 
 def _cmd_gen_training(args) -> int:
     spec, _ = _spec_from_args(args)
-    rng = RandomSource(spec.seed, harness.STREAM_RS_TRAINING) if args.kind == "rs" else None
-    ts = build_training(spec.config, args.kind, rng)
+    ts = harness.campaign_training(spec, args.kind)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             export_training_csv(ts, spec.config, fh)
@@ -179,8 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "noiseless", False):
-        args.snr_db = None
     try:
         return args.func(args)
     except ConfigError as exc:

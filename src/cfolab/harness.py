@@ -6,17 +6,19 @@ per trial, noise on one stream per (SNR point, trial), the random-training
 draw and the bound's channel draws on reserved ranges.  Trials run and are
 reduced in trial order.
 
+`_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
+stacked frame.  The frames that `bench` and `cfolab estimate` run on are
+trial 0 of that layout at the first SNR point (`one_frame`).
+
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import time
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 from typing import IO, Iterable
 
 import numpy as np
@@ -26,7 +28,8 @@ from .channel import (ChannelProfile, add_noise, draw_channel, reference_profile
                       transmit_receive)
 from .numerics import RandomSource
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
-                       TrainingSet, build_training, reference_config)
+                       TrainingSet, build_training, is_finite_number, is_integer,
+                       reference_config)
 
 CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
               "emcb,mean_runtime_us,degenerate_count")
@@ -34,7 +37,6 @@ CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
 # Stream-id layout (see module docstring): keep these ranges disjoint.
 STREAM_RS_TRAINING = 1
 STREAM_EMCB_BASE = 1 << 40
-STREAM_BENCH = 1 << 41
 
 
 def _trial_stream(trial: int) -> int:
@@ -43,10 +45,6 @@ def _trial_stream(trial: int) -> int:
 
 def _noise_stream(snr_index: int, trials: int, trial: int) -> int:
     return 3 + 2 * (snr_index * trials + trial)
-
-
-def _is_finite_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -67,19 +65,19 @@ class ExperimentSpec:
     def __post_init__(self):
         for key, least in (("trials", 1), ("seed", 0), ("emcb_draws", 1)):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            if not is_integer(value) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
         if not isinstance(self.noiseless, bool):
             raise ConfigError(f"noiseless must be true or false, got {self.noiseless!r}")
         if self.epsilon_mode not in ("uniform", "fixed"):
             raise ConfigError(f"unknown epsilon_mode {self.epsilon_mode!r}")
         half = self.config.cfo_half_range
-        if not _is_finite_number(self.epsilon_value) or (
+        if not is_finite_number(self.epsilon_value) or (
                 self.epsilon_mode == "fixed" and not -half < self.epsilon_value < half):
             raise ConfigError(f"epsilon_value must be a number in (-{half}, {half}), "
                               f"got {self.epsilon_value!r}")
         if (not isinstance(self.snr_points_db, (tuple, list)) or not self.snr_points_db
-                or not all(map(_is_finite_number, self.snr_points_db))):
+                or not all(map(is_finite_number, self.snr_points_db))):
             raise ConfigError("snr_points_db must be a non-empty list of finite "
                               f"numbers, got {self.snr_points_db!r}")
         if (not isinstance(self.estimators, (tuple, list)) or not self.estimators
@@ -142,14 +140,16 @@ def _wrap_error(err: float, n_periods: int) -> float:
     return (err + half) % n_periods - half
 
 
+def campaign_training(spec: ExperimentSpec, kind: str) -> TrainingSet:
+    """The campaign's training of one kind; rs draws on its reserved stream."""
+    rng = RandomSource(spec.seed, STREAM_RS_TRAINING) if kind == "rs" else None
+    return build_training(spec.config, kind, rng)
+
+
 def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
     kinds = {parse_estimator_id(e, spec.config)[1]
              for e in spec.estimators if not e.startswith("emcb")}
-    out: dict[str, TrainingSet] = {}
-    for kind in sorted(kinds):
-        rng = RandomSource(spec.seed, STREAM_RS_TRAINING) if kind == "rs" else None
-        out[kind] = build_training(spec.config, kind, rng)
-    return out
+    return {kind: campaign_training(spec, kind) for kind in sorted(kinds)}
 
 
 def _draw_trial(spec: ExperimentSpec, trainings: dict[str, TrainingSet], trial: int):
@@ -172,6 +172,39 @@ def _draw_trial(spec: ExperimentSpec, trainings: dict[str, TrainingSet], trial: 
     return cfo, frames
 
 
+def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
+    """Yield (snr_index, cfo, {kind: stacked noisy frame}) in campaign order.
+
+    All trials are drawn first: a point's noise variance per training kind is
+    the mean signal power of every trial over the SNR.  Then, per point and in
+    trial order, the frames take the noise of the (point, trial) stream.
+    Yields nothing when the spec asks for no training.
+    """
+    if not trainings:
+        return
+    cfg = spec.config
+    drawn = [_draw_trial(spec, trainings, t) for t in range(spec.trials)]
+    mean_power = {kind: float(np.mean([frames[kind].stacked_power * cfg.n_tx
+                                       for _, frames in drawn]))
+                  for kind in trainings}
+    for s_idx, snr_db in enumerate(spec.snr_points_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        noise_var = {k: (0.0 if spec.noiseless else mean_power[k] / snr)
+                     for k in trainings}
+        for trial, (cfo, frames) in enumerate(drawn):
+            gen = RandomSource(spec.seed,
+                               _noise_stream(s_idx, spec.trials, trial)).generator()
+            yield s_idx, cfo, {kind: estimator.stack(frame, cfg)
+                               for kind, frame in add_noise(frames, noise_var, gen).items()}
+
+
+def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, estimator.StackedFrame]:
+    """Trial 0 of the campaign layout at the first SNR point, offset fixed at `cfo`:
+    one stacked frame per training kind of the spec's estimators."""
+    spec = replace(spec, trials=1, epsilon_mode="fixed", epsilon_value=cfo)
+    return next(_stacked_frames(spec, _trainings_for(spec)))[2]
+
+
 def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
     """Per (estimator, SNR point): seeded trials, squared circular error averaged.
 
@@ -184,14 +217,9 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
     diagonal sum can vanish (`analysis.comb_sum_can_vanish`), leave it empty.
     """
     cfg = spec.config
-    trainings = _trainings_for(spec)
     parsed = [(e, *parse_estimator_id(e, cfg)) for e in spec.estimators]
     mc_ids = [p for p in parsed if p[1] != "emcb"]
 
-    drawn = [_draw_trial(spec, trainings, t) for t in range(spec.trials)]
-    mean_power = {kind: float(np.mean([d[1][kind].stacked_power * cfg.n_tx
-                                       for d in drawn]))
-                  for kind in trainings}
     # the noiseless bias floor depends on the index alone, not on the SNR;
     # indices whose diagonal sum can vanish get no prediction
     floors: dict[int, float] = {}
@@ -203,41 +231,33 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
             except estimator.DegenerateDiagonalError:
                 pass
 
-    rows: list[ResultRow] = []
-    for s_idx, snr_db in enumerate(spec.snr_points_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        noise_var = {k: (0.0 if spec.noiseless else mean_power[k] / snr)
-                     for k in trainings}
-        sq_errors: dict[str, list[float]] = {est_id: [] for est_id, *_ in mc_ids}
-        for trial, (cfo, frames) in enumerate(drawn):
-            gen = RandomSource(spec.seed,
-                               _noise_stream(s_idx, spec.trials, trial)).generator()
-            stacked = {kind: estimator.stack(frame, cfg)
-                       for kind, frame in add_noise(frames, noise_var, gen).items()}
-            for est_id, method, kind, idx in mc_ids:
-                try:
-                    if method == "simplified":
-                        res = estimator.estimate_simplified(
-                            stacked[kind], estimator.EstimatorParams(idx), cfg)
-                    else:
-                        res = estimator.estimate_ml_grid(stacked[kind], cfg)
-                except estimator.DegenerateDiagonalError:
-                    continue
-                sq_errors[est_id].append(_wrap_error(res.value - cfo, cfg.n_periods) ** 2)
-
+    sq_errors = [{est_id: [] for est_id, *_ in mc_ids} for _ in spec.snr_points_db]
+    for s_idx, cfo, stacked in _stacked_frames(spec, _trainings_for(spec)):
         for est_id, method, kind, idx in mc_ids:
-            errs = sq_errors[est_id]
-            degenerate = spec.trials - len(errs)
+            try:
+                if method == "simplified":
+                    res = estimator.estimate_simplified(
+                        stacked[kind], estimator.EstimatorParams(idx), cfg)
+                else:
+                    res = estimator.estimate_ml_grid(stacked[kind], cfg)
+            except estimator.DegenerateDiagonalError:
+                continue
+            sq_errors[s_idx][est_id].append(_wrap_error(res.value - cfo, cfg.n_periods) ** 2)
+
+    rows: list[ResultRow] = []
+    for snr_db, errors_at in zip(spec.snr_points_db, sq_errors):
+        for est_id, method, kind, idx in mc_ids:
+            errs = errors_at[est_id]
             analytic = None
             if kind == "cbts" and idx in floors:
-                gamma = snr / cfg.n_tx
+                gamma = 10.0 ** (snr_db / 10.0) / cfg.n_tx
                 analytic = analysis.predicted_mse(gamma, idx, cfg) + floors[idx]
             rows.append(ResultRow(
                 estimator=est_id, snr_db=float(snr_db), iota=idx,
                 trials=spec.trials,
                 empirical_mse=float(np.mean(errs)) if errs else None,
                 analytic_mse=analytic, emcb=None, mean_runtime_us=None,
-                degenerate_count=degenerate))
+                degenerate_count=spec.trials - len(errs)))
 
     if any(p[1] == "emcb" for p in parsed):
         rows.extend(run_emcb(spec))
@@ -264,18 +284,12 @@ def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
 def run_bench(spec: ExperimentSpec, repetitions: int = 200) -> list[BenchRow]:
     """Wall-clock comparison of the estimators on one shared noisy frame."""
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if set(spec.estimators) == {"emcb"}:
+        raise ConfigError("bench times Monte Carlo estimators (simplified:<i>, "
+                          "simplified_rs:<i>, ml_grid); emcb alone has none")
     cfg = spec.config
-    trainings = _trainings_for(spec)
-    rng = RandomSource(spec.seed, STREAM_BENCH)
-    ch = draw_channel(spec.profile, cfg, rng)
-    cfo = 2.3 if cfg.cfo_half_range > 2.3 else 0.3
-    snr = 10.0 ** (spec.snr_points_db[0] / 10.0)
-    clean = {kind: transmit_receive(ts, ch, cfo, cfg) for kind, ts in trainings.items()}
-    noise_var = {kind: 0.0 if spec.noiseless else frame.stacked_power * cfg.n_tx / snr
-                 for kind, frame in clean.items()}
-    noisy = add_noise(clean, noise_var, rng.stream(STREAM_BENCH + 1).generator())
-    stacked = {kind: estimator.stack(frame, cfg) for kind, frame in noisy.items()}
+    stacked = one_frame(spec, 2.3 if cfg.cfo_half_range > 2.3 else 0.3)
 
     rows = []
     for est_id in spec.estimators:
@@ -355,6 +369,15 @@ def preset_spec(name: str, seed: int = 42) -> ExperimentSpec:
     raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
+def _from_section(cls, name: str, section):
+    """Build `cls` from a JSON object of its fields.  A non-object, an unknown or
+    a missing key is the call's TypeError; the constructors check value types."""
+    try:
+        return cls(**section)
+    except TypeError as exc:
+        raise ConfigError(f"{name} section: {exc}") from None
+
+
 def spec_from_json(data: dict) -> ExperimentSpec:
     """Build a spec from a JSON-shaped dict; `preset` expands first, every
     other key overrides the expanded values."""
@@ -363,19 +386,14 @@ def spec_from_json(data: dict) -> ExperimentSpec:
     base = preset_spec(preset, seed=data.get("seed", 42)) if preset else None
 
     if "config" in data:
-        cfg_d = dict(data.pop("config"))
-        if "offsets" in cfg_d:
-            cfg_d["offsets"] = tuple(cfg_d["offsets"])
-        config = SystemConfig(**cfg_d)
+        config = _from_section(SystemConfig, "config", data.pop("config"))
     elif base:
         config = base.config
     else:
         raise ConfigError("config section (or preset) is required")
 
     if "profile" in data:
-        p = data.pop("profile")
-        profile = ChannelProfile(delays=tuple(p["delays"]),
-                                 powers_db=tuple(p["powers_db"]))
+        profile = _from_section(ChannelProfile, "profile", data.pop("profile"))
     elif base:
         profile = base.profile
     else:
@@ -405,8 +423,3 @@ def spec_from_json(data: dict) -> ExperimentSpec:
     if data:
         raise ConfigError(f"unknown config keys: {sorted(data)}")
     return spec
-
-
-def load_spec(path: str) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json(json.load(fh))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import IO
 
 import numpy as np
@@ -30,6 +31,14 @@ from .numerics import RandomSource, cyclic_shift, dft, phase_ramp
 
 class ConfigError(ValueError):
     """Raised for dimension or parameter combinations the model cannot support."""
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # Offset sets used by the shipped reference experiments.
@@ -67,6 +76,14 @@ class SystemConfig:
     chu_root: int = 1
 
     def __post_init__(self):
+        for key in ("n_subcarriers", "pilot_len", "n_tx", "n_rx", "cp_len", "chan_len",
+                    "chu_root"):
+            if not is_integer(getattr(self, key)):
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        offsets = self.offsets
+        if not isinstance(offsets, (tuple, list)) or not all(map(is_integer, offsets)):
+            raise ConfigError(f"offsets must be a list of integers, got {offsets!r}")
+        object.__setattr__(self, "offsets", tuple(offsets))
         n, p = self.n_subcarriers, self.pilot_len
         if p < 2 or n < p:
             raise ConfigError(f"need n_subcarriers >= pilot_len >= 2, got {n}, {p}")

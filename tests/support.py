@@ -81,10 +81,21 @@ def shift_correlation(ts: TrainingSet, cfg: SystemConfig,
     return complex(period_gram(ts, cfg, (lag_a, lag_b))[ant_a, 0, ant_b, 1])
 
 
+def sample_corr(sf: StackedFrame) -> np.ndarray:
+    """Q x Q Hermitian sample correlation of the period rows, matrix @ matrix^H."""
+    return sf.matrix @ sf.matrix.conj().T
+
+
+def upper_diagonal_sums(a: np.ndarray) -> np.ndarray:
+    """Element q = sum of the q-th upper diagonal of a square matrix."""
+    n = a.shape[0]
+    return np.array([np.trace(a, offset=q) for q in range(n)])
+
+
 def likelihood_trace(sf: StackedFrame, cfo: float, cfg: SystemConfig) -> float:
     """Trace form of the likelihood: Tr[B(eps)^H corr B(eps)], real by symmetry."""
     b = steering_matrix(cfo, cfg)
-    return float(np.real(np.trace(b.conj().T @ sf.corr @ b)))
+    return float(np.real(np.trace(b.conj().T @ sample_corr(sf) @ b)))
 
 
 def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,

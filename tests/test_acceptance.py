@@ -18,11 +18,12 @@ from cfolab import (EstimatorParams, RandomSource, SystemConfig,
                     transmit_receive)
 from cfolab.channel import ChannelRealization
 from cfolab.estimator import (StackedFrame, curvature_factor,
-                              derivative_factor_residual, upper_diagonal_sums)
+                              derivative_factor_residual)
 from cfolab.harness import ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_snr
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (likelihood_trace, periodic_autocorr, shift_correlation,
-                     shift_correlation_closed_form, stacked_signal_matrix)
+                     shift_correlation_closed_form, stacked_signal_matrix,
+                     upper_diagonal_sums)
 
 CFO_POINTS = (-7.5, -2.3, 0.0, 0.5, 7.0)
 
@@ -189,7 +190,7 @@ def test_criterion_7_noiseless_exactness():
     for _ in range(100):
         y = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
         r = y @ y.conj().T
-        sf_r = StackedFrame(matrix=y, corr=r, diag_sums=upper_diagonal_sums(r))
+        sf_r = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
         fast = likelihood(sf_r, grid, toy)
         trace = np.array([likelihood_trace(sf_r, e, toy) for e in grid])
         assert np.argmax(fast) == np.argmax(trace)

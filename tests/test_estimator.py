@@ -9,8 +9,8 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, EstimatorParams,
 from cfolab.channel import ChannelRealization, ReceivedFrame
 from cfolab.estimator import (StackedFrame, candidate_grid, comb_phase_sums,
                               curvature_factor, derivative_factor_residual,
-                              diag_ratio, upper_diagonal_sums)
-from support import likelihood_trace
+                              diag_ratio)
+from support import likelihood_trace, sample_corr, upper_diagonal_sums
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -36,7 +36,6 @@ def unit_taps(cfg):
 def synthetic_stacked(diag_sums, q):
     """StackedFrame carrying only the diagonal sums (enough for diag_ratio)."""
     return StackedFrame(matrix=np.zeros((q, q), complex),
-                        corr=np.zeros((q, q), complex),
                         diag_sums=np.asarray(diag_sums, dtype=complex))
 
 
@@ -47,16 +46,30 @@ class TestStack:
         frame = ReceivedFrame(samples=y, true_cfo=0.0, stacked_power=1.0)
         sf = stack(frame, cfg)
         assert np.array_equal(sf.matrix, [[1, 2], [3, 4]])
-        assert sf.corr[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
-        assert sf.diag_sums[0] == pytest.approx(np.trace(sf.corr))
-        assert sf.diag_sums[1] == pytest.approx(sf.corr[0, 1])
+        assert sample_corr(sf)[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
+        assert sf.diag_sums[0] == pytest.approx(np.trace(sample_corr(sf)))
+        assert sf.diag_sums[1] == pytest.approx(sample_corr(sf)[0, 1])
 
     def test_corr_hermitian_and_trace_real(self, toy_cfg, toy_profile):
         frame, _, _ = make_frame(toy_cfg, toy_profile, 1.3, snr_db=10.0)
         sf = stack(frame, toy_cfg)
-        assert np.max(np.abs(sf.corr - sf.corr.conj().T)) == 0.0
+        assert np.max(np.abs(sample_corr(sf) - sample_corr(sf).conj().T)) == 0.0
         assert sf.diag_sums[0].imag == 0.0
         assert sf.diag_sums[0].real >= 0.0
+
+    def test_lag_sums_match_correlation_diagonals(self, rng, toy_cfg, ref_cfg_b,
+                                                  ref_profile):
+        # stack never forms the sample correlation; its trace-form diagonal
+        # sums are the oracle, relative to the zero lag, which bounds them all
+        cases = [(ReceivedFrame(samples=rng.standard_normal((2, 64))
+                                + 1j * rng.standard_normal((2, 64)),
+                                true_cfo=0.0, stacked_power=1.0), toy_cfg)
+                 for _ in range(20)]
+        cases.append((make_frame(ref_cfg_b, ref_profile, 2.3, snr_db=15.0)[0], ref_cfg_b))
+        for frame, cfg in cases:
+            sf = stack(frame, cfg)
+            oracle = upper_diagonal_sums(sample_corr(sf))
+            assert np.max(np.abs(sf.diag_sums - oracle)) <= 1e-12 * abs(oracle[0])
 
     def test_shape_mismatch_rejected(self, toy_cfg):
         frame = ReceivedFrame(samples=np.zeros((1, 8), complex), true_cfo=0.0,
@@ -143,7 +156,7 @@ class TestLikelihood:
         # of its one-sided half against the returned value
         y = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         r = y @ y.conj().T
-        sf = StackedFrame(matrix=y, corr=r, diag_sums=upper_diagonal_sums(r))
+        sf = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
         q = np.arange(8)
         bsum = comb_phase_sums(toy_cfg)
         for eps in (-1.7, 0.0, 2.2):
@@ -158,7 +171,7 @@ class TestLikelihood:
         for _ in range(100):
             y = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
             r = y @ y.conj().T
-            sf = StackedFrame(matrix=y, corr=r, diag_sums=upper_diagonal_sums(r))
+            sf = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
             fast = likelihood(sf, grid, toy_cfg)
             trace = np.array([likelihood_trace(sf, e, toy_cfg) for e in grid])
             assert np.argmax(fast) == np.argmax(trace)
@@ -240,11 +253,6 @@ class TestMlGrid:
             m = estimate_ml_grid(sf, ref_cfg_b).value
             worst = max(worst, abs(s - m))
         assert worst < 5e-3
-
-    def test_bad_steps_rejected(self, toy_cfg, toy_profile):
-        frame, _, _ = make_frame(toy_cfg, toy_profile, 0.3)
-        with pytest.raises(ValueError):
-            estimate_ml_grid(stack(frame, toy_cfg), toy_cfg, coarse_step=0.0)
 
 
 class TestDerivativeFactorisation:

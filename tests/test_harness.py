@@ -6,7 +6,8 @@ import pytest
 
 from cfolab import ConfigError, bias_floor, predicted_mse
 from cfolab.cli import main as cli_main
-from cfolab.harness import (CSV_HEADER, ExperimentSpec, parse_estimator_id,
+from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
+                            _trainings_for, one_frame, parse_estimator_id,
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
 
@@ -40,6 +41,39 @@ ml_grid,20,,20,1.58009245484e-05,,,,0
 emcb,10,,10,,,0.000141538701817,,0
 emcb,20,,10,,,1.41538701817e-05,,0
 """
+
+# `cfolab estimate` on the toy config of TestCli with the default flags
+# (offset 2.3, 15 dB, index chosen by the closed form).
+GOLDEN_ESTIMATE_TEXT = """\
+true_cfo            +2.300000
+estimated_cfo       +2.296337
+diag_index          3
+diag_ratio          -2.924622e-01+9.759812e-01j
+candidates          -3.7037 -2.7037 -1.7037 -0.7037 +0.2963 +1.2963 +2.2963 +3.2963
+scores              1.641117e+04 5.758007e+04 1.635125e+04 3.715187e+04 1.646131e+04 1.631015e+04 7.823674e+04 1.641838e+04
+"""
+
+TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
+              "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
+# Command lines (given `--config FILE` after them) and overrides of the toy
+# config file that must exit with status 2 and a config error, never a
+# traceback; None writes a top-level JSON list instead of an object.
+MALFORMED_CLI_CASES = {
+    "config-unknown-key": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "bogus": 1}}),
+    "config-string-dimension": (["mse-vs-snr"],
+                                {"config": {**TOY_SYSTEM, "n_subcarriers": "64"}}),
+    "profile-without-powers": (["mse-vs-snr"], {"profile": {"delays": [0, 2, 7]}}),
+    "profile-fractional-delay": (["mse-vs-snr"], {"profile": {
+        "delays": [0, 0.5, 7], "powers_db": [0, -3, -6]}}),
+    "top-level-list": (["mse-vs-snr"], None),
+    "estimate-diag-index": (["estimate", "--diag-index", "99"], {}),
+    "estimate-cfo-out-of-range": (["estimate", "--cfo", "100"], {}),
+    "estimate-snr-nan": (["estimate", "--snr-db", "nan"], {}),
+    "bench-zero-repetitions": (["bench", "--repetitions", "0"], {}),
+    "bench-without-monte-carlo": (["bench"], {"estimators": ["emcb"]}),
+    "iota-not-integer": (["mse-vs-iota", "--iotas", "a"], {}),
+    "iotas-not-a-list": (["mse-vs-iota"], {"iotas": 5}),
+}
 
 
 @pytest.fixture()
@@ -106,6 +140,24 @@ class TestRunMseVsSnr:
             estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
             snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
         assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
+
+    def test_bound_only_campaign(self, toy_spec):
+        from dataclasses import replace
+
+        spec = replace(toy_spec, estimators=("emcb",), emcb_draws=10)
+        assert run_mse_vs_snr(spec) == run_emcb(spec)
+
+    def test_one_frame_is_first_campaign_frame(self, toy_spec):
+        from dataclasses import replace
+
+        both = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"))
+        spec = replace(both, trials=1, epsilon_mode="fixed", epsilon_value=-1.3)
+        s_idx, cfo, first = next(_stacked_frames(spec, _trainings_for(spec)))
+        assert (s_idx, cfo) == (0, -1.3)
+        single = one_frame(both, -1.3)
+        assert set(single) == set(first) == {"cbts", "rs"}
+        for kind, sf in first.items():
+            assert np.array_equal(single[kind].diag_sums, sf.diag_sums)
 
     def test_seed_changes_output(self, toy_spec):
         from dataclasses import replace
@@ -370,6 +422,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines()[0] == CSV_HEADER
+
+    def test_estimate_golden_text(self, tmp_path, capsys):
+        cfg_file = tmp_path / "toy.json"
+        self._write_toy_json(cfg_file)
+        assert cli_main(["estimate", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().out == GOLDEN_ESTIMATE_TEXT
+
+    @pytest.mark.parametrize("argv,overrides", MALFORMED_CLI_CASES.values(),
+                             ids=MALFORMED_CLI_CASES)
+    def test_malformed_input_exit_code(self, tmp_path, capsys, argv, overrides):
+        cfg_file = tmp_path / "bad.json"
+        if overrides is None:
+            cfg_file.write_text("[1, 2]")
+        else:
+            self._write_toy_json(cfg_file, **overrides)
+        assert cli_main([*argv, "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_estimate_noiseless_recovers_offset(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
