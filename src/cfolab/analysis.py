@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelProfile, draw_channel, model_matrix
-from .estimator import DegenerateDiagonalError
+from .estimator import DegenerateDiagonalError, comb_phase_sums
 from .numerics import RandomSource
 from .training import ConfigError, SystemConfig, build_training, period_gram
 
@@ -42,35 +42,16 @@ DEGENERATE_PHASE_SUM = 1e-9
 
 
 @dataclass(frozen=True)
-class AnalysisPoint:
-    """Predicted error budget of the simplified estimator at one (gamma, index)."""
-
-    gamma: float
-    diag_index: int
-    cross_term: float
-    var_zeta: float
-    var_eta: float
-    var_xi: float
-    mse: float
-
-
-@dataclass(frozen=True)
 class EmcbResult:
     snr_db: tuple[float, ...]
     values: tuple[float, ...]
-
-
-def _phase_sum(cfg: SystemConfig, power: int) -> complex:
-    """Sum over antennas of exp(j*2*pi*offset*power/Q)."""
-    offs = np.asarray(cfg.offsets, dtype=float)
-    return complex(np.sum(np.exp(2j * np.pi * offs * power / cfg.n_periods)))
 
 
 def _check_index(diag_index: int, cfg: SystemConfig) -> complex:
     q = cfg.n_periods
     if not 1 <= diag_index <= q - 1:
         raise ValueError(f"diag_index must be in [1, {q - 1}], got {diag_index}")
-    s = _phase_sum(cfg, diag_index)
+    s = complex(comb_phase_sums(cfg)[diag_index])
     if abs(s) < DEGENERATE_PHASE_SUM:
         raise DegenerateDiagonalError(
             f"comb phase sum vanishes at diag_index={diag_index}; "
@@ -88,38 +69,27 @@ def cross_term(diag_index: int, cfg: SystemConfig) -> float:
     """
     s1 = _check_index(diag_index, cfg)
     q = cfg.n_periods
-    s2 = _phase_sum(cfg, 2 * diag_index)
-    sm = _phase_sum(cfg, -diag_index)
+    sums = comb_phase_sums(cfg)
+    s2, sm = sums[2 * diag_index % q], sums[-diag_index % q]
     return float(2.0 * min(diag_index, q - diag_index)
                  * np.real(s2 * sm * sm) / abs(s1) ** 2)
 
 
-def analysis_point(gamma: float, diag_index: int, cfg: SystemConfig) -> AnalysisPoint:
-    """Full perturbation budget at one operating point.
+def predicted_mse(gamma: float, diag_index: int, cfg: SystemConfig) -> float:
+    """Closed-form MSE of the simplified estimator, in squared subcarrier spacings.
 
-    var_zeta / var_eta are the variances of the two relative diagonal-sum
-    perturbations; var_xi combines them with the cross term and scales to
-    the CFO MSE by 1/(8*pi^2).
+    The two relative diagonal-sum perturbations, combined with the cross
+    term, give the ratio's phase variance var_xi; the CFO MSE is
+    var_xi / (8*pi^2).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
     s1 = _check_index(diag_index, cfg)
     q, p = cfg.n_periods, cfg.pilot_len
-    nt, nr = cfg.n_tx, cfg.n_rx
-    base = (2.0 * nt / gamma + 1.0 / gamma ** 2) / (nr * p * abs(s1) ** 2)
-    var_zeta = base / (q - diag_index)
-    var_eta = base / diag_index
     rho = cross_term(diag_index, cfg)
-    var_xi = ((2.0 * (nt * q + rho) / gamma + q / gamma ** 2)
-              / (nr * p * diag_index * (q - diag_index) * abs(s1) ** 2))
-    return AnalysisPoint(gamma=gamma, diag_index=diag_index, cross_term=rho,
-                         var_zeta=var_zeta, var_eta=var_eta, var_xi=var_xi,
-                         mse=var_xi / (8.0 * np.pi ** 2))
-
-
-def predicted_mse(gamma: float, diag_index: int, cfg: SystemConfig) -> float:
-    """Closed-form MSE of the simplified estimator, in squared subcarrier spacings."""
-    return analysis_point(gamma, diag_index, cfg).mse
+    var_xi = ((2.0 * (cfg.n_tx * q + rho) / gamma + q / gamma ** 2)
+              / (cfg.n_rx * p * diag_index * (q - diag_index) * abs(s1) ** 2))
+    return var_xi / (8.0 * np.pi ** 2)
 
 
 def _leakage_weights(diag_index: int, cfg: SystemConfig) -> np.ndarray:

@@ -81,14 +81,6 @@ class ChannelRealization:
     taps: np.ndarray = field(repr=False)
 
     @property
-    def n_rx(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.taps.shape[1]
-
-    @property
     def length(self) -> int:
         return self.taps.shape[2]
 
@@ -101,14 +93,12 @@ class ReceivedFrame:
     """One received training frame after cyclic prefix removal.
 
     samples:       (n_rx, N) complex.
-    true_cfo:      the offset that was applied, in subcarrier spacings.
     stacked_power: mean |entry|^2 of the equivalent stacked signal matrix
                    (the per-row signal power entering the SNR analysis);
                    equals received signal power per sample / n_tx.
     """
 
     samples: np.ndarray = field(repr=False)
-    true_cfo: float
     stacked_power: float
 
 
@@ -160,8 +150,7 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
             acc += np.convolve(with_cp, ch.taps[nu, mu])[ng:ng + n]
         out[nu] = rot * acc
     signal_power = float(np.mean(np.abs(out) ** 2))
-    return ReceivedFrame(samples=out, true_cfo=cfo,
-                         stacked_power=signal_power / cfg.n_tx)
+    return ReceivedFrame(samples=out, stacked_power=signal_power / cfg.n_tx)
 
 
 def add_noise(frames: dict[str, ReceivedFrame], noise_var: dict[str, float],
@@ -213,13 +202,4 @@ def model_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     ramp = phase_ramp(n, cfo, n)
     out = np.vstack([front * ramp * (s @ ch.stacked(nu)) for nu in range(cfg.n_rx)])
     signal_power = float(np.mean(np.abs(out) ** 2))
-    return ReceivedFrame(samples=out, true_cfo=cfo,
-                         stacked_power=signal_power / cfg.n_tx)
-
-
-def steering_matrix(cfo: float, cfg: SystemConfig) -> np.ndarray:
-    """Q x n_tx matrix of per-period phase progressions, column mu has
-    entries exp(j*2*pi*(cfo + offset_mu)*q/Q)."""
-    q = np.arange(cfg.n_periods)
-    offs = np.asarray(cfg.offsets, dtype=float)
-    return np.exp(2j * np.pi * np.outer(q, offs + cfo) / cfg.n_periods)
+    return ReceivedFrame(samples=out, stacked_power=signal_power / cfg.n_tx)

@@ -21,8 +21,11 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
     """Resolve --config / --preset / --seed into a spec plus raw JSON extras."""
     raw: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config} must hold a JSON object, "
                               f"got {type(raw).__name__}")
@@ -56,7 +59,7 @@ def _cmd_estimate(args) -> int:
     else:
         gamma = 1e6 if args.noiseless else 10.0 ** (args.snr_db / 10.0) / cfg.n_tx
         idx = analysis.optimal_diag_indices(gamma, cfg)[0]
-    res = estimator.estimate_simplified(sf, estimator.EstimatorParams(idx), cfg)
+    res = estimator.estimate_simplified(sf, idx, cfg)
     print(f"true_cfo            {args.cfo:+.6f}")
     print(f"estimated_cfo       {res.value:+.6f}")
     print(f"diag_index          {idx}")

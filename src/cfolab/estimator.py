@@ -52,16 +52,8 @@ class StackedFrame:
 
 
 @dataclass(frozen=True)
-class EstimatorParams:
-    """Tunables of the simplified estimator."""
-
-    diag_index: int
-
-
-@dataclass(frozen=True)
 class CfoEstimate:
     value: float
-    method: str
     diag_ratio: complex | None = None
     candidates: np.ndarray | None = field(default=None, repr=False)
     scores: np.ndarray | None = field(default=None, repr=False)
@@ -134,19 +126,19 @@ def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig) -> np.ndarray | float:
     return vals if np.ndim(cfo) else float(vals[0])
 
 
-def estimate_simplified(sf: StackedFrame, params: EstimatorParams,
+def estimate_simplified(sf: StackedFrame, diag_index: int,
                         cfg: SystemConfig) -> CfoEstimate:
     """Closed-form candidate construction plus a Q-point score comparison.
 
     Ties on the score break toward smaller |cfo|, then smaller candidate
     index, so the output is deterministic.
     """
-    ratio = diag_ratio(sf, params.diag_index)
+    ratio = diag_ratio(sf, diag_index)
     cand = candidate_grid(ratio, sf.n_periods)
     scores = likelihood(sf, cand, cfg)
     best = min(range(len(cand)), key=lambda i: (-scores[i], abs(cand[i]), i))
-    return CfoEstimate(value=float(cand[best]), method="simplified",
-                       diag_ratio=ratio, candidates=cand, scores=scores)
+    return CfoEstimate(value=float(cand[best]), diag_ratio=ratio,
+                       candidates=cand, scores=scores)
 
 
 def estimate_ml_grid(sf: StackedFrame, cfg: SystemConfig) -> CfoEstimate:
@@ -162,48 +154,4 @@ def estimate_ml_grid(sf: StackedFrame, cfg: SystemConfig) -> CfoEstimate:
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     fine = fine[(fine >= -half) & (fine < half)]
     value = fine[int(np.argmax(likelihood(sf, fine, cfg)))]
-    return CfoEstimate(value=float(value), method="ml_grid")
-
-
-def likelihood_derivative(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
-    """d/dz of the likelihood score as a function of z on the unit circle."""
-    q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * comb_phase_sums(cfg)
-    forward = np.sum(weights * z ** q * q)
-    backward = np.sum(np.conj(weights) * z ** (-q.astype(float)) * q)
-    return complex(z ** -1.0 * (forward - backward))
-
-
-def curvature_factor(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
-    """The degree-(Q-1) polynomial factor shared by the derivative's roots.
-
-    At the true offset's phasor this quantity is real and positive for
-    comb-structured training, which is what guarantees the true offset
-    appears among the closed-form candidates.
-    """
-    q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * comb_phase_sums(cfg)
-    return complex(np.sum(weights * z ** q * q))
-
-
-def derivative_factor_form(sf: StackedFrame, z: complex, diag_index: int,
-                           cfg: SystemConfig) -> complex:
-    """Factorised derivative: z^-(Q+1) * (z^Q - ratio) * curvature_factor(z)."""
-    q = sf.n_periods
-    ratio = diag_ratio(sf, diag_index)
-    return complex(z ** (-(q + 1.0)) * (z ** q - ratio) * curvature_factor(sf, z, cfg))
-
-
-def derivative_factor_residual(sf: StackedFrame, diag_index: int, cfg: SystemConfig,
-                               n_points: int = 64) -> float:
-    """Mismatch between the direct and factorised derivative on the unit circle.
-
-    Returns max|direct - factorised| / max|direct| over n_points equispaced
-    phasors.  Zero exactly when the stacked correlation is a scaled identity
-    in the antenna domain (always true for one antenna); small for the
-    structured training design.
-    """
-    zs = np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    direct = np.array([likelihood_derivative(sf, z, cfg) for z in zs])
-    factored = np.array([derivative_factor_form(sf, z, diag_index, cfg) for z in zs])
-    return float(np.max(np.abs(direct - factored)) / np.max(np.abs(direct)))
+    return CfoEstimate(value=float(value))

@@ -84,6 +84,8 @@ class ExperimentSpec:
                 or not all(isinstance(e, str) for e in self.estimators)):
             raise ConfigError("estimators must be a non-empty list of estimator "
                               f"ids, got {self.estimators!r}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ConfigError(f"estimators must not repeat an id, got {self.estimators!r}")
         for est_id in self.estimators:
             parse_estimator_id(est_id, self.config)
         # JSON hands over lists and integer SNRs; store the declared types
@@ -236,8 +238,7 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
         for est_id, method, kind, idx in mc_ids:
             try:
                 if method == "simplified":
-                    res = estimator.estimate_simplified(
-                        stacked[kind], estimator.EstimatorParams(idx), cfg)
+                    res = estimator.estimate_simplified(stacked[kind], idx, cfg)
                 else:
                     res = estimator.estimate_ml_grid(stacked[kind], cfg)
             except estimator.DegenerateDiagonalError:
@@ -297,8 +298,7 @@ def run_bench(spec: ExperimentSpec, repetitions: int = 200) -> list[BenchRow]:
         if method == "emcb":
             continue
         if method == "simplified":
-            params = estimator.EstimatorParams(idx)
-            call = lambda sf=stacked[kind], p=params: estimator.estimate_simplified(sf, p, cfg)
+            call = lambda sf=stacked[kind], i=idx: estimator.estimate_simplified(sf, i, cfg)
         else:
             call = lambda sf=stacked[kind]: estimator.estimate_ml_grid(sf, cfg)
         call()  # warm up

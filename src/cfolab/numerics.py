@@ -24,12 +24,6 @@ def dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.fft.fft(x) / np.sqrt(n)
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Dense n-by-n unitary DFT matrix, entry (k, m) = exp(-j*2*pi*k*m/n)/sqrt(n)."""
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
 def phase_ramp(length: int, cycles: float, n: int) -> np.ndarray:
     """Progressive phase vector: element m equals exp(j*2*pi*cycles*m/n).
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cfolab import (ChannelProfile, EstimatorParams, RandomSource,
-                    SystemConfig, build_training, draw_channel,
-                    estimate_simplified, reference_config, reference_profile,
-                    stack, transmit_receive)
+from cfolab import (ChannelProfile, RandomSource, SystemConfig,
+                    build_training, draw_channel, estimate_simplified,
+                    reference_config, reference_profile, stack,
+                    transmit_receive)
 from cfolab.training import OFFSETS_A, OFFSETS_B
 
 
@@ -55,7 +55,7 @@ def noiseless_sq_errors(ref_cfg_b, ref_profile) -> dict[int, np.ndarray]:
         cfo = gen.uniform(-8, 8)
         sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_b), ref_cfg_b)
         for idx, out in errs.items():
-            v = estimate_simplified(sf, EstimatorParams(idx), ref_cfg_b).value
+            v = estimate_simplified(sf, idx, ref_cfg_b).value
             out.append(((v - cfo + 8) % 16 - 8) ** 2)
     return {idx: np.array(out) for idx, out in errs.items()}
 

@@ -6,14 +6,16 @@ second route, not against itself.
 """
 
 import csv
+from functools import lru_cache
 from typing import IO
 
 import numpy as np
 
 from cfolab import (ChannelRealization, ConfigError, ReceivedFrame, StackedFrame,
-                    SystemConfig, TrainingSet, period_gram, steering_matrix)
+                    SystemConfig, TrainingSet, diag_ratio, period_gram)
 from cfolab.channel import _check_cfo
-from cfolab.numerics import dft_matrix, phase_ramp
+from cfolab.estimator import comb_phase_sums
+from cfolab.numerics import phase_ramp
 
 
 def dft_direct(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -24,6 +26,12 @@ def dft_direct(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     sign = 1j if inverse else -1j
     mat = np.exp(sign * 2 * np.pi * np.outer(k, k) / n) / np.sqrt(n)
     return mat @ x
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Dense n-by-n unitary DFT matrix, entry (k, m) = exp(-j*2*pi*k*m/n)/sqrt(n)."""
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
 def periodic_autocorr(s: np.ndarray, lag: int) -> complex:
@@ -92,10 +100,28 @@ def upper_diagonal_sums(a: np.ndarray) -> np.ndarray:
     return np.array([np.trace(a, offset=q) for q in range(n)])
 
 
+def steering_matrix(cfo: float, cfg: SystemConfig) -> np.ndarray:
+    """Q x n_tx matrix of per-period phase progressions, column mu has
+    entries exp(j*2*pi*(cfo + offset_mu)*q/Q)."""
+    q = np.arange(cfg.n_periods)
+    offs = np.asarray(cfg.offsets, dtype=float)
+    return np.exp(2j * np.pi * np.outer(q, offs + cfo) / cfg.n_periods)
+
+
 def likelihood_trace(sf: StackedFrame, cfo: float, cfg: SystemConfig) -> float:
     """Trace form of the likelihood: Tr[B(eps)^H corr B(eps)], real by symmetry."""
     b = steering_matrix(cfo, cfg)
     return float(np.real(np.trace(b.conj().T @ sample_corr(sf) @ b)))
+
+
+@lru_cache(maxsize=None)
+def _period_bases(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse P-point DFT matrix and the n_tx comb-response matrices
+    exp(-j*2*pi*lattice_mu*l/N), P x chan_len each, of one config."""
+    l = np.arange(cfg.chan_len)
+    responses = np.array([np.exp(-2j * np.pi * np.outer(cfg.lattice(mu), l)
+                                 / cfg.n_subcarriers) for mu in range(cfg.n_tx)])
+    return dft_matrix(cfg.pilot_len).conj().T, responses
 
 
 def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,
@@ -109,16 +135,15 @@ def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     _check_cfo(cfo, cfg)
     if ts.kind != "cbts":
         raise ConfigError("stacked signal model requires comb-structured (cbts) training")
-    n, p, l = cfg.n_subcarriers, cfg.pilot_len, cfg.chan_len
-    fp = dft_matrix(p)
+    n, p = cfg.n_subcarriers, cfg.pilot_len
+    idft, responses = _period_bases(cfg)
     front = np.sqrt(p) * np.exp(2j * np.pi * cfo * cfg.cp_len / n)
     x = np.zeros((cfg.n_tx, cfg.n_rx * p), dtype=complex)
     for mu in range(cfg.n_tx):
-        comb_response = np.exp(-2j * np.pi * np.outer(cfg.lattice(mu), np.arange(l)) / n)
         ramp = phase_ramp(p, cfo + cfg.offsets[mu], n)
-        for nu in range(cfg.n_rx):
-            period = fp.conj().T @ (ts.freq_pilots[mu] * (comb_response @ ch.taps[nu, mu]))
-            x[mu, nu * p:(nu + 1) * p] = front * ramp * period
+        # column nu: the period seen at receive antenna nu
+        periods = idft @ (ts.freq_pilots[mu][:, None] * (responses[mu] @ ch.taps[:, mu].T))
+        x[mu] = (front * ramp * periods.T).reshape(-1)
     return x
 
 
@@ -129,3 +154,47 @@ def frame_to_csv(frame: ReceivedFrame, fh: IO[str]) -> None:
     for nu in range(frame.samples.shape[0]):
         for n, v in enumerate(frame.samples[nu]):
             writer.writerow([nu, n, f"{v.real:.12g}", f"{v.imag:.12g}"])
+
+
+def likelihood_derivative(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
+    """d/dz of the likelihood score as a function of z on the unit circle."""
+    q = np.arange(sf.n_periods)
+    weights = sf.diag_sums * comb_phase_sums(cfg)
+    forward = np.sum(weights * z ** q * q)
+    backward = np.sum(np.conj(weights) * z ** (-q.astype(float)) * q)
+    return complex(z ** -1.0 * (forward - backward))
+
+
+def curvature_factor(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
+    """The degree-(Q-1) polynomial factor shared by the derivative's roots.
+
+    At the true offset's phasor this quantity is real and positive for
+    comb-structured training, which is what guarantees the true offset
+    appears among the closed-form candidates.
+    """
+    q = np.arange(sf.n_periods)
+    weights = sf.diag_sums * comb_phase_sums(cfg)
+    return complex(np.sum(weights * z ** q * q))
+
+
+def derivative_factor_form(sf: StackedFrame, z: complex, diag_index: int,
+                           cfg: SystemConfig) -> complex:
+    """Factorised derivative: z^-(Q+1) * (z^Q - ratio) * curvature_factor(z)."""
+    q = sf.n_periods
+    ratio = diag_ratio(sf, diag_index)
+    return complex(z ** (-(q + 1.0)) * (z ** q - ratio) * curvature_factor(sf, z, cfg))
+
+
+def derivative_factor_residual(sf: StackedFrame, diag_index: int, cfg: SystemConfig,
+                               n_points: int = 64) -> float:
+    """Mismatch between the direct and factorised derivative on the unit circle.
+
+    Returns max|direct - factorised| / max|direct| over n_points equispaced
+    phasors.  Zero exactly when the stacked correlation is a scaled identity
+    in the antenna domain (always true for one antenna); small for the
+    structured training design.
+    """
+    zs = np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    direct = np.array([likelihood_derivative(sf, z, cfg) for z in zs])
+    factored = np.array([derivative_factor_form(sf, z, diag_index, cfg) for z in zs])
+    return float(np.max(np.abs(direct - factored)) / np.max(np.abs(direct)))

@@ -10,20 +10,19 @@ import os
 import numpy as np
 import pytest
 
-from cfolab import (EstimatorParams, RandomSource, SystemConfig,
+from cfolab import (RandomSource, SystemConfig,
                     build_training, chu_sequence, draw_channel,
                     estimate_ml_grid, estimate_simplified, likelihood,
                     model_receive, optimal_diag_indices, reference_config,
-                    reference_profile, stack, steering_matrix,
-                    transmit_receive)
+                    reference_profile, stack, transmit_receive)
 from cfolab.channel import ChannelRealization
-from cfolab.estimator import (StackedFrame, curvature_factor,
-                              derivative_factor_residual)
+from cfolab.estimator import StackedFrame
 from cfolab.harness import ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_snr
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import (likelihood_trace, periodic_autocorr, shift_correlation,
+from support import (curvature_factor, derivative_factor_residual,
+                     likelihood_trace, periodic_autocorr, shift_correlation,
                      shift_correlation_closed_form, stacked_signal_matrix,
-                     upper_diagonal_sums)
+                     steering_matrix, upper_diagonal_sums)
 
 CFO_POINTS = (-7.5, -2.3, 0.0, 0.5, 7.0)
 
@@ -179,7 +178,7 @@ def test_criterion_7_noiseless_exactness():
     for cfo in CFO_POINTS:
         frame = transmit_receive(ts, ch, cfo, cfg)
         sf = stack(frame, cfg)
-        simp = estimate_simplified(sf, EstimatorParams(7), cfg).value
+        simp = estimate_simplified(sf, 7, cfg).value
         ml = estimate_ml_grid(sf, cfg).value
         assert abs(simp - cfo) < 1e-2
         assert abs(ml - cfo) < 1e-2

@@ -4,10 +4,11 @@ import pytest
 from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
                     add_noise, build_training, draw_channel, model_matrix,
                     model_receive, reference_config, reference_profile,
-                    steering_matrix, transmit_receive)
+                    transmit_receive)
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import circular_convolve, frame_to_csv, stacked_signal_matrix
+from support import (circular_convolve, frame_to_csv, stacked_signal_matrix,
+                     steering_matrix)
 
 
 def stack_rows(frame, cfg):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from cfolab import (ChannelProfile, DegenerateDiagonalError, EstimatorParams,
-                    RandomSource, SystemConfig, build_training, draw_channel,
+from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, SystemConfig, build_training, draw_channel,
                     add_noise, estimate_ml_grid, estimate_simplified,
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
 from cfolab.channel import ChannelRealization, ReceivedFrame
 from cfolab.estimator import (StackedFrame, candidate_grid, comb_phase_sums,
-                              curvature_factor, derivative_factor_residual,
                               diag_ratio)
-from support import likelihood_trace, sample_corr, upper_diagonal_sums
+from support import (curvature_factor, derivative_factor_residual,
+                     likelihood_trace, sample_corr, upper_diagonal_sums)
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -43,7 +42,7 @@ class TestStack:
     def test_index_arithmetic(self):
         cfg = SystemConfig(4, 2, 1, 1, 2, 1, (0,))
         y = np.array([[1 + 0j, 2, 3, 4]])
-        frame = ReceivedFrame(samples=y, true_cfo=0.0, stacked_power=1.0)
+        frame = ReceivedFrame(samples=y, stacked_power=1.0)
         sf = stack(frame, cfg)
         assert np.array_equal(sf.matrix, [[1, 2], [3, 4]])
         assert sample_corr(sf)[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
@@ -63,7 +62,7 @@ class TestStack:
         # sums are the oracle, relative to the zero lag, which bounds them all
         cases = [(ReceivedFrame(samples=rng.standard_normal((2, 64))
                                 + 1j * rng.standard_normal((2, 64)),
-                                true_cfo=0.0, stacked_power=1.0), toy_cfg)
+                                stacked_power=1.0), toy_cfg)
                  for _ in range(20)]
         cases.append((make_frame(ref_cfg_b, ref_profile, 2.3, snr_db=15.0)[0], ref_cfg_b))
         for frame, cfg in cases:
@@ -72,8 +71,7 @@ class TestStack:
             assert np.max(np.abs(sf.diag_sums - oracle)) <= 1e-12 * abs(oracle[0])
 
     def test_shape_mismatch_rejected(self, toy_cfg):
-        frame = ReceivedFrame(samples=np.zeros((1, 8), complex), true_cfo=0.0,
-                              stacked_power=0.0)
+        frame = ReceivedFrame(samples=np.zeros((1, 8), complex), stacked_power=0.0)
         with pytest.raises(ValueError):
             stack(frame, toy_cfg)
 
@@ -195,17 +193,16 @@ class TestSimplifiedEstimator:
     def test_noiseless_recovery(self, ref_cfg_b, ref_profile, cfo):
         frame, _, _ = make_frame(ref_cfg_b, ref_profile, cfo)
         sf = stack(frame, ref_cfg_b)
-        est = estimate_simplified(sf, EstimatorParams(7), ref_cfg_b)
+        est = estimate_simplified(sf, 7, ref_cfg_b)
         assert abs(est.value - cfo) < 1e-2
         assert est.value in est.candidates
-        assert est.method == "simplified"
 
     def test_candidate_containment(self, toy_cfg, toy_profile):
         for trial in range(20):
             frame, _, _ = make_frame(toy_cfg, toy_profile, -2.7, snr_db=5.0,
                                      trial=trial)
             est = estimate_simplified(stack(frame, toy_cfg),
-                                      EstimatorParams(3), toy_cfg)
+                                      3, toy_cfg)
             assert -4.0 <= est.value < 4.0
 
     @pytest.mark.parametrize("delta", [1.0, -3.0])
@@ -214,12 +211,11 @@ class TestSimplifiedEstimator:
         n = ref_cfg_b.n_subcarriers
         shifted = ReceivedFrame(
             samples=frame.samples * np.exp(2j * np.pi * delta * np.arange(n) / n),
-            true_cfo=frame.true_cfo + delta,
             stacked_power=frame.stacked_power)
         base = estimate_simplified(stack(frame, ref_cfg_b),
-                                   EstimatorParams(7), ref_cfg_b).value
+                                   7, ref_cfg_b).value
         moved = estimate_simplified(stack(shifted, ref_cfg_b),
-                                    EstimatorParams(7), ref_cfg_b).value
+                                    7, ref_cfg_b).value
         assert moved - base == pytest.approx(delta, abs=1e-2)
 
     def test_mirror_indices_identical_output(self, ref_cfg_b, ref_profile):
@@ -227,8 +223,8 @@ class TestSimplifiedEstimator:
         # sums, so the estimates coincide (to the ulp of the phase extraction)
         frame, _, _ = make_frame(ref_cfg_b, ref_profile, 3.1, snr_db=10.0)
         sf = stack(frame, ref_cfg_b)
-        e7 = estimate_simplified(sf, EstimatorParams(7), ref_cfg_b).value
-        e9 = estimate_simplified(sf, EstimatorParams(9), ref_cfg_b).value
+        e7 = estimate_simplified(sf, 7, ref_cfg_b).value
+        e9 = estimate_simplified(sf, 9, ref_cfg_b).value
         assert e7 == pytest.approx(e9, abs=1e-12)
 
 
@@ -249,7 +245,7 @@ class TestMlGrid:
             frame, _, _ = make_frame(ref_cfg_b, ref_profile, cfo,
                                      snr_db=20.0, seed=23, trial=trial)
             sf = stack(frame, ref_cfg_b)
-            s = estimate_simplified(sf, EstimatorParams(7), ref_cfg_b).value
+            s = estimate_simplified(sf, 7, ref_cfg_b).value
             m = estimate_ml_grid(sf, ref_cfg_b).value
             worst = max(worst, abs(s - m))
         assert worst < 5e-3
@@ -361,7 +357,7 @@ class TestDegenerateDesignSweep:
             sf = stack(noisy, blind_cfg)
             for idx in errs:
                 try:
-                    v = estimate_simplified(sf, EstimatorParams(idx), blind_cfg).value
+                    v = estimate_simplified(sf, idx, blind_cfg).value
                     errs[idx].append(((v - cfo + 4) % 8 - 4) ** 2)
                 except DegenerateDiagonalError:
                     errs[idx].append(np.nan)  # loud failure also acceptable

@@ -25,6 +25,7 @@ MALFORMED_SPEC_VALUES = [
     ("seed", 1.5),
     ("seed", -1),
     ("epsilon_value", "0.5"),
+    ("estimators", ["simplified:3", "simplified:3"]),
 ]
 MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
 
@@ -57,7 +58,8 @@ TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
               "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
 # Command lines (given `--config FILE` after them) and overrides of the toy
 # config file that must exit with status 2 and a config error, never a
-# traceback; None writes a top-level JSON list instead of an object.
+# traceback; None writes a top-level JSON list instead of an object, and
+# bytes are written as the whole file.
 MALFORMED_CLI_CASES = {
     "config-unknown-key": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "bogus": 1}}),
     "config-string-dimension": (["mse-vs-snr"],
@@ -73,6 +75,8 @@ MALFORMED_CLI_CASES = {
     "bench-without-monte-carlo": (["bench"], {"estimators": ["emcb"]}),
     "iota-not-integer": (["mse-vs-iota", "--iotas", "a"], {}),
     "iotas-not-a-list": (["mse-vs-iota"], {"iotas": 5}),
+    "iotas-repeated": (["mse-vs-iota", "--iotas", "3,3"], {}),
+    "config-not-utf8": (["mse-vs-snr"], b"\xff\xfe{}"),
 }
 
 
@@ -435,6 +439,8 @@ class TestCli:
         cfg_file = tmp_path / "bad.json"
         if overrides is None:
             cfg_file.write_text("[1, 2]")
+        elif isinstance(overrides, bytes):
+            cfg_file.write_bytes(overrides)
         else:
             self._write_toy_json(cfg_file, **overrides)
         assert cli_main([*argv, "--config", str(cfg_file)]) == 2

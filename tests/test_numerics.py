@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cfolab.numerics import (RandomSource, complex_normal, cyclic_shift, dft,
-                             dft_matrix, phase_ramp)
-from support import dft_direct
+                             phase_ramp)
+from support import dft_direct, dft_matrix
 
 
 class TestDft:
