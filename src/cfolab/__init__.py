@@ -3,8 +3,8 @@
 from .analysis import (EmcbResult, bias_floor, comb_sum_can_vanish, cross_term,
                        emcb, optimal_diag_indices, predicted_mse,
                        projection_complement)
-from .channel import (ChannelProfile, ChannelRealization, ReceivedFrame,
-                      add_noise, draw_channel, model_matrix, model_receive,
+from .channel import (ChannelProfile, ChannelRealization, add_noise,
+                      draw_channel, model_matrix, model_receive,
                       reference_profile, transmit_receive)
 from .estimator import (CfoEstimate, DegenerateDiagonalError, StackedFrame,
                         candidate_grid, diag_ratio, estimate_ml_grid,

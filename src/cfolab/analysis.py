@@ -226,6 +226,7 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     Kronecker-expanded system; each draw then costs one small quadratic form.
     Noise variance per SNR point is calibrated from the measured mean signal
     power of the same draws, mirroring the Monte Carlo harness convention.
+    Draw k takes its taps from `rng.child(k)`.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -240,7 +241,7 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     quad = np.empty(n_draws)
     power = np.empty(n_draws)
     for k in range(n_draws):
-        ch = draw_channel(profile, cfg, rng.stream(rng.stream_id + k))
+        ch = draw_channel(profile, cfg, rng.child(k).generator())
         acc = 0.0
         sig = 0.0
         for nu in range(cfg.n_rx):

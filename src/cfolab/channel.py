@@ -10,8 +10,14 @@ provided:
   multiplies it out.
 
 The two agree to ~1e-12 relative; that cross-check is the main correctness
-oracle of the repository, so keep the paths independent.  ``add_noise`` is
-the one place noise enters a frame.
+oracle of the repository, so keep the paths independent.
+
+A frame is a plain (n_rx, N) complex array.  ``add_noise`` is the one place
+noise enters a frame; the caller supplies the generators and the variance.
+In a campaign (``harness``) trial t's channel and offset come from spawn key
+(1, t) and its unit noise at SNR point s from (2, s, t), so a trial's draws
+do not depend on the trial count; the noise variance does, because it is the
+mean signal power over every trial of the campaign divided by the SNR.
 
 Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
 rotation's phase reference is the start of the cyclic prefix, i.e. the kept
@@ -21,11 +27,11 @@ exp(j*2*pi*cfo*(n + cp_len)/N).  Channel taps are constant over the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RandomSource, complex_normal, phase_ramp
+from .numerics import complex_normal, phase_ramp
 from .training import (ConfigError, SystemConfig, TrainingSet, is_finite_number,
                        is_integer)
 
@@ -88,33 +94,17 @@ class ChannelRealization:
         return self.taps[rx].reshape(-1)
 
 
-@dataclass(frozen=True)
-class ReceivedFrame:
-    """One received training frame after cyclic prefix removal.
-
-    samples:       (n_rx, N) complex.
-    stacked_power: mean |entry|^2 of the equivalent stacked signal matrix
-                   (the per-row signal power entering the SNR analysis);
-                   equals received signal power per sample / n_tx.
-    """
-
-    samples: np.ndarray = field(repr=False)
-    stacked_power: float
-
-
 def draw_channel(profile: ChannelProfile, cfg: SystemConfig,
-                 rng: RandomSource | np.random.Generator) -> ChannelRealization:
+                 gen: np.random.Generator) -> ChannelRealization:
     """Independent circular Gaussian taps CN(0, p_l) on the profile's delay grid.
 
-    Accepts either a RandomSource (fresh stream) or an already-running
-    Generator, so a caller can draw the channel and other trial quantities
-    from one shared stream.
+    Draws from a running generator, tap by tap in delay order, so a caller can
+    draw the channel and other trial quantities from one stream.
     """
     if profile.length > cfg.chan_len:
         raise ConfigError(
             f"profile length {profile.length} exceeds configured chan_len {cfg.chan_len}"
         )
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
     for delay, power in zip(profile.delays, profile.powers_linear):
         taps[:, :, delay] = complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
@@ -130,8 +120,8 @@ def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
 
 
 def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
-                     cfg: SystemConfig) -> ReceivedFrame:
-    """Noiseless time-domain simulation of one training frame.
+                     cfg: SystemConfig) -> np.ndarray:
+    """Noiseless time-domain simulation of one training frame, (n_rx, N) complex.
 
     Per receive antenna: sum over transmit antennas of the linear convolution
     of the CP-extended time sequence with the taps, keep the N samples after
@@ -149,22 +139,19 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
             with_cp = np.concatenate([ts.time_sequences[mu][-ng:], ts.time_sequences[mu]])
             acc += np.convolve(with_cp, ch.taps[nu, mu])[ng:ng + n]
         out[nu] = rot * acc
-    signal_power = float(np.mean(np.abs(out) ** 2))
-    return ReceivedFrame(samples=out, stacked_power=signal_power / cfg.n_tx)
+    return out
 
 
-def add_noise(frames: dict[str, ReceivedFrame], noise_var: dict[str, float],
-              gen: np.random.Generator) -> dict[str, ReceivedFrame]:
+def add_noise(frames: dict[str, np.ndarray], noise_var: dict[str, float],
+              gen: np.random.Generator) -> dict[str, np.ndarray]:
     """Add one CN(0, 1) draw to every frame, scaled by sqrt(noise_var[key]).
 
-    The draw takes all real parts, then all imaginary parts, from `gen`.  The
-    frames share it, so frames of different trainings see the same noise up
-    to scale.  A zero variance leaves the samples unchanged.
+    The draw is `complex_normal` on `gen`: all real parts, then all imaginary
+    parts.  The frames share it, so frames of different trainings see the
+    same noise up to scale.  A zero variance leaves the samples unchanged.
     """
-    shape = next(iter(frames.values())).samples.shape
-    unit = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-    return {key: replace(frame, samples=frame.samples + np.sqrt(noise_var[key]) * unit)
-            for key, frame in frames.items()}
+    unit = complex_normal(gen, next(iter(frames.values())).shape)
+    return {key: frame + np.sqrt(noise_var[key]) * unit for key, frame in frames.items()}
 
 
 def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:
@@ -193,13 +180,11 @@ def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:
 
 
 def model_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
-                  cfg: SystemConfig) -> ReceivedFrame:
-    """Noiseless frame from the assembled matrix model (the oracle path)."""
+                  cfg: SystemConfig) -> np.ndarray:
+    """Noiseless (n_rx, N) frame from the assembled matrix model (the oracle path)."""
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     s = model_matrix(ts, cfg)
     front = np.sqrt(n) * np.exp(2j * np.pi * cfo * ng / n)
     ramp = phase_ramp(n, cfo, n)
-    out = np.vstack([front * ramp * (s @ ch.stacked(nu)) for nu in range(cfg.n_rx)])
-    signal_power = float(np.mean(np.abs(out) ** 2))
-    return ReceivedFrame(samples=out, stacked_power=signal_power / cfg.n_tx)
+    return np.vstack([front * ramp * (s @ ch.stacked(nu)) for nu in range(cfg.n_rx)])

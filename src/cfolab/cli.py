@@ -132,15 +132,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="MIMO-OFDM carrier frequency offset estimation lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, writes_csv=True):
         p.add_argument("--config", help="JSON experiment file")
         p.add_argument("--preset", choices=harness.PRESET_NAMES,
                        help="shipped reference campaign")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", help="write CSV here instead of stdout")
+        if writes_csv:
+            p.add_argument("--out", help="write CSV here instead of stdout")
 
     p = sub.add_parser("estimate", help="run one frame and print the estimate")
-    common(p)
+    common(p, writes_csv=False)
     p.add_argument("--cfo", type=float, default=2.3, help="true offset in spacings")
     p.add_argument("--snr-db", type=float, default=15.0,
                    help="SNR in dB; omit noise with --noiseless")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ReceivedFrame
 from .training import SystemConfig
 
 
@@ -59,14 +58,14 @@ class CfoEstimate:
     scores: np.ndarray | None = field(default=None, repr=False)
 
 
-def stack(frame: ReceivedFrame, cfg: SystemConfig) -> StackedFrame:
-    """Reshape a frame into period rows and take their lag sums."""
+def stack(frame: np.ndarray, cfg: SystemConfig) -> StackedFrame:
+    """Reshape an (n_rx, N) frame into period rows and take their lag sums."""
     n, p, q = cfg.n_subcarriers, cfg.pilot_len, cfg.n_periods
-    if frame.samples.shape != (cfg.n_rx, n):
+    if frame.shape != (cfg.n_rx, n):
         raise ValueError(
-            f"frame shape {frame.samples.shape} does not match config ({cfg.n_rx}, {n})"
+            f"frame shape {frame.shape} does not match config ({cfg.n_rx}, {n})"
         )
-    matrix = np.hstack([frame.samples[nu].reshape(q, p) for nu in range(cfg.n_rx)])
+    matrix = np.hstack([frame[nu].reshape(q, p) for nu in range(cfg.n_rx)])
     diag_sums = np.array([np.vdot(matrix[k:], matrix[:q - k]) for k in range(q)])
     return StackedFrame(matrix=matrix, diag_sums=diag_sums)
 

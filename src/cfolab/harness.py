@@ -1,9 +1,17 @@
 """Seeded experiment campaigns with deterministic CSV output.
 
-Randomness is budgeted per purpose on fixed stream ids, so a campaign is a
-pure function of (spec, seed): channel and offset draws live on one stream
-per trial, noise on one stream per (SNR point, trial), the random-training
-draw and the bound's channel draws on reserved ranges.  Trials run and are
+Randomness is laid out here, and only here, as `SeedSequence` spawn keys
+under the campaign seed, so a campaign is a pure function of (spec, seed):
+
+* ``(0,)``: the random-training draw;
+* ``(1, t)``: trial t's channel taps, then its offset;
+* ``(2, s, t)``: the unit noise of SNR point s and trial t;
+* ``(3, k)``: the bound's channel draw k.
+
+No key depends on the trial count or the number of SNR points, so the draws
+are prefix-stable: trials 0..T-1 of a longer campaign draw what a T-trial
+campaign draws.  The noise scale is not: a point's noise variance follows the
+mean signal power over every trial of the campaign.  Trials run and are
 reduced in trial order.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
@@ -18,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from numbers import Real
 from typing import IO, Iterable
 
 import numpy as np
@@ -33,18 +40,6 @@ from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
 
 CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
               "emcb,mean_runtime_us,degenerate_count")
-
-# Stream-id layout (see module docstring): keep these ranges disjoint.
-STREAM_RS_TRAINING = 1
-STREAM_EMCB_BASE = 1 << 40
-
-
-def _trial_stream(trial: int) -> int:
-    return 2 + 2 * trial
-
-
-def _noise_stream(snr_index: int, trials: int, trial: int) -> int:
-    return 3 + 2 * (snr_index * trials + trial)
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,8 @@ def _wrap_error(err: float, n_periods: int) -> float:
 
 
 def campaign_training(spec: ExperimentSpec, kind: str) -> TrainingSet:
-    """The campaign's training of one kind; rs draws on its reserved stream."""
-    rng = RandomSource(spec.seed, STREAM_RS_TRAINING) if kind == "rs" else None
+    """The campaign's training of one kind; rs draws on key (0,)."""
+    rng = RandomSource(spec.seed, (0,)) if kind == "rs" else None
     return build_training(spec.config, kind, rng)
 
 
@@ -157,11 +152,11 @@ def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
 def _draw_trial(spec: ExperimentSpec, trainings: dict[str, TrainingSet], trial: int):
     """One trial's true offset and noiseless frame per training kind.
 
-    Channel and offset share the trial's stream: one generator, channel taps
-    first, then the offset draw.
+    Channel and offset share the trial's stream, key (1, trial): one
+    generator, channel taps first, then the offset draw.
     """
     cfg = spec.config
-    gen = RandomSource(spec.seed, _trial_stream(trial)).generator()
+    gen = RandomSource(spec.seed, (1, trial)).generator()
     ch = draw_channel(spec.profile, cfg, gen)
     if spec.epsilon_mode == "fixed":
         cfo = float(spec.epsilon_value)
@@ -178,15 +173,15 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     """Yield (snr_index, cfo, {kind: stacked noisy frame}) in campaign order.
 
     All trials are drawn first: a point's noise variance per training kind is
-    the mean signal power of every trial over the SNR.  Then, per point and in
-    trial order, the frames take the noise of the (point, trial) stream.
-    Yields nothing when the spec asks for no training.
+    the mean signal power per sample of every trial over the SNR.  Then, per
+    point and in trial order, the frames take the unit noise of key
+    (2, point, trial).  Yields nothing when the spec asks for no training.
     """
     if not trainings:
         return
     cfg = spec.config
     drawn = [_draw_trial(spec, trainings, t) for t in range(spec.trials)]
-    mean_power = {kind: float(np.mean([frames[kind].stacked_power * cfg.n_tx
+    mean_power = {kind: float(np.mean([float(np.mean(np.abs(frames[kind]) ** 2))
                                        for _, frames in drawn]))
                   for kind in trainings}
     for s_idx, snr_db in enumerate(spec.snr_points_db):
@@ -194,8 +189,7 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
         noise_var = {k: (0.0 if spec.noiseless else mean_power[k] / snr)
                      for k in trainings}
         for trial, (cfo, frames) in enumerate(drawn):
-            gen = RandomSource(spec.seed,
-                               _noise_stream(s_idx, spec.trials, trial)).generator()
+            gen = RandomSource(spec.seed, (2, s_idx, trial)).generator()
             yield s_idx, cfo, {kind: estimator.stack(frame, cfg)
                                for kind, frame in add_noise(frames, noise_var, gen).items()}
 
@@ -274,7 +268,7 @@ def run_mse_vs_iota(spec: ExperimentSpec, iota_list: Iterable[int]) -> list[Resu
 def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
     """Bound rows matching the campaign CSV schema (empirical column empty)."""
     result = analysis.emcb(spec.config, spec.profile, spec.snr_points_db,
-                           spec.emcb_draws, RandomSource(spec.seed, STREAM_EMCB_BASE))
+                           spec.emcb_draws, RandomSource(spec.seed, (3,)))
     return [ResultRow(estimator="emcb", snr_db=db, iota=None,
                       trials=spec.emcb_draws, empirical_mse=None,
                       analytic_mse=None, emcb=val, mean_runtime_us=None,
@@ -405,13 +399,10 @@ def spec_from_json(data: dict) -> ExperimentSpec:
         return getattr(base, key) if base else default
 
     # values pass through uncoerced: ExperimentSpec rejects malformed ones
-    snr_points_db = pick("snr_points_db", (15.0,))
-    if isinstance(snr_points_db, Real):
-        snr_points_db = (snr_points_db,)
     spec = ExperimentSpec(
         config=config, profile=profile,
         estimators=pick("estimators", ("simplified:1",)),
-        snr_points_db=snr_points_db,
+        snr_points_db=pick("snr_points_db", (15.0,)),
         trials=pick("trials", 1000),
         seed=pick("seed", 42),
         epsilon_mode=pick("epsilon_mode", "uniform"),

@@ -51,21 +51,29 @@ def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Deterministic, stream-addressable randomness.
+    """Deterministic, key-addressable randomness.
 
-    Identical (seed, stream_id) pairs reproduce bit-identical draws; distinct
-    stream ids give statistically independent streams.  Parallel workers must
-    each own their stream: a RandomSource is a factory, the generators it
-    hands out are single-owner.
+    A source is a master seed plus a `SeedSequence` spawn key: a tuple of
+    non-negative integers naming one node of the seed's stream tree.
+    Identical (seed, key) pairs reproduce bit-identical draws; distinct keys
+    give statistically independent streams, and `child` extends the key, so
+    streams are laid out by purpose and index without arithmetic on ids.
+    A campaign's layout (`harness`) is (0,) for the random training, (1, t)
+    for trial t's channel and offset, (2, s, t) for its unit noise at SNR
+    point s and (3, k) for bound draw k.  No key holds the trial count, so
+    the draws are prefix-stable; the noise scale is not, as it follows the
+    mean signal power of the whole campaign.  Parallel workers must each own
+    their stream: a RandomSource is a factory, the generators it hands out
+    are single-owner.
     """
 
     seed: int
-    stream_id: int = 0
+    key: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.default_rng(ss)
 
-    def stream(self, stream_id: int) -> "RandomSource":
-        """Sibling source on a different stream of the same seed."""
-        return replace(self, stream_id=stream_id)
+    def child(self, *key: int) -> "RandomSource":
+        """Source on the stream below this one named by `key`."""
+        return replace(self, key=self.key + key)

@@ -50,7 +50,7 @@ def noiseless_sq_errors(ref_cfg_b, ref_profile) -> dict[int, np.ndarray]:
     ts = build_training(ref_cfg_b, "cbts")
     errs = {5: [], 7: []}
     for t in range(1500):
-        gen = RandomSource(77, 2 + 2 * t).generator()
+        gen = RandomSource(77, (2 + 2 * t,)).generator()
         ch = draw_channel(ref_profile, ref_cfg_b, gen)
         cfo = gen.uniform(-8, 8)
         sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_b), ref_cfg_b)

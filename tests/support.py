@@ -11,7 +11,7 @@ from typing import IO
 
 import numpy as np
 
-from cfolab import (ChannelRealization, ConfigError, ReceivedFrame, StackedFrame,
+from cfolab import (ChannelRealization, ConfigError, StackedFrame,
                     SystemConfig, TrainingSet, diag_ratio, period_gram)
 from cfolab.channel import _check_cfo
 from cfolab.estimator import comb_phase_sums
@@ -147,12 +147,12 @@ def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     return x
 
 
-def frame_to_csv(frame: ReceivedFrame, fh: IO[str]) -> None:
-    """Debug dump: one row per (antenna, sample)."""
+def frame_to_csv(frame: np.ndarray, fh: IO[str]) -> None:
+    """Debug dump of an (n_rx, N) frame: one row per (antenna, sample)."""
     writer = csv.writer(fh)
     writer.writerow(["antenna", "sample", "real", "imag"])
-    for nu in range(frame.samples.shape[0]):
-        for n, v in enumerate(frame.samples[nu]):
+    for nu in range(frame.shape[0]):
+        for n, v in enumerate(frame[nu]):
             writer.writerow([nu, n, f"{v.real:.12g}", f"{v.imag:.12g}"])
 
 

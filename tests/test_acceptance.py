@@ -113,12 +113,12 @@ def test_criterion_5_oracle_equivalence():
     for offsets in (OFFSETS_A, OFFSETS_B):
         cfg = reference_config(offsets)
         ts = build_training(cfg, "cbts")
-        ch = draw_channel(reference_profile(), cfg, RandomSource(101, 1))
+        ch = draw_channel(reference_profile(), cfg, RandomSource(101, (1,)).generator())
         for cfo in CFO_POINTS:
             td = transmit_receive(ts, ch, cfo, cfg)
             mm = model_receive(ts, ch, cfo, cfg)
-            assert np.max(np.abs(td.samples - mm.samples)) < 1e-9
-            y = np.hstack([td.samples[nu].reshape(cfg.n_periods, cfg.pilot_len)
+            assert np.max(np.abs(td - mm)) < 1e-9
+            y = np.hstack([td[nu].reshape(cfg.n_periods, cfg.pilot_len)
                            for nu in range(cfg.n_rx)])
             bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(ts, ch, cfo, cfg)
             assert np.max(np.abs(y - bx)) < 1e-9
@@ -150,7 +150,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
     assert derivative_factor_residual(sf, 7, cfg) < 5e-2
     worst_faded = 0.0
     for t in range(20):
-        gen = RandomSource(29, 2 + 2 * t).generator()
+        gen = RandomSource(29, (2 + 2 * t,)).generator()
         ch = draw_channel(reference_profile(), cfg, gen)
         cfo = gen.uniform(-8, 8)
         sf_t = stack(transmit_receive(ts, ch, cfo, cfg), cfg)
@@ -174,7 +174,7 @@ def test_criterion_7_noiseless_exactness():
     """Recovery within 1e-2 at five offsets; dual likelihood forms agree."""
     cfg = reference_config(OFFSETS_B)
     ts = build_training(cfg, "cbts")
-    ch = draw_channel(reference_profile(), cfg, RandomSource(7, 1))
+    ch = draw_channel(reference_profile(), cfg, RandomSource(7, (1,)).generator())
     for cfo in CFO_POINTS:
         frame = transmit_receive(ts, ch, cfo, cfg)
         sf = stack(frame, cfg)

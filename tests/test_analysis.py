@@ -9,7 +9,6 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     reference_config, reference_profile, stack,
                     transmit_receive)
 from cfolab.estimator import comb_phase_sums
-from cfolab.harness import STREAM_EMCB_BASE
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import kron_model_matrix
 
@@ -92,7 +91,7 @@ class TestBiasFloor:
         assert bias_floor(8, ref_cfg_a, ref_profile) == pytest.approx(0.0, abs=1e-30)
         ts = build_training(ref_cfg_a, "cbts")
         for t in range(20):
-            gen = RandomSource(77, 2 + 2 * t).generator()
+            gen = RandomSource(77, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_a, gen)
             cfo = gen.uniform(-8, 8)
             sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_a), ref_cfg_a)
@@ -162,7 +161,7 @@ class TestCombSumCanVanish:
         ts = build_training(ref_cfg_b, "cbts")
         sq = []
         for t in range(200):
-            gen = RandomSource(77, 2 + 2 * t).generator()
+            gen = RandomSource(77, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_b, gen)
             cfo = gen.uniform(-8, 8)
             sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_b), ref_cfg_b)
@@ -237,7 +236,7 @@ class TestEmcb:
         ramp_full = np.tile(ramp, toy_cfg.n_rx)
         core_full = (full.conj().T * ramp_full) @ projection_complement(full) \
             @ (ramp_full[:, None] * full)
-        ch = draw_channel(toy_profile, toy_cfg, RandomSource(3, 9))
+        ch = draw_channel(toy_profile, toy_cfg, RandomSource(3, (9,)).generator())
         h_full = ch.taps.reshape(-1)
         quad_full = float(np.real(h_full.conj() @ core_full @ h_full))
         quad_block = sum(float(np.real(ch.stacked(nu).conj() @ core @ ch.stacked(nu)))
@@ -245,26 +244,26 @@ class TestEmcb:
         assert quad_block == pytest.approx(quad_full, rel=1e-9)
 
     def test_noise_scaling_exact(self, toy_cfg, toy_profile):
-        res = emcb(toy_cfg, toy_profile, (0.0, 10.0, 20.0), 50, RandomSource(1, 0))
+        res = emcb(toy_cfg, toy_profile, (0.0, 10.0, 20.0), 50, RandomSource(1))
         assert res.values[0] / res.values[1] == pytest.approx(10.0, rel=1e-12)
         assert res.values[1] / res.values[2] == pytest.approx(10.0, rel=1e-12)
 
     def test_reference_regression_anchor(self, ref_cfg_b, ref_profile):
-        # frozen from the first run of this pipeline (seed 42, 500 draws)
+        # frozen at seed 42, 500 draws, on the campaign's bound key (3,)
         res = emcb(ref_cfg_b, ref_profile, (10.0, 15.0, 20.0), 500,
-                   RandomSource(42, STREAM_EMCB_BASE))
-        anchors = (8.10914336880056195e-06,
-                   2.56433629182605680e-06,
-                   8.10914336880055962e-07)
+                   RandomSource(42, (3,)))
+        anchors = (8.05855340180489059e-06,
+                   2.54833833958015073e-06,
+                   8.05855340180489249e-07)
         for got, want in zip(res.values, anchors):
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_draw_count_validated(self, toy_cfg, toy_profile):
         with pytest.raises(ValueError):
-            emcb(toy_cfg, toy_profile, (10.0,), 0, RandomSource(1, 0))
+            emcb(toy_cfg, toy_profile, (10.0,), 0, RandomSource(1))
 
     def test_monotone_in_snr(self, toy_cfg, toy_profile):
-        res = emcb(toy_cfg, toy_profile, (0.0, 5.0, 10.0, 15.0), 30, RandomSource(2, 0))
+        res = emcb(toy_cfg, toy_profile, (0.0, 5.0, 10.0, 15.0), 30, RandomSource(2))
         assert all(a > b for a, b in zip(res.values, res.values[1:]))
 
 

@@ -5,7 +5,7 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     add_noise, estimate_ml_grid, estimate_simplified,
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
-from cfolab.channel import ChannelRealization, ReceivedFrame
+from cfolab.channel import ChannelRealization
 from cfolab.estimator import (StackedFrame, candidate_grid, comb_phase_sums,
                               diag_ratio)
 from support import (curvature_factor, derivative_factor_residual,
@@ -15,13 +15,13 @@ from support import (curvature_factor, derivative_factor_residual,
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
     """Noisy or noiseless frame with the SNR calibrated per realization."""
     ts = build_training(cfg, "cbts")
-    gen = RandomSource(seed, 2 + 2 * trial).generator()
+    gen = RandomSource(seed, (2 + 2 * trial,)).generator()
     ch = draw_channel(profile, cfg, gen)
     clean = transmit_receive(ts, ch, cfo, cfg)
     if snr_db is None:
         return clean, ch, ts
-    nv = clean.stacked_power * cfg.n_tx / 10.0 ** (snr_db / 10.0)
-    gen = RandomSource(seed, 3 + 2 * trial).generator()
+    nv = float(np.mean(np.abs(clean) ** 2)) / 10.0 ** (snr_db / 10.0)
+    gen = RandomSource(seed, (3 + 2 * trial,)).generator()
     noisy = add_noise({"cbts": clean}, {"cbts": nv}, gen)["cbts"]
     return noisy, ch, ts
 
@@ -41,9 +41,7 @@ def synthetic_stacked(diag_sums, q):
 class TestStack:
     def test_index_arithmetic(self):
         cfg = SystemConfig(4, 2, 1, 1, 2, 1, (0,))
-        y = np.array([[1 + 0j, 2, 3, 4]])
-        frame = ReceivedFrame(samples=y, stacked_power=1.0)
-        sf = stack(frame, cfg)
+        sf = stack(np.array([[1 + 0j, 2, 3, 4]]), cfg)
         assert np.array_equal(sf.matrix, [[1, 2], [3, 4]])
         assert sample_corr(sf)[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
         assert sf.diag_sums[0] == pytest.approx(np.trace(sample_corr(sf)))
@@ -60,9 +58,8 @@ class TestStack:
                                                   ref_profile):
         # stack never forms the sample correlation; its trace-form diagonal
         # sums are the oracle, relative to the zero lag, which bounds them all
-        cases = [(ReceivedFrame(samples=rng.standard_normal((2, 64))
-                                + 1j * rng.standard_normal((2, 64)),
-                                stacked_power=1.0), toy_cfg)
+        cases = [(rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64)),
+                  toy_cfg)
                  for _ in range(20)]
         cases.append((make_frame(ref_cfg_b, ref_profile, 2.3, snr_db=15.0)[0], ref_cfg_b))
         for frame, cfg in cases:
@@ -71,9 +68,8 @@ class TestStack:
             assert np.max(np.abs(sf.diag_sums - oracle)) <= 1e-12 * abs(oracle[0])
 
     def test_shape_mismatch_rejected(self, toy_cfg):
-        frame = ReceivedFrame(samples=np.zeros((1, 8), complex), stacked_power=0.0)
         with pytest.raises(ValueError):
-            stack(frame, toy_cfg)
+            stack(np.zeros((1, 8), complex), toy_cfg)
 
     def test_diagonal_sums_metamorphic(self, rng):
         # upper sums of A^H equal the conjugated lower sums of A; on the
@@ -209,9 +205,7 @@ class TestSimplifiedEstimator:
     def test_shift_equivariance(self, ref_cfg_b, ref_profile, delta):
         frame, _, _ = make_frame(ref_cfg_b, ref_profile, 1.4)
         n = ref_cfg_b.n_subcarriers
-        shifted = ReceivedFrame(
-            samples=frame.samples * np.exp(2j * np.pi * delta * np.arange(n) / n),
-            stacked_power=frame.stacked_power)
+        shifted = frame * np.exp(2j * np.pi * delta * np.arange(n) / n)
         base = estimate_simplified(stack(frame, ref_cfg_b),
                                    7, ref_cfg_b).value
         moved = estimate_simplified(stack(shifted, ref_cfg_b),
@@ -240,7 +234,7 @@ class TestMlGrid:
         # 2e-3 worst-case over 100 paired trials
         worst = 0.0
         for trial in range(100):
-            gen = RandomSource(23, 2 + 2 * trial).generator()
+            gen = RandomSource(23, (2 + 2 * trial,)).generator()
             cfo = gen.uniform(-7.9, 7.9)
             frame, _, _ = make_frame(ref_cfg_b, ref_profile, cfo,
                                      snr_db=20.0, seed=23, trial=trial)
@@ -312,13 +306,13 @@ class TestNoiselessDiagonalStructure:
         acc = np.zeros(q_count)
         power = 0.0
         for t in range(n):
-            gen = RandomSource(55, 2 + 2 * t).generator()
+            gen = RandomSource(55, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_a, gen)
             cfo = gen.uniform(-8, 8)
             frame = transmit_receive(ts, ch, cfo, ref_cfg_a)
             sf = stack(frame, ref_cfg_a)
             acc += np.abs(sf.diag_sums) / n
-            power += frame.stacked_power / n
+            power += float(np.mean(np.abs(frame) ** 2)) / ref_cfg_a.n_tx / n
         sums = np.abs(comb_phase_sums(ref_cfg_a))
         for q in range(1, q_count):
             pred = ref_cfg_a.n_rx * ref_cfg_a.pilot_len * power * (q_count - q) * sums[q]
@@ -347,13 +341,13 @@ class TestDegenerateDesignSweep:
         ts = build_training(blind_cfg, "cbts")
         errs = {2: [], 4: []}
         for t in range(300):
-            gen = RandomSource(11, 2 + 2 * t).generator()
+            gen = RandomSource(11, (2 + 2 * t,)).generator()
             ch = draw_channel(toy_profile, blind_cfg, gen)
             cfo = gen.uniform(-4, 4)
             clean = transmit_receive(ts, ch, cfo, blind_cfg)
-            nv = clean.stacked_power * blind_cfg.n_tx / 10.0
+            nv = float(np.mean(np.abs(clean) ** 2)) / 10.0
             noisy = add_noise({"cbts": clean}, {"cbts": nv},
-                              RandomSource(11, 3 + 2 * t).generator())["cbts"]
+                              RandomSource(11, (3 + 2 * t,)).generator())["cbts"]
             sf = stack(noisy, blind_cfg)
             for idx in errs:
                 try:

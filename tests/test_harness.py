@@ -1,15 +1,17 @@
+import copy
 import json
-import os
 
 import numpy as np
 import pytest
 
-from cfolab import ConfigError, bias_floor, predicted_mse
+from cfolab import (ConfigError, add_noise, bias_floor, draw_channel,
+                    harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
                             _trainings_for, one_frame, parse_estimator_id,
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
+from cfolab.numerics import complex_normal
 
 
 # (field, value) pairs that must fail as a ConfigError, never be coerced
@@ -26,6 +28,7 @@ MALFORMED_SPEC_VALUES = [
     ("seed", -1),
     ("epsilon_value", "0.5"),
     ("estimators", ["simplified:3", "simplified:3"]),
+    ("snr_points_db", 15),
 ]
 MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
 
@@ -33,25 +36,25 @@ MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
 # bound.  A change that moves any byte updates this text and says so.
 GOLDEN_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
-simplified:3,10,3,20,0.000169682215449,0.000156327767164,,,0
-simplified_rs:3,10,3,20,4.5896735162,,,,0
-ml_grid,10,,20,0.000158125020049,,,,0
-simplified:3,20,3,20,1.15570166363e-05,1.51876324022e-05,,,0
-simplified_rs:3,20,3,20,6.13022182372,,,,0
-ml_grid,20,,20,1.58009245484e-05,,,,0
-emcb,10,,10,,,0.000141538701817,,0
-emcb,20,,10,,,1.41538701817e-05,,0
+simplified:3,10,3,20,7.98701170257e-05,0.000156327767164,,,0
+simplified_rs:3,10,3,20,5.72384283374,,,,0
+ml_grid,10,,20,8.25548081285e-05,,,,0
+simplified:3,20,3,20,1.88930527835e-05,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,6.36821886688,,,,0
+ml_grid,20,,20,2.00366164185e-05,,,,0
+emcb,10,,10,,,0.000151731738535,,0
+emcb,20,,10,,,1.51731738535e-05,,0
 """
 
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
 GOLDEN_ESTIMATE_TEXT = """\
 true_cfo            +2.300000
-estimated_cfo       +2.296337
+estimated_cfo       +2.287645
 diag_index          3
-diag_ratio          -2.924622e-01+9.759812e-01j
-candidates          -3.7037 -2.7037 -1.7037 -0.7037 +0.2963 +1.2963 +2.2963 +3.2963
-scores              1.641117e+04 5.758007e+04 1.635125e+04 3.715187e+04 1.646131e+04 1.631015e+04 7.823674e+04 1.641838e+04
+diag_ratio          -2.303380e-01+9.555828e-01j
+candidates          -3.7124 -2.7124 -1.7124 -0.7124 +0.2876 +1.2876 +2.2876 +3.2876
+scores              1.157321e+04 2.274731e+04 1.150042e+04 4.425635e+04 1.158009e+04 1.156661e+04 5.545595e+04 1.153941e+04
 """
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
@@ -127,16 +130,41 @@ class TestRunMseVsSnr:
         first = rows_to_csv(run_mse_vs_snr(toy_spec))
         second = rows_to_csv(run_mse_vs_snr(toy_spec))
         assert first == second
-        old = os.environ.get("CFOLAB_THREADS")
-        os.environ["CFOLAB_THREADS"] = "4"
-        try:
-            threaded = rows_to_csv(run_mse_vs_snr(toy_spec))
-        finally:
-            if old is None:
-                del os.environ["CFOLAB_THREADS"]
-            else:
-                os.environ["CFOLAB_THREADS"] = old
-        assert threaded == first
+
+    def test_draws_are_prefix_stable(self, toy_spec, monkeypatch):
+        # trials 0..T-1 draw the same channel, offset and unit noise in a
+        # T-trial and a 2T-trial campaign at every SNR point; the noise scale
+        # follows the whole campaign's mean power, so the draws are compared,
+        # not the CSVs
+        from dataclasses import replace
+
+        shape = (toy_spec.config.n_rx, toy_spec.config.n_subcarriers)
+
+        def draws(spec):
+            taps, units = [], []
+
+            def spy_channel(profile, cfg, gen):
+                ch = draw_channel(profile, cfg, gen)
+                taps.append(ch.taps)
+                return ch
+
+            def spy_noise(frames, noise_var, gen):
+                units.append(complex_normal(copy.deepcopy(gen), shape))
+                return add_noise(frames, noise_var, gen)
+
+            monkeypatch.setattr(harness, "draw_channel", spy_channel)
+            monkeypatch.setattr(harness, "add_noise", spy_noise)
+            cfos = [cfo for _, cfo, _ in _stacked_frames(spec, _trainings_for(spec))]
+            # campaign order: SNR point, then trial
+            n = spec.trials
+            return taps, cfos[:n], {(i // n, i % n): u for i, u in enumerate(units)}
+
+        taps, cfos, units = draws(replace(toy_spec, trials=5))
+        taps2, cfos2, units2 = draws(replace(toy_spec, trials=10))
+        assert len(taps) == 5 and len(units) == 5 * len(toy_spec.snr_points_db)
+        assert all(np.array_equal(a, b) for a, b in zip(taps, taps2[:5]))
+        assert cfos == cfos2[:5]
+        assert all(np.array_equal(u, units2[key]) for key, u in units.items())
 
     def test_golden_bytes(self, toy_cfg, toy_profile):
         spec = ExperimentSpec(
@@ -426,6 +454,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines()[0] == CSV_HEADER
+
+    def test_estimate_has_no_out_flag(self, tmp_path):
+        # estimate prints its text; an --out it never wrote is a usage error
+        cfg_file = tmp_path / "toy.json"
+        self._write_toy_json(cfg_file)
+        out = tmp_path / "est.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["estimate", "--config", str(cfg_file), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_estimate_golden_text(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"

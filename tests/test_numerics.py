@@ -76,18 +76,24 @@ class TestCyclicShift:
 
 class TestRandomSource:
     def test_same_stream_bit_identical(self):
-        a = RandomSource(123, 7).generator().standard_normal(100)
-        b = RandomSource(123, 7).generator().standard_normal(100)
+        a = RandomSource(123, (7,)).generator().standard_normal(100)
+        b = RandomSource(123, (7,)).generator().standard_normal(100)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RandomSource(123, 7).generator().standard_normal(100)
-        b = RandomSource(123, 8).generator().standard_normal(100)
+        a = RandomSource(123, (7,)).generator().standard_normal(100)
+        b = RandomSource(123, (8,)).generator().standard_normal(100)
         assert not np.array_equal(a, b)
+        c = RandomSource(123, (7, 0)).generator().standard_normal(100)
+        assert not np.array_equal(a, c)
 
     def test_stream_helper(self):
-        rs = RandomSource(5)
-        assert rs.stream(3) == RandomSource(5, 3)
+        # child extends the key; the key is the SeedSequence spawn key
+        assert RandomSource(5).child(3) == RandomSource(5, (3,))
+        assert RandomSource(5, (1,)).child(2, 3) == RandomSource(5, (1, 2, 3))
+        ss = np.random.SeedSequence(5, spawn_key=(1, 2))
+        assert np.array_equal(RandomSource(5, (1, 2)).generator().standard_normal(8),
+                              np.random.default_rng(ss).standard_normal(8))
 
     def test_complex_normal_moments(self):
         gen = RandomSource(99).generator()

@@ -115,16 +115,16 @@ class TestBuildTraining:
             assert np.max(np.abs(grid - ts.grid_vectors[mu])) < 1e-12
 
     def test_rs_energy_matches_cbts(self, toy_cfg):
-        rs = build_training(toy_cfg, "rs", RandomSource(3, 1))
+        rs = build_training(toy_cfg, "rs", RandomSource(3, (1,)))
         cb = build_training(toy_cfg, "cbts")
         for mu in range(toy_cfg.n_tx):
             assert np.linalg.norm(rs.grid_vectors[mu]) ** 2 == pytest.approx(
                 np.linalg.norm(cb.grid_vectors[mu]) ** 2, rel=1e-12)
 
     def test_rs_reproducible_and_seed_sensitive(self, toy_cfg):
-        a = build_training(toy_cfg, "rs", RandomSource(3, 1))
-        b = build_training(toy_cfg, "rs", RandomSource(3, 1))
-        c = build_training(toy_cfg, "rs", RandomSource(4, 1))
+        a = build_training(toy_cfg, "rs", RandomSource(3, (1,)))
+        b = build_training(toy_cfg, "rs", RandomSource(3, (1,)))
+        c = build_training(toy_cfg, "rs", RandomSource(4, (1,)))
         assert np.array_equal(a.grid_vectors, b.grid_vectors)
         assert not np.array_equal(a.grid_vectors, c.grid_vectors)
 
