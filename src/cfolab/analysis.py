@@ -40,6 +40,9 @@ from .training import ConfigError, SystemConfig, build_training, period_gram
 # |sum of comb phasors| below this is treated as a blind diagonal.
 DEGENERATE_PHASE_SUM = 1e-9
 
+# channel draws per batch of `emcb`; the bound does not depend on it
+DRAW_BATCH = 64
+
 
 @dataclass(frozen=True)
 class EmcbResult:
@@ -217,6 +220,16 @@ def projection_complement(basis: np.ndarray) -> np.ndarray:
     return np.eye(basis.shape[0]) - ur @ ur.conj().T
 
 
+def _quadratic_forms(matrix: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re h^H (matrix @ h) for every row h of a (T, D) array.
+
+    Each row takes its own matrix-vector product and dot product, so a row's
+    value does not depend on the other rows.
+    """
+    mh = np.matmul(matrix, h[:, :, None])
+    return np.real(np.matmul(h.conj()[:, None, :], mh))[:, 0, 0]
+
+
 def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
          rng: RandomSource) -> EmcbResult:
     """Extended Miller-Chang bound: snapshot CRB averaged over channel draws.
@@ -226,7 +239,10 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     Kronecker-expanded system; each draw then costs one small quadratic form.
     Noise variance per SNR point is calibrated from the measured mean signal
     power of the same draws, mirroring the Monte Carlo harness convention.
-    Draw k takes its taps from `rng.child(k)`.
+    Draw k takes its taps from `rng.child(k)`.  The draws are taken in
+    batches of `DRAW_BATCH`; each draw's quadratic forms (the bound's
+    and, through the model matrix's Gram matrix, its signal power) are
+    computed on its own, so the values do not depend on the batch size.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -238,22 +254,25 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     weighted = ramp[:, None] * s
     core = weighted.conj().T @ complement @ weighted  # (n_tx*L) x (n_tx*L)
 
+    gram = s.conj().T @ s  # ||S h||^2 = h^H (S^H S) h
+
     quad = np.empty(n_draws)
     power = np.empty(n_draws)
-    for k in range(n_draws):
-        ch = draw_channel(profile, cfg, rng.child(k).generator())
-        acc = 0.0
-        sig = 0.0
+    for start in range(0, n_draws, DRAW_BATCH):
+        draws = range(start, min(start + DRAW_BATCH, n_draws))
+        # (draws, n_rx, n_tx*L): row nu of draw k is its `stacked(nu)`
+        h = np.array([draw_channel(profile, cfg, rng.child(k).generator()).taps
+                      for k in draws]).reshape(len(draws), cfg.n_rx, -1)
+        acc = sig = 0.0
         for nu in range(cfg.n_rx):
-            h = ch.stacked(nu)
-            acc += float(np.real(h.conj() @ (core @ h)))
-            sig += float(np.linalg.norm(s @ h) ** 2)
-        if acc <= 0.0:
-            raise ConfigError(
-                "bound denominator vanished: this training cannot resolve the offset"
-            )
-        quad[k] = acc
-        power[k] = sig / cfg.n_rx  # mean |sample|^2: N * ||Sh||^2 / (n_rx * N)
+            acc = acc + _quadratic_forms(core, h[:, nu])
+            sig = sig + _quadratic_forms(gram, h[:, nu])
+        quad[start:draws.stop] = acc
+        power[start:draws.stop] = sig / cfg.n_rx  # mean |sample|^2: N * ||Sh||^2 / (n_rx * N)
+    if np.any(quad <= 0.0):
+        raise ConfigError(
+            "bound denominator vanished: this training cannot resolve the offset"
+        )
     mean_power = float(power.mean())
 
     values = []

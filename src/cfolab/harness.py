@@ -11,8 +11,13 @@ under the campaign seed, so a campaign is a pure function of (spec, seed):
 No key depends on the trial count or the number of SNR points, so the draws
 are prefix-stable: trials 0..T-1 of a longer campaign draw what a T-trial
 campaign draws.  The noise scale is not: a point's noise variance follows the
-mean signal power over every trial of the campaign.  Trials run and are
-reduced in trial order.
+mean signal power over every trial of the campaign.
+
+Campaigns estimate one frame at a time with the `estimate_*` functions that
+`bench` and `cfolab estimate` run; the ML baseline's phase tables are built
+once per campaign.  `analysis.emcb` takes its draws in batches of
+`analysis.DRAW_BATCH`.  No value depends on the batch around it, so the CSV
+bytes depend on neither the batch size nor the BLAS thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
 stacked frame.  The frames that `bench` and `cfolab estimate` run on are
@@ -37,6 +42,12 @@ from .numerics import RandomSource
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, is_finite_number, is_integer,
                        reference_config)
+
+# SNR points a campaign accepts, in dB.  Within it every CSV field stays
+# finite with a wide margin: 10**(snr/10) neither overflows nor underflows,
+# and neither do the noise variance, the closed form's 1/gamma**2 term or the
+# bound's noise term.
+SNR_RANGE_DB = (-300.0, 300.0)
 
 CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
               "emcb,mean_runtime_us,degenerate_count")
@@ -71,10 +82,12 @@ class ExperimentSpec:
                 self.epsilon_mode == "fixed" and not -half < self.epsilon_value < half):
             raise ConfigError(f"epsilon_value must be a number in (-{half}, {half}), "
                               f"got {self.epsilon_value!r}")
+        low, high = SNR_RANGE_DB
         if (not isinstance(self.snr_points_db, (tuple, list)) or not self.snr_points_db
-                or not all(map(is_finite_number, self.snr_points_db))):
-            raise ConfigError("snr_points_db must be a non-empty list of finite "
-                              f"numbers, got {self.snr_points_db!r}")
+                or not all(is_finite_number(v) and low <= v <= high
+                           for v in self.snr_points_db)):
+            raise ConfigError(f"snr_points_db must be a non-empty list of numbers in "
+                              f"[{low:g}, {high:g}] dB, got {self.snr_points_db!r}")
         if (not isinstance(self.estimators, (tuple, list)) or not self.estimators
                 or not all(isinstance(e, str) for e in self.estimators)):
             raise ConfigError("estimators must be a non-empty list of estimator "
@@ -228,13 +241,14 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
                 pass
 
     sq_errors = [{est_id: [] for est_id, *_ in mc_ids} for _ in spec.snr_points_db]
+    tables = estimator.ml_tables(cfg) if any(m == "ml_grid" for _, m, *_ in mc_ids) else None
     for s_idx, cfo, stacked in _stacked_frames(spec, _trainings_for(spec)):
         for est_id, method, kind, idx in mc_ids:
             try:
                 if method == "simplified":
                     res = estimator.estimate_simplified(stacked[kind], idx, cfg)
                 else:
-                    res = estimator.estimate_ml_grid(stacked[kind], cfg)
+                    res = estimator.estimate_ml_grid(stacked[kind], cfg, tables)
             except estimator.DegenerateDiagonalError:
                 continue
             sq_errors[s_idx][est_id].append(_wrap_error(res.value - cfo, cfg.n_periods) ** 2)

@@ -11,10 +11,12 @@ from typing import IO
 
 import numpy as np
 
-from cfolab import (ChannelRealization, ConfigError, StackedFrame,
-                    SystemConfig, TrainingSet, diag_ratio, period_gram)
+from cfolab import (ChannelProfile, ChannelRealization, ConfigError, RandomSource,
+                    StackedFrame, SystemConfig, TrainingSet, build_training,
+                    diag_ratio, draw_channel, model_matrix, period_gram,
+                    projection_complement)
 from cfolab.channel import _check_cfo
-from cfolab.estimator import comb_phase_sums
+from cfolab.estimator import COARSE_STEP, FINE_STEP, comb_phase_sums, likelihood
 from cfolab.numerics import phase_ramp
 
 
@@ -198,3 +200,35 @@ def derivative_factor_residual(sf: StackedFrame, diag_index: int, cfg: SystemCon
     direct = np.array([likelihood_derivative(sf, z, cfg) for z in zs])
     factored = np.array([derivative_factor_form(sf, z, diag_index, cfg) for z in zs])
     return float(np.max(np.abs(direct - factored)) / np.max(np.abs(direct)))
+
+
+def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
+    """The two-stage ML grid search with every grid point's phases computed
+    afresh: no cached table and no shift to the fine grid's first point."""
+    half = cfg.cfo_half_range
+    coarse = np.arange(-half, half, COARSE_STEP)
+    best = coarse[int(np.argmax(likelihood(sf, coarse, cfg)))]
+    fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
+    fine = fine[(fine >= -half) & (fine < half)]
+    return float(fine[int(np.argmax(likelihood(sf, fine, cfg)))])
+
+
+def emcb_per_draw(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
+                  rng: RandomSource) -> tuple[float, ...]:
+    """The bound with one loop iteration per draw and receive antenna: the
+    quadratic form h^H core h and the signal power ||S h||^2 of each
+    `stacked(nu)` taken one vector at a time."""
+    s = model_matrix(build_training(cfg, "cbts"), cfg)
+    n, ng = cfg.n_subcarriers, cfg.cp_len
+    weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s
+    core = weighted.conj().T @ projection_complement(s) @ weighted
+    quad, power = np.empty(n_draws), np.empty(n_draws)
+    for k in range(n_draws):
+        ch = draw_channel(profile, cfg, rng.child(k).generator())
+        hs = [ch.stacked(nu) for nu in range(cfg.n_rx)]
+        quad[k] = sum(float(np.real(h.conj() @ (core @ h))) for h in hs)
+        power[k] = sum(float(np.linalg.norm(s @ h) ** 2) for h in hs) / cfg.n_rx
+    mean_power = float(power.mean())
+    return tuple(float(np.mean(n * mean_power / 10.0 ** (db / 10.0)
+                               / (8.0 * np.pi ** 2 * quad)))
+                 for db in np.atleast_1d(snr_db))

@@ -8,9 +8,10 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     optimal_diag_indices, predicted_mse, projection_complement,
                     reference_config, reference_profile, stack,
                     transmit_receive)
+from cfolab import analysis
 from cfolab.estimator import comb_phase_sums
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import kron_model_matrix
+from support import emcb_per_draw, kron_model_matrix
 
 
 class TestCrossTerm:
@@ -257,6 +258,20 @@ class TestEmcb:
                    8.05855340180489249e-07)
         for got, want in zip(res.values, anchors):
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_batched_matches_per_draw_loop(self, toy_cfg, toy_profile, ref_cfg_b,
+                                           ref_profile, monkeypatch):
+        # the signal power goes through the Gram matrix S^H S, so the values
+        # agree to rounding; the batch size moves no bit
+        for cfg, profile, draws in ((toy_cfg, toy_profile, 30), (ref_cfg_b, ref_profile, 20)):
+            got = {}
+            for rows in (1, 7, analysis.DRAW_BATCH):
+                monkeypatch.setattr(analysis, "DRAW_BATCH", rows)
+                got[rows] = emcb(cfg, profile, (0.0, 20.0), draws,
+                                 RandomSource(5, (3,))).values
+            assert len(set(got.values())) == 1
+            oracle = emcb_per_draw(cfg, profile, (0.0, 20.0), draws, RandomSource(5, (3,)))
+            assert got[1] == pytest.approx(oracle, rel=1e-12)
 
     def test_draw_count_validated(self, toy_cfg, toy_profile):
         with pytest.raises(ValueError):

@@ -6,10 +6,13 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
 from cfolab.channel import ChannelRealization
-from cfolab.estimator import (StackedFrame, candidate_grid, comb_phase_sums,
-                              diag_ratio)
+from cfolab.estimator import (COARSE_STEP, FINE_STEP, StackedFrame, _phases,
+                              candidate_grid, comb_phase_sums, diag_ratio,
+                              ml_tables)
+from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (curvature_factor, derivative_factor_residual,
-                     likelihood_trace, sample_corr, upper_diagonal_sums)
+                     likelihood_trace, ml_grid_fresh, sample_corr,
+                     upper_diagonal_sums)
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -243,6 +246,48 @@ class TestMlGrid:
             m = estimate_ml_grid(sf, ref_cfg_b).value
             worst = max(worst, abs(s - m))
         assert worst < 5e-3
+
+
+@pytest.fixture(scope="module")
+def campaign_frames(ref_cfg_b, ref_profile):
+    """Stacked frames of both training kinds at 0, 10 and 25 dB (30 trials)."""
+    spec = ExperimentSpec(config=ref_cfg_b, profile=ref_profile,
+                          estimators=("simplified:7", "simplified_rs:7"),
+                          snr_points_db=(0.0, 10.0, 25.0), trials=30, seed=9)
+    frames = [st for _, _, st in _stacked_frames(spec, _trainings_for(spec))]
+    return [st[kind] for st in frames for kind in ("cbts", "rs")]
+
+
+class TestMlTables:
+    """The ML baseline on its cached tables returns the points of a grid
+    search that computes every phase afresh."""
+
+    def test_origin_shift_matches_fresh_scores(self, campaign_frames, ref_cfg_b):
+        steps = np.arange(1001) * FINE_STEP
+        for sf, origin in zip(campaign_frames[:6], (-7.95, -3.3, 0.0, 0.05, 2.7, 7.9)):
+            fresh = likelihood(sf, origin + steps, ref_cfg_b)
+            shifted = likelihood(sf, steps, ref_cfg_b, origin=origin,
+                                 phases=_phases(steps, ref_cfg_b.n_periods))
+            assert np.allclose(shifted, fresh, rtol=0, atol=1e-9 * np.max(np.abs(fresh)))
+            assert likelihood(sf, 0.0, ref_cfg_b, origin=origin) == pytest.approx(
+                likelihood(sf, origin, ref_cfg_b), rel=1e-12)
+
+    def test_same_points_as_fresh_search(self, campaign_frames, ref_cfg_b):
+        tables = ml_tables(ref_cfg_b)
+        own = [estimate_ml_grid(sf, ref_cfg_b).value for sf in campaign_frames]
+        shared = [estimate_ml_grid(sf, ref_cfg_b, tables).value for sf in campaign_frames]
+        assert own == shared == [ml_grid_fresh(sf, ref_cfg_b) for sf in campaign_frames]
+        assert not any(table.flags.writeable for table in tables)
+
+    def test_short_grid_at_lower_end(self, ref_cfg_b, ref_profile):
+        # a coarse best of -Q/2 leaves a fine grid of about 500 points
+        frame, _, _ = make_frame(ref_cfg_b, ref_profile, -7.99)
+        edge = stack(frame, ref_cfg_b)
+        coarse = np.arange(-8.0, 8.0, COARSE_STEP)
+        assert coarse[np.argmax(likelihood(edge, coarse, ref_cfg_b))] == -8.0
+        value = estimate_ml_grid(edge, ref_cfg_b).value
+        assert value == ml_grid_fresh(edge, ref_cfg_b)
+        assert abs(value + 7.99) < 1e-3
 
 
 class TestDerivativeFactorisation:

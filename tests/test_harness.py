@@ -1,10 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfolab import (ConfigError, add_noise, bias_floor, draw_channel,
+import cfolab
+from cfolab import (ConfigError, add_noise, analysis, bias_floor, draw_channel,
                     harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
@@ -29,6 +34,8 @@ MALFORMED_SPEC_VALUES = [
     ("epsilon_value", "0.5"),
     ("estimators", ["simplified:3", "simplified:3"]),
     ("snr_points_db", 15),
+    ("snr_points_db", [3100]),
+    ("snr_points_db", [-3100]),
 ]
 MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
 
@@ -80,6 +87,10 @@ MALFORMED_CLI_CASES = {
     "iotas-not-a-list": (["mse-vs-iota"], {"iotas": 5}),
     "iotas-repeated": (["mse-vs-iota", "--iotas", "3,3"], {}),
     "config-not-utf8": (["mse-vs-snr"], b"\xff\xfe{}"),
+    "snr-overflows": (["mse-vs-snr"], {"snr_points_db": [3100]}),
+    "estimate-snr-overflows": (["estimate", "--snr-db", "3100"], {}),
+    "emcb-snr-overflows": (["emcb"], {"snr_points_db": [3100], "emcb_draws": 10}),
+    "emcb-snr-underflows": (["emcb"], {"snr_points_db": [-3100], "emcb_draws": 10}),
 }
 
 
@@ -172,6 +183,37 @@ class TestRunMseVsSnr:
             estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
             snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
         assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_batch_size_does_not_move_bytes(self, toy_cfg, toy_profile, monkeypatch, rows):
+        # the golden campaign with the bound's draws in batches of 1 and 7
+        # and of the default size
+        if rows is not None:
+            monkeypatch.setattr(analysis, "DRAW_BATCH", rows)
+        spec = ExperimentSpec(
+            config=toy_cfg, profile=toy_profile,
+            estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
+            snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
+        assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the same reference-dimension campaign in a child process limited to
+        # one BLAS thread and in this process, at the machine's default
+        cfg_file = tmp_path / "spec.json"
+        cfg_file.write_text(json.dumps({
+            "preset": "paper-fig3", "trials": 40, "seed": 11, "emcb_draws": 40,
+            "snr_points_db": [5, 20],
+            "estimators": ["simplified:7", "simplified_rs:7", "ml_grid", "emcb"]}))
+        single, default = tmp_path / "single.csv", tmp_path / "default.csv"
+        src = Path(cfolab.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "cfolab.cli", "mse-vs-snr", "--config",
+                        str(cfg_file), "--out", str(single)], env=env, check=True,
+                       timeout=300)
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(default)]) == 0
+        assert single.read_bytes() == default.read_bytes()
 
     def test_bound_only_campaign(self, toy_spec):
         from dataclasses import replace
