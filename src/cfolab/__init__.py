@@ -1,8 +1,7 @@
 """cfolab: a MIMO-OFDM carrier frequency offset estimation laboratory."""
 
 from .analysis import (EmcbResult, bias_floor, comb_sum_can_vanish, cross_term,
-                       emcb, optimal_diag_indices, predicted_mse,
-                       projection_complement)
+                       emcb, optimal_diag_indices, predicted_mse)
 from .channel import (ChannelProfile, ChannelRealization, add_noise,
                       draw_channel, model_matrix, model_receive,
                       reference_profile, transmit_receive)

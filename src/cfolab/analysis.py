@@ -203,23 +203,6 @@ def optimal_diag_indices(gamma: float, cfg: SystemConfig,
     return tuple(sorted(i for i, v in values.items() if v <= cutoff))
 
 
-def projection_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the complement of the column space.
-
-    Equals I - basis (basis^H basis)^-1 basis^H when the basis has full
-    column rank, but is computed rank-revealing: with more taps than comb
-    samples per antenna (chan_len > pilot_len, as in the reference preset)
-    the design matrix is structurally rank deficient and the inverse form
-    does not exist, while the column-space projector still does.
-    """
-    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        raise ConfigError("training design matrix is zero")
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    ur = u[:, :rank]
-    return np.eye(basis.shape[0]) - ur @ ur.conj().T
-
-
 def _quadratic_forms(matrix: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Re h^H (matrix @ h) for every row h of a (T, D) array.
 
@@ -234,7 +217,7 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
          rng: RandomSource) -> EmcbResult:
     """Extended Miller-Chang bound: snapshot CRB averaged over channel draws.
 
-    The bound's block structure over receive antennas lets the projector be
+    The bound's block structure over receive antennas lets its core matrix be
     formed once from the N x (n_tx*L) model matrix instead of the full
     Kronecker-expanded system; each draw then costs one small quadratic form.
     Noise variance per SNR point is calibrated from the measured mean signal
@@ -249,10 +232,13 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     snr_db = tuple(float(v) for v in np.atleast_1d(snr_db))
     s = model_matrix(build_training(cfg, "cbts"), cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
-    complement = projection_complement(s)
-    ramp = np.arange(ng, ng + n, dtype=float)
-    weighted = ramp[:, None] * s
-    core = weighted.conj().T @ complement @ weighted  # (n_tx*L) x (n_tx*L)
+    weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s
+    # W^H (I - U U^H) W for an orthonormal basis U of the column space of s,
+    # found rank-revealing: with chan_len > pilot_len (the reference preset)
+    # s is structurally rank deficient.  The N x N projector is never formed.
+    u, sv, _ = np.linalg.svd(s, full_matrices=False)
+    a = u[:, :int(np.sum(sv > 1e-10 * sv[0]))].conj().T @ weighted
+    core = weighted.conj().T @ weighted - a.conj().T @ a  # (n_tx*L) x (n_tx*L)
 
     gram = s.conj().T @ s  # ||S h||^2 = h^H (S^H S) h
 

@@ -3,9 +3,10 @@
 Two independent realizations of the same noiseless received frame are
 provided:
 
-* ``transmit_receive`` works sample-by-sample in the time domain: cyclic
-  prefix prepend, linear convolution with the taps, CFO rotation, prefix
-  removal.
+* ``transmit_receive`` simulates the time-domain frame: the cyclic prefix
+  makes the N samples kept after it the circular convolution of each time
+  sequence with its taps, taken as one product of FFTs, then rotated by
+  the CFO.
 * ``model_receive`` assembles the equivalent matrix model explicitly and
   multiplies it out.
 
@@ -98,16 +99,20 @@ def draw_channel(profile: ChannelProfile, cfg: SystemConfig,
                  gen: np.random.Generator) -> ChannelRealization:
     """Independent circular Gaussian taps CN(0, p_l) on the profile's delay grid.
 
-    Draws from a running generator, tap by tap in delay order, so a caller can
-    draw the channel and other trial quantities from one stream.
+    Draws from a running generator, so a caller can draw the channel and other
+    trial quantities from one stream.  One draw holds, tap by tap in delay
+    order, all real parts and then all imaginary parts: the order of
+    `complex_normal` taken per tap.
     """
     if profile.length > cfg.chan_len:
         raise ConfigError(
             f"profile length {profile.length} exceeds configured chan_len {cfg.chan_len}"
         )
+    unit = gen.standard_normal((len(profile.delays), 2, cfg.n_rx, cfg.n_tx))
+    scale = np.sqrt(profile.powers_linear / 2.0)[:, None, None]
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
-    for delay, power in zip(profile.delays, profile.powers_linear):
-        taps[:, :, delay] = complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
+    values = scale * (unit[:, 0] + 1j * unit[:, 1])  # (taps, n_rx, n_tx)
+    taps[..., list(profile.delays)] = np.moveaxis(values, 0, -1)
     return ChannelRealization(taps=taps)
 
 
@@ -123,23 +128,18 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
                      cfg: SystemConfig) -> np.ndarray:
     """Noiseless time-domain simulation of one training frame, (n_rx, N) complex.
 
-    Per receive antenna: sum over transmit antennas of the linear convolution
-    of the CP-extended time sequence with the taps, keep the N samples after
-    the prefix, rotate by the CFO ramp.
+    Per receive antenna: sum over transmit antennas of the time sequence
+    convolved with the taps, rotated by the CFO ramp.  The cyclic prefix is at
+    least as long as the channel memory, so the N samples kept after it are
+    the circular convolution, taken here as one product of N-point FFTs.
     """
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     if ch.length > ng:
         raise ConfigError("channel memory longer than the cyclic prefix")
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-    out = np.zeros((cfg.n_rx, n), dtype=complex)
-    for nu in range(cfg.n_rx):
-        acc = np.zeros(n, dtype=complex)
-        for mu in range(cfg.n_tx):
-            with_cp = np.concatenate([ts.time_sequences[mu][-ng:], ts.time_sequences[mu]])
-            acc += np.convolve(with_cp, ch.taps[nu, mu])[ng:ng + n]
-        out[nu] = rot * acc
-    return out
+    spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(ch.taps, n)
+    return rot * np.fft.ifft(spectra.sum(axis=1))
 
 
 def add_noise(frames: dict[str, np.ndarray], noise_var: dict[str, float],

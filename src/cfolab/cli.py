@@ -35,7 +35,9 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
         raw["seed"] = args.seed
     if not raw:
         raise ConfigError("provide --config FILE and/or --preset NAME")
-    extras = {"iotas": raw.pop("iotas", None)}
+    extras = {"iotas": raw.pop("iotas")} if "iotas" in raw else {}
+    if extras and args.command != "mse-vs-iota":
+        raise ConfigError(f"iotas applies to mse-vs-iota only, not to {args.command}")
     return harness.spec_from_json(raw), extras
 
 
@@ -78,13 +80,13 @@ def _cmd_mse_vs_snr(args) -> int:
 def _cmd_mse_vs_iota(args) -> int:
     spec, extras = _spec_from_args(args)
     # raw items go into the estimator ids, where the spec rejects non-integers
-    iotas = extras["iotas"]
-    if args.iotas:
-        iotas = args.iotas.split(",")
-    elif not iotas:
-        iotas = range(1, spec.config.n_periods)
-    elif not isinstance(iotas, list):
-        raise ConfigError(f"iotas must be a list of diagonal indices, got {iotas!r}")
+    if args.iotas is not None:
+        iotas = args.iotas.split(",") if args.iotas else []
+    else:
+        iotas = extras.get("iotas", list(range(1, spec.config.n_periods)))
+    if not isinstance(iotas, list) or not iotas:
+        raise ConfigError(f"iotas must be a non-empty list of diagonal indices, "
+                          f"got {iotas!r}")
     _emit(harness.run_mse_vs_iota(spec, iotas), args.out)
     return 0
 

@@ -72,7 +72,7 @@ def stack(frame: np.ndarray, cfg: SystemConfig) -> StackedFrame:
         raise ValueError(
             f"frame shape {frame.shape} does not match config ({cfg.n_rx}, {n})"
         )
-    matrix = np.hstack([frame[nu].reshape(q, p) for nu in range(cfg.n_rx)])
+    matrix = frame.reshape(cfg.n_rx, q, p).transpose(1, 0, 2).reshape(q, -1)
     diag_sums = np.array([np.vdot(matrix[k:], matrix[:q - k]) for k in range(q)])
     return StackedFrame(matrix=matrix, diag_sums=diag_sums)
 
@@ -159,7 +159,7 @@ def estimate_simplified(sf: StackedFrame, diag_index: int,
     ratio = diag_ratio(sf, diag_index)
     cand = candidate_grid(ratio, sf.n_periods)
     scores = likelihood(sf, cand, cfg)
-    best = min(range(len(cand)), key=lambda i: (-scores[i], abs(cand[i]), i))
+    best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]
     return CfoEstimate(value=float(cand[best]), diag_ratio=ratio,
                        candidates=cand, scores=scores)
 

@@ -13,11 +13,10 @@ import numpy as np
 
 from cfolab import (ChannelProfile, ChannelRealization, ConfigError, RandomSource,
                     StackedFrame, SystemConfig, TrainingSet, build_training,
-                    diag_ratio, draw_channel, model_matrix, period_gram,
-                    projection_complement)
+                    diag_ratio, draw_channel, model_matrix, period_gram)
 from cfolab.channel import _check_cfo
 from cfolab.estimator import COARSE_STEP, FINE_STEP, comb_phase_sums, likelihood
-from cfolab.numerics import phase_ramp
+from cfolab.numerics import complex_normal, phase_ramp
 
 
 def dft_direct(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -211,6 +210,56 @@ def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     fine = fine[(fine >= -half) & (fine < half)]
     return float(fine[int(np.argmax(likelihood(sf, fine, cfg)))])
+
+
+def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
+                      gen: np.random.Generator) -> ChannelRealization:
+    """The channel draw tap by tap in delay order, one `complex_normal` call per tap."""
+    if profile.length > cfg.chan_len:
+        raise ConfigError(
+            f"profile length {profile.length} exceeds configured chan_len {cfg.chan_len}"
+        )
+    taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
+    for delay, power in zip(profile.delays, profile.powers_linear):
+        taps[:, :, delay] = complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
+    return ChannelRealization(taps=taps)
+
+
+def transmit_receive_direct(ts: TrainingSet, ch: ChannelRealization, cfo: float,
+                            cfg: SystemConfig) -> np.ndarray:
+    """Noiseless frame sample by sample: per receive antenna, the linear
+    convolution of each CP-extended time sequence with its taps, the N samples
+    after the prefix, rotated by the CFO ramp."""
+    _check_cfo(cfo, cfg)
+    n, ng = cfg.n_subcarriers, cfg.cp_len
+    if ch.length > ng:
+        raise ConfigError("channel memory longer than the cyclic prefix")
+    rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
+    out = np.zeros((cfg.n_rx, n), dtype=complex)
+    for nu in range(cfg.n_rx):
+        acc = np.zeros(n, dtype=complex)
+        for mu in range(cfg.n_tx):
+            with_cp = np.concatenate([ts.time_sequences[mu][-ng:], ts.time_sequences[mu]])
+            acc += np.convolve(with_cp, ch.taps[nu, mu])[ng:ng + n]
+        out[nu] = rot * acc
+    return out
+
+
+def projection_complement(basis: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the complement of the column space.
+
+    Equals I - basis (basis^H basis)^-1 basis^H when the basis has full
+    column rank, but is computed rank-revealing: with more taps than comb
+    samples per antenna (chan_len > pilot_len, as in the reference preset)
+    the design matrix is structurally rank deficient and the inverse form
+    does not exist, while the column-space projector still does.
+    """
+    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        raise ConfigError("training design matrix is zero")
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    ur = u[:, :rank]
+    return np.eye(basis.shape[0]) - ur @ ur.conj().T
 
 
 def emcb_per_draw(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,

@@ -5,13 +5,12 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     RandomSource, SystemConfig, bias_floor, build_training,
                     comb_sum_can_vanish, cross_term,
                     draw_channel, emcb, estimate_simplified, model_matrix,
-                    optimal_diag_indices, predicted_mse, projection_complement,
-                    reference_config, reference_profile, stack,
-                    transmit_receive)
+                    optimal_diag_indices, predicted_mse, reference_config,
+                    reference_profile, stack, transmit_receive)
 from cfolab import analysis
 from cfolab.estimator import comb_phase_sums
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import emcb_per_draw, kron_model_matrix
+from support import emcb_per_draw, kron_model_matrix, projection_complement
 
 
 class TestCrossTerm:

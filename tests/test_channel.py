@@ -7,8 +7,9 @@ from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
                     transmit_receive)
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import (circular_convolve, frame_to_csv, stacked_signal_matrix,
-                     steering_matrix)
+from support import (circular_convolve, draw_channel_loop, frame_to_csv,
+                     stacked_signal_matrix, steering_matrix,
+                     transmit_receive_direct)
 
 
 def stack_rows(frame, cfg):
@@ -121,6 +122,52 @@ class TestOracleEquivalence:
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, (2,)).generator())
         with pytest.raises(ValueError, match="identifiable"):
             transmit_receive(ts, ch, toy_cfg.cfo_half_range, toy_cfg)
+
+
+# the toy profile of conftest: its last tap sits at delay 7, the toy chan_len - 1
+TOY_PROFILE = ChannelProfile(delays=(0, 2, 7), powers_db=(0.0, -3.0, -6.0))
+
+
+def _edge_offsets(cfg):
+    """Offsets near 0 and just inside both ends of (-Q/2, Q/2)."""
+    half = cfg.cfo_half_range
+    return (float(np.nextafter(-half, 0.0)), -1e-9, 0.0, 1e-9, 0.37,
+            float(np.nextafter(half, 0.0)))
+
+
+class TestFftSimulation:
+    """The FFT frame against the direct linear-convolution loop, and the
+    one-call channel draw against the tap-by-tap loop."""
+
+    @pytest.mark.parametrize("kind", ["cbts", "rs"])
+    @pytest.mark.parametrize("cfg,profile", [
+        (SystemConfig(64, 8, 2, 2, 10, 8, (1, 6)), TOY_PROFILE),
+        (SystemConfig(64, 8, 2, 2, 8, 8, (1, 6)), TOY_PROFILE),  # chan_len == cp_len
+        (reference_config(OFFSETS_A), reference_profile()),
+        (reference_config(OFFSETS_B), reference_profile()),
+    ], ids=["toy", "toy-full-prefix", "reference-a", "reference-b"])
+    def test_matches_direct_convolution(self, cfg, profile, kind):
+        ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
+        for seed in range(3):
+            ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
+            for cfo in _edge_offsets(cfg):
+                direct = transmit_receive_direct(ts, ch, cfo, cfg)
+                fft = transmit_receive(ts, ch, cfo, cfg)
+                assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("which", ["toy", "reference"])
+    def test_draw_matches_tap_loop(self, which, toy_cfg, toy_profile, ref_cfg_b,
+                                   ref_profile):
+        cfg, profile = ((toy_cfg, toy_profile) if which == "toy"
+                        else (ref_cfg_b, ref_profile))
+        for seed in range(5):
+            gen, loop_gen = (RandomSource(seed, (1, seed)).generator() for _ in range(2))
+            got = draw_channel(profile, cfg, gen)
+            want = draw_channel_loop(profile, cfg, loop_gen)
+            assert got.taps.dtype == want.taps.dtype
+            assert got.taps.tobytes() == want.taps.tobytes()
+            # the stream is left where the loop leaves it
+            assert gen.uniform() == loop_gen.uniform()
 
 
 class TestStackedSignalModel:

@@ -224,6 +224,24 @@ class TestSimplifiedEstimator:
         e9 = estimate_simplified(sf, 9, ref_cfg_b).value
         assert e7 == pytest.approx(e9, abs=1e-12)
 
+    def test_tie_break_matches_key_min(self, toy_cfg, toy_profile, monkeypatch):
+        # scores from {0, 1, 2} and candidates from {-2, -1, 1, 2} force ties
+        # on the score, then on |cfo| between mirrored candidates, so the
+        # pick is decided by each key of (-score, |cfo|, index) in turn
+        from cfolab import estimator
+
+        frame, _, _ = make_frame(toy_cfg, toy_profile, 0.4)
+        sf = stack(frame, toy_cfg)
+        gen = np.random.default_rng(17)
+        q = toy_cfg.n_periods
+        for _ in range(300):
+            cand = gen.choice([-2.0, -1.0, 1.0, 2.0], q)
+            scores = gen.integers(0, 3, q).astype(float)
+            monkeypatch.setattr(estimator, "candidate_grid", lambda ratio, n: cand)
+            monkeypatch.setattr(estimator, "likelihood", lambda sf, c, cfg: scores)
+            best = min(range(q), key=lambda i: (-scores[i], abs(cand[i]), i))
+            assert estimate_simplified(sf, 3, toy_cfg).value == cand[best]
+
 
 class TestMlGrid:
     def test_noiseless_recovery(self, ref_cfg_b, ref_profile):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +54,11 @@ emcb,10,,10,,,0.000151731738535,,0
 emcb,20,,10,,,1.51731738535e-05,,0
 """
 
+# sha256 of the CSV of a 30-trial reference-dimension campaign with both
+# training kinds, ml_grid and the bound; the same rule as GOLDEN_TOY_CSV.
+GOLDEN_REFERENCE_CSV_SHA256 = (
+    "26411779cfb97c618eee44037d79987a769ec50f7941edb2c63dc5c845c44bcb")
+
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
 GOLDEN_ESTIMATE_TEXT = """\
@@ -91,6 +97,10 @@ MALFORMED_CLI_CASES = {
     "estimate-snr-overflows": (["estimate", "--snr-db", "3100"], {}),
     "emcb-snr-overflows": (["emcb"], {"snr_points_db": [3100], "emcb_draws": 10}),
     "emcb-snr-underflows": (["emcb"], {"snr_points_db": [-3100], "emcb_draws": 10}),
+    "iotas-empty-list": (["mse-vs-iota"], {"iotas": []}),
+    "iotas-empty-flag": (["mse-vs-iota", "--iotas", ""], {}),
+    "iotas-on-mse-vs-snr": (["mse-vs-snr"], {"iotas": [3]}),
+    "iotas-on-emcb": (["emcb"], {"iotas": [3], "emcb_draws": 10}),
 }
 
 
@@ -183,6 +193,14 @@ class TestRunMseVsSnr:
             estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
             snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
         assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
+
+    def test_golden_reference_bytes(self, ref_cfg_b, ref_profile):
+        spec = ExperimentSpec(
+            config=ref_cfg_b, profile=ref_profile,
+            estimators=("simplified:7", "simplified_rs:7", "ml_grid", "emcb"),
+            snr_points_db=(5.0, 20.0), trials=30, seed=23, emcb_draws=40)
+        text = rows_to_csv(run_mse_vs_snr(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REFERENCE_CSV_SHA256
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_batch_size_does_not_move_bytes(self, toy_cfg, toy_profile, monkeypatch, rows):
