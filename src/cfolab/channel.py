@@ -64,7 +64,11 @@ class ChannelProfile:
 
     @property
     def powers_linear(self) -> np.ndarray:
-        p = 10.0 ** (np.asarray(self.powers_db) / 10.0)
+        # relative to the strongest tap, so no finite dB list overflows to inf
+        # or underflows to all zeros; a gap that overflows to -inf is power 0
+        db = np.asarray(self.powers_db)
+        with np.errstate(over="ignore"):
+            p = 10.0 ** ((db - db.max()) / 10.0)
         return p / p.sum()
 
 
@@ -131,14 +135,15 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     Per receive antenna: sum over transmit antennas of the time sequence
     convolved with the taps, rotated by the CFO ramp.  The cyclic prefix is at
     least as long as the channel memory, so the N samples kept after it are
-    the circular convolution, taken here as one product of N-point FFTs.
+    the circular convolution, taken here as one product of N-point FFTs; the
+    training's own spectra are computed once per TrainingSet.
     """
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     if ch.length > ng:
         raise ConfigError("channel memory longer than the cyclic prefix")
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-    spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(ch.taps, n)
+    spectra = ts.time_spectra * np.fft.fft(ch.taps, n)
     return rot * np.fft.ifft(spectra.sum(axis=1))
 
 

@@ -17,6 +17,11 @@ phase tables (`ml_tables`): the coarse grid's own, and one of offsets
 k*FINE_STEP on which every fine grid is scored from its first point
 (`likelihood`'s `origin`).  A single estimate builds them, as `bench` and
 criterion 8 time it; a campaign builds them once for all its frames.
+
+The score products of one frame stay on the calling thread: `likelihood`
+splits a table too large for OpenBLAS's single-thread path into row blocks
+below SERIAL_BLAS_ELEMENTS.  Only the bound's batched products (`analysis`)
+use BLAS threads.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ from .training import SystemConfig
 # grid steps of the ML baseline, in subcarrier spacings
 COARSE_STEP = 0.05
 FINE_STEP = 1e-4
+
+# OpenBLAS runs a complex matrix-vector product of fewer elements than this on
+# the calling thread and hands larger ones to its worker threads, which then
+# spin between frames.  Measured with OpenBLAS 0.3.31 on two cores, repeated
+# products with Python work between them: 255 x 16 ran at CPU/wall 0.99,
+# 256 x 16 at 1.99.
+SERIAL_BLAS_ELEMENTS = 4096
 
 
 class DegenerateDiagonalError(RuntimeError):
@@ -129,6 +141,27 @@ def _phases(eps: np.ndarray, n_periods: int) -> np.ndarray:
     return np.exp(2j * np.pi * (eps[..., None] * q) / n_periods)
 
 
+def _serial_product(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """phases @ weights for an (n, Q) table, in row blocks small enough for
+    OpenBLAS to keep on the calling thread.
+
+    The n rows split into ceil(n / max_rows) near-equal blocks, so none has
+    one row: a one-row product takes another numpy path with other rounding,
+    while a block of two or more rows gives each row the bits of the full
+    product.  A table too wide for blocks of three rows stays one product.
+    """
+    n, q = phases.shape
+    max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
+    if n <= max_rows or max_rows < 3:
+        return phases @ weights
+    blocks = -(-n // max_rows)
+    edges = [i * n // blocks for i in range(blocks + 1)]
+    out = np.empty(n, dtype=np.result_type(phases, weights))
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(phases[lo:hi], weights, out=out[lo:hi])
+    return out
+
+
 def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig, *, origin: float = 0.0,
                phases: np.ndarray | None = None) -> np.ndarray | float:
     """Likelihood score of candidate offsets origin + cfo (scalar in, scalar out).
@@ -138,14 +171,16 @@ def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     n_tx * c_0, so both have identical maximisers.  A nonzero `origin`
     rotates the weights c_q * B_q by its own z^q, so a grid that moves with
     the frame is scored on one fixed table of offsets.  `phases`, when given,
-    is that table, `_phases(cfo, Q)`, held by a caller that reuses it.
+    is that table, `_phases(cfo, Q)`, held by a caller that reuses it.  The
+    product with the table runs on the calling thread (`_serial_product`),
+    so scoring one frame never wakes the BLAS worker threads.
     """
     weights = sf.diag_sums * comb_phase_sums(cfg)
     if origin:
         weights = weights * _phases(np.float64(origin), sf.n_periods)
     if phases is None:
         phases = _phases(np.atleast_1d(np.asarray(cfo, dtype=float)), sf.n_periods)
-    vals = 2.0 * np.real(phases @ weights)
+    vals = 2.0 * np.real(_serial_product(phases, weights))
     return vals if np.ndim(cfo) else float(vals[0])
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 from typing import IO
 
@@ -173,6 +174,13 @@ class TrainingSet:
     freq_pilots: np.ndarray = field(repr=False)
     grid_vectors: np.ndarray = field(repr=False)
     time_sequences: np.ndarray = field(repr=False)
+
+    @cached_property
+    def time_spectra(self) -> np.ndarray:
+        """N-point FFT of each time sequence, computed once (read-only)."""
+        spectra = np.fft.fft(self.time_sequences)
+        spectra.flags.writeable = False
+        return spectra
 
 
 def build_training(cfg: SystemConfig, kind: str = "cbts",

@@ -6,16 +6,21 @@ second route, not against itself.
 """
 
 import csv
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from typing import IO
 
 import numpy as np
 
+import cfolab
 from cfolab import (ChannelProfile, ChannelRealization, ConfigError, RandomSource,
                     StackedFrame, SystemConfig, TrainingSet, build_training,
                     diag_ratio, draw_channel, model_matrix, period_gram)
 from cfolab.channel import _check_cfo
-from cfolab.estimator import COARSE_STEP, FINE_STEP, comb_phase_sums, likelihood
+from cfolab.estimator import COARSE_STEP, FINE_STEP, comb_phase_sums
 from cfolab.numerics import complex_normal, phase_ramp
 
 
@@ -203,13 +208,21 @@ def derivative_factor_residual(sf: StackedFrame, diag_index: int, cfg: SystemCon
 
 def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
     """The two-stage ML grid search with every grid point's phases computed
-    afresh: no cached table and no shift to the fine grid's first point."""
+    afresh: no cached table, no shift to the fine grid's first point, and
+    each grid scored by one product over the whole grid, not in row blocks."""
     half = cfg.cfo_half_range
+    q = np.arange(sf.n_periods)
+    weights = sf.diag_sums * comb_phase_sums(cfg)
+
+    def scores(grid):
+        return 2.0 * np.real(np.exp(2j * np.pi * (grid[:, None] * q) / sf.n_periods)
+                             @ weights)
+
     coarse = np.arange(-half, half, COARSE_STEP)
-    best = coarse[int(np.argmax(likelihood(sf, coarse, cfg)))]
+    best = coarse[int(np.argmax(scores(coarse)))]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     fine = fine[(fine >= -half) & (fine < half)]
-    return float(fine[int(np.argmax(likelihood(sf, fine, cfg)))])
+    return float(fine[int(np.argmax(scores(fine)))])
 
 
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
@@ -281,3 +294,14 @@ def emcb_per_draw(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: i
     return tuple(float(np.mean(n * mean_power / 10.0 ** (db / 10.0)
                                / (8.0 * np.pi ** 2 * quad)))
                  for db in np.atleast_1d(snr_db))
+
+
+def run_cli_one_blas_thread(*argv: str) -> None:
+    """`python -m cfolab.cli *argv` in a child process held to one BLAS thread,
+    importing the package under test."""
+    src = Path(cfolab.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                       os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "cfolab.cli", *argv], env=env, check=True,
+                   timeout=300)

@@ -5,7 +5,8 @@ criterion.  The Monte Carlo campaigns (criteria 2-4) share a single seeded
 run of the harness at reference scale: 2000 trials, seed 42.
 """
 
-import os
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from cfolab import (RandomSource, SystemConfig,
                     reference_profile, stack, transmit_receive)
 from cfolab.channel import ChannelRealization
 from cfolab.estimator import StackedFrame
-from cfolab.harness import ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_snr
+from cfolab.harness import (ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_snr,
+                            spec_from_json)
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (curvature_factor, derivative_factor_residual,
-                     likelihood_trace, periodic_autocorr, shift_correlation,
-                     shift_correlation_closed_form, stacked_signal_matrix,
-                     steering_matrix, upper_diagonal_sums)
+                     likelihood_trace, periodic_autocorr, run_cli_one_blas_thread,
+                     shift_correlation, shift_correlation_closed_form,
+                     stacked_signal_matrix, steering_matrix, upper_diagonal_sums)
 
 CFO_POINTS = (-7.5, -2.3, 0.0, 0.5, 7.0)
 
@@ -210,22 +212,24 @@ def test_criterion_8_runtime_gap():
           f"{rows['ml_grid'].median_us:.0f} us)")
 
 
-def test_criterion_9_byte_determinism(toy_cfg, toy_profile):
-    """Identical (config, seed) gives identical CSV bytes across thread counts."""
+def test_criterion_9_byte_determinism(toy_cfg, toy_profile, tmp_path):
+    """Identical (config, seed) gives identical CSV bytes across runs and
+    across BLAS thread counts: a child process limited to one BLAS thread
+    writes the bytes of this process at the machine's default."""
     spec = ExperimentSpec(
         config=toy_cfg, profile=toy_profile,
         estimators=("simplified:3", "ml_grid"), snr_points_db=(5.0, 15.0),
         trials=60, seed=31)
     baseline = rows_to_csv(run_mse_vs_snr(spec)).encode()
     assert rows_to_csv(run_mse_vs_snr(spec)).encode() == baseline
-    old = os.environ.get("CFOLAB_THREADS")
-    try:
-        for workers in ("2", "7"):
-            os.environ["CFOLAB_THREADS"] = workers
-            assert rows_to_csv(run_mse_vs_snr(spec)).encode() == baseline
-    finally:
-        if old is None:
-            del os.environ["CFOLAB_THREADS"]
-        else:
-            os.environ["CFOLAB_THREADS"] = old
-    print("PASS criterion 9: byte-identical CSV across runs and thread counts")
+    data = {"config": dataclasses.asdict(toy_cfg),
+            "profile": dataclasses.asdict(toy_profile),
+            "estimators": list(spec.estimators),
+            "snr_points_db": list(spec.snr_points_db),
+            "trials": spec.trials, "seed": spec.seed}
+    assert spec_from_json(json.loads(json.dumps(data))) == spec
+    cfg_file, single = tmp_path / "spec.json", tmp_path / "single.csv"
+    cfg_file.write_text(json.dumps(data))
+    run_cli_one_blas_thread("mse-vs-snr", "--config", str(cfg_file), "--out", str(single))
+    assert single.read_bytes() == baseline
+    print("PASS criterion 9: byte-identical CSV across runs and BLAS thread counts")

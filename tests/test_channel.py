@@ -34,6 +34,12 @@ class TestChannelProfile:
         with pytest.raises(ConfigError):
             ChannelProfile(delays=delays, powers_db=powers)
 
+    @pytest.mark.parametrize("powers", [(1e308, 1e308), (-4000.0, -4000.0),
+                                        (1e308, -1e308), (0.0, -4000.0)])
+    def test_extreme_powers_stay_finite(self, powers):
+        p = ChannelProfile(delays=(0, 3), powers_db=powers).powers_linear
+        assert np.all(np.isfinite(p)) and p.sum() == pytest.approx(1.0, rel=1e-12)
+
 
 class TestDrawChannel:
     def test_support_matches_reference_delays(self, ref_cfg_b, ref_profile):
@@ -154,6 +160,25 @@ class TestFftSimulation:
                 direct = transmit_receive_direct(ts, ch, cfo, cfg)
                 fft = transmit_receive(ts, ch, cfo, cfg)
                 assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("kind", ["cbts", "rs"])
+    @pytest.mark.parametrize("which", ["toy", "reference"])
+    def test_held_spectra_give_same_bits(self, which, kind, toy_cfg, toy_profile,
+                                         ref_cfg_b, ref_profile):
+        # the training's spectra, taken once per TrainingSet, against the
+        # formula that takes them on every call
+        cfg, profile = ((toy_cfg, toy_profile) if which == "toy"
+                        else (ref_cfg_b, ref_profile))
+        ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
+        n, ng = cfg.n_subcarriers, cfg.cp_len
+        for seed in range(3):
+            ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
+            for cfo in _edge_offsets(cfg):
+                rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
+                spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(ch.taps, n)
+                want = rot * np.fft.ifft(spectra.sum(axis=1))
+                assert np.array_equal(transmit_receive(ts, ch, cfo, cfg), want)
+        assert not ts.time_spectra.flags.writeable
 
     @pytest.mark.parametrize("which", ["toy", "reference"])
     def test_draw_matches_tap_loop(self, which, toy_cfg, toy_profile, ref_cfg_b,

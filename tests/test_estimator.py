@@ -6,7 +6,8 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
 from cfolab.channel import ChannelRealization
-from cfolab.estimator import (COARSE_STEP, FINE_STEP, StackedFrame, _phases,
+from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
+                              StackedFrame, _phases, _serial_product,
                               candidate_grid, comb_phase_sums, diag_ratio,
                               ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
@@ -306,6 +307,52 @@ class TestMlTables:
         value = estimate_ml_grid(edge, ref_cfg_b).value
         assert value == ml_grid_fresh(edge, ref_cfg_b)
         assert abs(value + 7.99) < 1e-3
+
+
+def edge_fine_grids(cfg, profile):
+    """Noiseless frames whose coarse best is the first or the last point of
+    the coarse grid, with the length of the fine grid each leaves after
+    clipping to [-Q/2, Q/2) (about 500 points at the lower end)."""
+    coarse, coarse_phases, *_ = ml_tables(cfg)
+    half = cfg.cfo_half_range
+    out = []
+    for cfo in (-half + 0.01, half - 0.04):
+        frame, _, _ = make_frame(cfg, profile, cfo)
+        sf = stack(frame, cfg)
+        best = coarse[int(np.argmax(likelihood(sf, coarse, cfg, phases=coarse_phases)))]
+        fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
+        out.append((sf, cfo, best, int(np.sum((fine >= -half) & (fine < half)))))
+    return out
+
+
+class TestSerialScoring:
+    """Scores computed in row blocks on the calling thread carry the bits of
+    one product over the whole table."""
+
+    def test_blocks_match_full_product(self, campaign_frames, ref_cfg_b, ref_profile):
+        q = ref_cfg_b.n_periods
+        max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
+        edges = [n for *_, n in edge_fine_grids(ref_cfg_b, ref_profile)]
+        counts = [2, max_rows - 1, max_rows, max_rows + 1, 2 * max_rows + 1,
+                  320, 1000, 1001, *edges]
+        _, coarse_phases, steps, step_phases = ml_tables(ref_cfg_b)
+        tables = [step_phases[:n] for n in counts] + [coarse_phases]
+        assert max(counts) <= len(steps) and len(coarse_phases) == 320
+        for sf in campaign_frames:
+            plain = sf.diag_sums * comb_phase_sums(ref_cfg_b)
+            shifted = plain * _phases(np.float64(-3.05), q)
+            for weights in (plain, shifted):
+                for table in tables:
+                    assert np.array_equal(_serial_product(table, weights), table @ weights)
+
+    def test_edge_grids_match_fresh_search(self, ref_cfg_b, ref_profile):
+        coarse = ml_tables(ref_cfg_b)[0]
+        grids = edge_fine_grids(ref_cfg_b, ref_profile)
+        assert [best for _, _, best, _ in grids] == [coarse[0], coarse[-1]]
+        for sf, cfo, _, _ in grids:
+            value = estimate_ml_grid(sf, ref_cfg_b).value
+            assert value == ml_grid_fresh(sf, ref_cfg_b)
+            assert abs(value - cfo) < 1e-3
 
 
 class TestDerivativeFactorisation:

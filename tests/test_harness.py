@@ -1,15 +1,10 @@
 import copy
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cfolab
 from cfolab import (ConfigError, add_noise, analysis, bias_floor, draw_channel,
                     harness, predicted_mse)
 from cfolab.cli import main as cli_main
@@ -18,6 +13,7 @@ from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
 from cfolab.numerics import complex_normal
+from support import run_cli_one_blas_thread
 
 
 # (field, value) pairs that must fail as a ConfigError, never be coerced
@@ -223,13 +219,8 @@ class TestRunMseVsSnr:
             "snr_points_db": [5, 20],
             "estimators": ["simplified:7", "simplified_rs:7", "ml_grid", "emcb"]}))
         single, default = tmp_path / "single.csv", tmp_path / "default.csv"
-        src = Path(cfolab.__file__).resolve().parents[1]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                           os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "cfolab.cli", "mse-vs-snr", "--config",
-                        str(cfg_file), "--out", str(single)], env=env, check=True,
-                       timeout=300)
+        run_cli_one_blas_thread("mse-vs-snr", "--config", str(cfg_file), "--out",
+                                str(single))
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(default)]) == 0
         assert single.read_bytes() == default.read_bytes()
 
@@ -487,6 +478,20 @@ class TestCli:
 
     def test_missing_config_exit_code(self):
         assert cli_main(["mse-vs-snr"]) == 2
+
+    @pytest.mark.parametrize("powers_db", [[1e308, 1e308], [-4000, -4000]])
+    def test_extreme_profile_powers_give_finite_rows(self, tmp_path, powers_db):
+        # 10**(dB/10) alone overflows to inf or underflows to 0, and inf/inf or
+        # 0/0 would write nan rows
+        cfg_file, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        cfg_file.write_text(json.dumps({
+            "preset": "paper-fig2", "trials": 4, "snr_points_db": [10],
+            "profile": {"delays": [0, 3], "powers_db": powers_db}}))
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert np.isfinite(float(cells["empirical_mse"]))
+        assert np.isfinite(float(cells["analytic_mse"]))
 
     @pytest.mark.parametrize("field,value", MALFORMED_SPEC_VALUES,
                              ids=MALFORMED_SPEC_IDS)
