@@ -12,11 +12,10 @@ score evaluations - no line search, no polynomial rooting.
 The ML baseline maximises the same score by brute force on a two-stage grid
 and serves as the accuracy/runtime reference.
 
-Both estimators take one frame.  The ML baseline scores its grids on two
-phase tables (`ml_tables`): the coarse grid's own, and one of offsets
-k*FINE_STEP on which every fine grid is scored from its first point
-(`likelihood`'s `origin`).  A single estimate builds them, as `bench` and
-criterion 8 time it; a campaign builds them once for all its frames.
+Both estimators take one frame and score on cached read-only phase tables
+from a moving origin (`likelihood`'s `origin`): the simplified estimator its
+candidates as integer offsets from their fractional part (`integer_offsets`),
+the ML baseline its grids on `ml_tables`, which a campaign builds once.
 
 The score products of one frame stay on the calling thread: `likelihood`
 splits a table too large for OpenBLAS's single-thread path into row blocks
@@ -27,7 +26,7 @@ use BLAS threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,6 +67,11 @@ class StackedFrame:
     def n_periods(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def diag_norm(self) -> float:
+        """Norm of the lag sums, taken once per frame for every `diag_ratio`."""
+        return np.linalg.norm(self.diag_sums)
+
 
 @dataclass(frozen=True)
 class CfoEstimate:
@@ -107,15 +111,15 @@ def diag_ratio(sf: StackedFrame, diag_index: int) -> complex:
 
     ratio = i * conj(c_i) / ((Q - i) * c_{Q-i}) for diagonal index i.  Raises
     DegenerateDiagonalError when the mirror sum is numerically negligible
-    (|c_{Q-i}| below 1e-12 of the diagonal-sum norm), since the phase would
-    then be meaningless.
+    (|c_{Q-i}| below 1e-12 of the lag-sum norm `sf.diag_norm`, taken once per
+    frame), since the phase would then be meaningless.
     """
     q = sf.n_periods
     if not 1 <= diag_index <= q - 1:
         raise ValueError(f"diag_index must be in [1, {q - 1}], got {diag_index}")
     c = sf.diag_sums
     mirror = c[q - diag_index]
-    if abs(mirror) <= 1e-12 * np.linalg.norm(c):
+    if abs(mirror) <= 1e-12 * sf.diag_norm:
         raise DegenerateDiagonalError(
             f"diagonal sum {q - diag_index} is numerically zero; "
             f"estimation impossible at diag_index={diag_index}"
@@ -184,17 +188,30 @@ def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     return vals if np.ndim(cfo) else float(vals[0])
 
 
+@lru_cache(maxsize=16)
+def integer_offsets(n_periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets arange(Q) - Q/2 of the simplified estimator's candidates from
+    their fractional part, and their phase table (read-only, once per Q)."""
+    offsets = np.arange(n_periods) - n_periods / 2.0
+    tables = (offsets, _phases(offsets, n_periods))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def estimate_simplified(sf: StackedFrame, diag_index: int,
                         cfg: SystemConfig) -> CfoEstimate:
-    """Closed-form candidate construction plus a Q-point score comparison.
-
-    Ties on the score break toward smaller |cfo|, then smaller candidate
-    index, so the output is deterministic.
+    """Closed-form candidate construction plus a Q-point score comparison on
+    the cached `integer_offsets` table: Q phases per call, not Q x Q.  Ties
+    on the score break toward smaller |cfo|, then smaller candidate index.
     """
     ratio = diag_ratio(sf, diag_index)
     cand = candidate_grid(ratio, sf.n_periods)
-    scores = likelihood(sf, cand, cfg)
-    best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]
+    offsets, phases = integer_offsets(sf.n_periods)
+    scores = likelihood(sf, offsets, cfg, origin=cand[0] - offsets[0], phases=phases)
+    best = int(np.argmax(scores))
+    if np.count_nonzero(scores == scores[best]) > 1:
+        best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]
     return CfoEstimate(value=float(cand[best]), diag_ratio=ratio,
                        candidates=cand, scores=scores)
 

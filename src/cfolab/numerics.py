@@ -43,10 +43,12 @@ def cyclic_shift(x: np.ndarray, m: int) -> np.ndarray:
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """Circularly-symmetric complex Gaussian draws with the given total variance.
 
-    Real and imaginary parts are independent N(0, variance/2).
+    Real and imaginary parts are independent N(0, variance/2), taken from one
+    draw: all real parts, then all imaginary parts.  `shape` may be an int.
     """
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = np.sqrt(variance / 2.0) * rng.standard_normal((2, *out.shape))
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from cfolab import (ChannelProfile, ChannelRealization, ConfigError, RandomSourc
                     StackedFrame, SystemConfig, TrainingSet, build_training,
                     diag_ratio, draw_channel, model_matrix, period_gram)
 from cfolab.channel import _check_cfo
-from cfolab.estimator import COARSE_STEP, FINE_STEP, comb_phase_sums
+from cfolab.estimator import (COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid,
+                              comb_phase_sums)
 from cfolab.numerics import complex_normal, phase_ramp
 
 
@@ -223,6 +224,29 @@ def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     fine = fine[(fine >= -half) & (fine < half)]
     return float(fine[int(np.argmax(scores(fine)))])
+
+
+def simplified_fresh(sf: StackedFrame, diag_index: int, cfg: SystemConfig) -> CfoEstimate:
+    """The simplified estimator with every candidate's phases computed afresh
+    (a Q x Q table per call, no origin shift) and the pick made by a full
+    lexicographic sort on (-score, |cfo|, index)."""
+    ratio = diag_ratio(sf, diag_index)
+    cand = candidate_grid(ratio, sf.n_periods)
+    q = np.arange(sf.n_periods)
+    weights = sf.diag_sums * comb_phase_sums(cfg)
+    scores = 2.0 * np.real(np.exp(2j * np.pi * (cand[:, None] * q) / sf.n_periods)
+                           @ weights)
+    best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]
+    return CfoEstimate(value=float(cand[best]), diag_ratio=ratio, candidates=cand,
+                       scores=scores)
+
+
+def complex_normal_two_calls(rng: np.random.Generator, shape,
+                             variance: float = 1.0) -> np.ndarray:
+    """Complex Gaussian draws as one `standard_normal` call for the real parts,
+    a second for the imaginary parts, and complex arithmetic to join them."""
+    scale = np.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,

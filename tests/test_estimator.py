@@ -9,11 +9,11 @@ from cfolab.channel import ChannelRealization
 from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
                               StackedFrame, _phases, _serial_product,
                               candidate_grid, comb_phase_sums, diag_ratio,
-                              ml_tables)
+                              integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (curvature_factor, derivative_factor_residual,
                      likelihood_trace, ml_grid_fresh, sample_corr,
-                     upper_diagonal_sums)
+                     simplified_fresh, upper_diagonal_sums)
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -239,7 +239,24 @@ class TestSimplifiedEstimator:
             cand = gen.choice([-2.0, -1.0, 1.0, 2.0], q)
             scores = gen.integers(0, 3, q).astype(float)
             monkeypatch.setattr(estimator, "candidate_grid", lambda ratio, n: cand)
-            monkeypatch.setattr(estimator, "likelihood", lambda sf, c, cfg: scores)
+            monkeypatch.setattr(estimator, "likelihood", lambda sf, c, cfg, **kw: scores)
+            best = min(range(q), key=lambda i: (-scores[i], abs(cand[i]), i))
+            assert estimate_simplified(sf, 3, toy_cfg).value == cand[best]
+
+    def test_untied_pick_matches_key_min(self, toy_cfg, toy_profile, monkeypatch):
+        # distinct scores: the argmax alone decides, with no fallback sort
+        from cfolab import estimator
+
+        frame, _, _ = make_frame(toy_cfg, toy_profile, 0.4)
+        sf = stack(frame, toy_cfg)
+        gen = np.random.default_rng(18)
+        q = toy_cfg.n_periods
+        for _ in range(300):
+            cand = gen.choice([-2.0, -1.0, 1.0, 2.0], q)
+            scores = gen.standard_normal(q)
+            assert len(set(scores)) == q
+            monkeypatch.setattr(estimator, "candidate_grid", lambda ratio, n: cand)
+            monkeypatch.setattr(estimator, "likelihood", lambda sf, c, cfg, **kw: scores)
             best = min(range(q), key=lambda i: (-scores[i], abs(cand[i]), i))
             assert estimate_simplified(sf, 3, toy_cfg).value == cand[best]
 
@@ -307,6 +324,51 @@ class TestMlTables:
         value = estimate_ml_grid(edge, ref_cfg_b).value
         assert value == ml_grid_fresh(edge, ref_cfg_b)
         assert abs(value + 7.99) < 1e-3
+
+
+class TestOffsetTable:
+    """The simplified estimator on its cached integer-offset table returns the
+    pick and candidates of a fresh Q x Q scoring, with scores equal to
+    rounding."""
+
+    @staticmethod
+    def assert_matches_fresh(sf, cfg):
+        for index in range(1, cfg.n_periods):
+            try:
+                fresh = simplified_fresh(sf, index, cfg)
+            except DegenerateDiagonalError:
+                with pytest.raises(DegenerateDiagonalError):
+                    estimate_simplified(sf, index, cfg)
+                continue
+            est = estimate_simplified(sf, index, cfg)
+            assert est.value == fresh.value
+            assert est.diag_ratio == fresh.diag_ratio
+            assert np.array_equal(est.candidates, fresh.candidates)
+            peak = np.max(np.abs(fresh.scores))
+            assert np.max(np.abs(est.scores - fresh.scores)) <= 1e-12 * peak
+
+    def test_campaign_frames_match_fresh_scoring(self, campaign_frames, ref_cfg_b):
+        for sf in campaign_frames:
+            self.assert_matches_fresh(sf, ref_cfg_b)
+
+    @pytest.mark.parametrize("which", ["toy", "ref_a", "ref_b"])
+    def test_configs_match_fresh_scoring(self, which, toy_cfg, toy_profile, ref_cfg_a,
+                                         ref_cfg_b, ref_profile):
+        cfg, profile = {"toy": (toy_cfg, toy_profile), "ref_a": (ref_cfg_a, ref_profile),
+                        "ref_b": (ref_cfg_b, ref_profile)}[which]
+        half = cfg.cfo_half_range
+        for trial, snr_db in enumerate((None, 0.0, 10.0, 25.0) * 3):
+            cfo = -half + (trial + 0.37) * 2 * half / 12
+            frame, _, _ = make_frame(cfg, profile, cfo, snr_db=snr_db, seed=31, trial=trial)
+            self.assert_matches_fresh(stack(frame, cfg), cfg)
+
+    def test_table_is_cached_and_read_only(self, ref_cfg_b):
+        offsets, phases = integer_offsets(ref_cfg_b.n_periods)
+        assert integer_offsets(ref_cfg_b.n_periods)[1] is phases
+        assert np.array_equal(offsets, np.arange(16) - 8.0)
+        assert not offsets.flags.writeable and not phases.flags.writeable
+        with pytest.raises(ValueError):
+            phases[0, 0] = 0.0
 
 
 def edge_fine_grids(cfg, profile):

@@ -3,7 +3,7 @@ import pytest
 
 from cfolab.numerics import (RandomSource, complex_normal, cyclic_shift, dft,
                              phase_ramp)
-from support import dft_direct, dft_matrix
+from support import complex_normal_two_calls, dft_direct, dft_matrix
 
 
 class TestDft:
@@ -100,3 +100,14 @@ class TestRandomSource:
         z = complex_normal(gen, 100_000, variance=2.5)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(2.5, rel=0.03)
         assert np.var(z.real) == pytest.approx(np.var(z.imag), rel=0.05)
+
+    @pytest.mark.parametrize("shape", [7, (2, 64), (2, 1024), (4, 2, 24)])
+    def test_complex_normal_matches_two_call_draws(self, shape):
+        # toy (2, 64) and reference (2, 1024) frames, a channel-tap batch and
+        # an int shape: the same bits and the same stream position afterwards
+        for variance in (1.0, 0.37, 2.5, 1e-6):
+            gen, ref = RandomSource(41).generator(), RandomSource(41).generator()
+            z = complex_normal(gen, shape, variance)
+            assert np.array_equal(z, complex_normal_two_calls(ref, shape, variance))
+            assert z.dtype == complex and z.shape == np.empty(shape).shape
+            assert gen.uniform() == ref.uniform()
