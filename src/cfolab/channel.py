@@ -18,7 +18,8 @@ noise enters a frame; the caller supplies the generators and the variance.
 In a campaign (``harness``) trial t's channel and offset come from spawn key
 (1, t) and its unit noise at SNR point s from (2, s, t), so a trial's draws
 do not depend on the trial count; the noise variance does, because it is the
-mean signal power over every trial of the campaign divided by the SNR.
+mean signal power over every trial of the campaign divided by the SNR, taken
+from each trial's taps (`signal_power`) before any frame is simulated.
 
 Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
 rotation's phase reference is the start of the cyclic prefix, i.e. the kept
@@ -29,6 +30,7 @@ exp(j*2*pi*cfo*(n + cp_len)/N).  Channel taps are constant over the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +64,16 @@ class ChannelProfile:
     def length(self) -> int:
         return self.delays[-1] + 1
 
-    @property
+    @cached_property
     def powers_linear(self) -> np.ndarray:
         # relative to the strongest tap, so no finite dB list overflows to inf
         # or underflows to all zeros; a gap that overflows to -inf is power 0
         db = np.asarray(self.powers_db)
         with np.errstate(over="ignore"):
             p = 10.0 ** ((db - db.max()) / 10.0)
-        return p / p.sum()
+        p /= p.sum()
+        p.flags.writeable = False
+        return p
 
 
 def reference_profile() -> ChannelProfile:
@@ -145,6 +149,21 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
     spectra = ts.time_spectra * np.fft.fft(ch.taps, n)
     return rot * np.fft.ifft(spectra.sum(axis=1))
+
+
+def signal_power(ts: TrainingSet, profile: ChannelProfile,
+                 delay_taps: np.ndarray) -> np.ndarray:
+    """Mean power per sample of the noiseless frames of taps (..., n_rx, n_tx, D)
+    on the profile's delays, without simulating them: sum over r of
+    h_r^H G h_r / (n_rx N), with G the Gram matrix of the time sequences
+    cyclically delayed by those delays.  Both products are einsums, which
+    never wake the BLAS worker threads.
+    """
+    cols = np.stack([np.roll(ts.time_sequences, d, axis=1) for d in profile.delays], axis=1)
+    cols = cols.reshape(-1, cols.shape[-1])
+    h = delay_taps.reshape(*delay_taps.shape[:-2], -1)
+    quad = np.einsum("...ri,ij,...rj->...", h.conj(), np.einsum("in,jn->ij", cols.conj(), cols), h)
+    return quad.real / (h.shape[-2] * cols.shape[-1])
 
 
 def add_noise(frames: dict[str, np.ndarray], noise_var: dict[str, float],

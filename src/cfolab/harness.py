@@ -14,14 +14,19 @@ campaign draws.  The noise scale is not: a point's noise variance follows the
 mean signal power over every trial of the campaign.
 
 Campaigns estimate one frame at a time with the `estimate_*` functions that
-`bench` and `cfolab estimate` run; the ML baseline's phase tables are built
-once per campaign.  `analysis.emcb` takes its draws in batches of
-`analysis.DRAW_BATCH`.  No value depends on the batch around it, so the CSV
-bytes depend on neither the batch size nor the BLAS thread count.
+`bench` and `cfolab estimate` run; the ML baseline's phase tables and the
+comb phase sums are looked up once per campaign.  `analysis.emcb` takes its
+draws in batches of `analysis.DRAW_BATCH`.  No value depends on the batch
+around it, so the CSV bytes depend on neither the batch size nor the BLAS
+thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
-stacked frame.  The frames that `bench` and `cfolab estimate` run on are
-trial 0 of that layout at the first SNR point (`one_frame`).
+stacked frame, in two passes.  The first draws every trial's taps and offset
+and takes the mean signal power from the taps; the second walks the trials
+in order, simulates each trial's frames once and yields them point by
+point.  A campaign holds its taps and offsets, about 0.4 KB per trial at the
+reference dimensions, never all its frames.  The frames that `bench` and
+`cfolab estimate` run on are trial 0 at the first SNR point (`one_frame`).
 
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
@@ -36,8 +41,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import analysis, estimator
-from .channel import (ChannelProfile, add_noise, draw_channel, reference_profile,
-                      transmit_receive)
+from .channel import (ChannelProfile, ChannelRealization, add_noise, draw_channel,
+                      reference_profile, signal_power, transmit_receive)
 from .numerics import RandomSource
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, is_finite_number, is_integer,
@@ -162,49 +167,39 @@ def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
     return {kind: campaign_training(spec, kind) for kind in sorted(kinds)}
 
 
-def _draw_trial(spec: ExperimentSpec, trainings: dict[str, TrainingSet], trial: int):
-    """One trial's true offset and noiseless frame per training kind.
-
-    Channel and offset share the trial's stream, key (1, trial): one
-    generator, channel taps first, then the offset draw.
-    """
-    cfg = spec.config
-    gen = RandomSource(spec.seed, (1, trial)).generator()
-    ch = draw_channel(spec.profile, cfg, gen)
-    if spec.epsilon_mode == "fixed":
-        cfo = float(spec.epsilon_value)
-    else:
-        half = cfg.cfo_half_range
-        # uniform() is closed at the lower end; nudge the endpoint inward
-        cfo = float(np.nextafter(gen.uniform(-half, half), 0.0))
-    frames = {kind: transmit_receive(ts, ch, cfo, cfg)
-              for kind, ts in trainings.items()}
-    return cfo, frames
-
-
 def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
-    """Yield (snr_index, cfo, {kind: stacked noisy frame}) in campaign order.
+    """Yield (snr_index, cfo, {kind: stacked noisy frame}), trial-major.
 
-    All trials are drawn first: a point's noise variance per training kind is
-    the mean signal power per sample of every trial over the SNR.  Then, per
-    point and in trial order, the frames take the unit noise of key
-    (2, point, trial).  Yields nothing when the spec asks for no training.
+    Pass 1 draws each trial's taps, then its offset, on key (1, trial) and
+    keeps the taps on the profile's delays: a point's noise variance per
+    training kind is the mean `signal_power` of every trial over the SNR.
+    Pass 2 simulates each trial's noiseless frames once and adds, per point,
+    the unit noise of key (2, point, trial).  Yields nothing when the spec
+    asks for no training.
     """
     if not trainings:
         return
-    cfg = spec.config
-    drawn = [_draw_trial(spec, trainings, t) for t in range(spec.trials)]
-    mean_power = {kind: float(np.mean([float(np.mean(np.abs(frames[kind]) ** 2))
-                                       for _, frames in drawn]))
-                  for kind in trainings}
-    for s_idx, snr_db in enumerate(spec.snr_points_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        noise_var = {k: (0.0 if spec.noiseless else mean_power[k] / snr)
-                     for k in trainings}
-        for trial, (cfo, frames) in enumerate(drawn):
+    cfg, delays, half = spec.config, list(spec.profile.delays), spec.config.cfo_half_range
+    cfos = np.empty(spec.trials)
+    taps = np.empty((spec.trials, cfg.n_rx, cfg.n_tx, len(delays)), dtype=complex)
+    for t in range(spec.trials):
+        gen = RandomSource(spec.seed, (1, t)).generator()
+        taps[t] = draw_channel(spec.profile, cfg, gen).taps[..., delays]
+        # uniform() is closed at the lower end; nudge the endpoint inward
+        cfos[t] = (spec.epsilon_value if spec.epsilon_mode == "fixed"
+                   else np.nextafter(gen.uniform(-half, half), 0.0))
+    mean_power = {kind: float(np.mean(signal_power(ts, spec.profile, taps)))
+                  for kind, ts in trainings.items()}
+    noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
+                  for k in trainings} for db in spec.snr_points_db]
+    for trial, cfo in enumerate(cfos.tolist()):
+        ch = ChannelRealization(np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex))
+        ch.taps[..., delays] = taps[trial]
+        frames = {kind: transmit_receive(ts, ch, cfo, cfg) for kind, ts in trainings.items()}
+        for s_idx, var in enumerate(noise_var):
             gen = RandomSource(spec.seed, (2, s_idx, trial)).generator()
             yield s_idx, cfo, {kind: estimator.stack(frame, cfg)
-                               for kind, frame in add_noise(frames, noise_var, gen).items()}
+                               for kind, frame in add_noise(frames, var, gen).items()}
 
 
 def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, estimator.StackedFrame]:
@@ -242,11 +237,12 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
 
     sq_errors = [{est_id: [] for est_id, *_ in mc_ids} for _ in spec.snr_points_db]
     tables = estimator.ml_tables(cfg) if any(m == "ml_grid" for _, m, *_ in mc_ids) else None
+    sums = estimator.comb_phase_sums(cfg)
     for s_idx, cfo, stacked in _stacked_frames(spec, _trainings_for(spec)):
         for est_id, method, kind, idx in mc_ids:
             try:
                 if method == "simplified":
-                    res = estimator.estimate_simplified(stacked[kind], idx, cfg)
+                    res = estimator.estimate_simplified(stacked[kind], idx, cfg, sums)
                 else:
                     res = estimator.estimate_ml_grid(stacked[kind], cfg, tables)
             except estimator.DegenerateDiagonalError:

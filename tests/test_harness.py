@@ -172,9 +172,9 @@ class TestRunMseVsSnr:
             monkeypatch.setattr(harness, "draw_channel", spy_channel)
             monkeypatch.setattr(harness, "add_noise", spy_noise)
             cfos = [cfo for _, cfo, _ in _stacked_frames(spec, _trainings_for(spec))]
-            # campaign order: SNR point, then trial
-            n = spec.trials
-            return taps, cfos[:n], {(i // n, i % n): u for i, u in enumerate(units)}
+            # campaign order: trial, then SNR point
+            m = len(spec.snr_points_db)
+            return taps, cfos[::m], {(i % m, i // m): u for i, u in enumerate(units)}
 
         taps, cfos, units = draws(replace(toy_spec, trials=5))
         taps2, cfos2, units2 = draws(replace(toy_spec, trials=10))
@@ -182,6 +182,25 @@ class TestRunMseVsSnr:
         assert all(np.array_equal(a, b) for a, b in zip(taps, taps2[:5]))
         assert cfos == cfos2[:5]
         assert all(np.array_equal(u, units2[key]) for key, u in units.items())
+
+    def test_memory_flat_in_trials(self, ref_cfg_b, ref_profile):
+        # trials stream through the campaign: it holds each trial's taps and
+        # offset, never all the frames (32 KB per trial and training kind here)
+        import tracemalloc
+
+        def peak(trials):
+            spec = ExperimentSpec(config=ref_cfg_b, profile=ref_profile,
+                                  estimators=("simplified:7",), snr_points_db=(15.0,),
+                                  trials=trials, seed=3)
+            tracemalloc.start()
+            try:
+                run_mse_vs_snr(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the training and the estimator's tables are built once
+        assert peak(400) - peak(100) < 1_000_000
 
     def test_golden_bytes(self, toy_cfg, toy_profile):
         spec = ExperimentSpec(
