@@ -167,8 +167,7 @@ def _serial_product(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig, *, origin: float = 0.0,
-               phases: np.ndarray | None = None,
-               sums: np.ndarray | None = None) -> np.ndarray | float:
+               phases: np.ndarray | None = None) -> np.ndarray | float:
     """Likelihood score of candidate offsets origin + cfo (scalar in, scalar out).
 
     Score(eps) = 2 * Re sum_q c_q * B_q * z^q with z = exp(j*2*pi*eps/Q) and
@@ -176,13 +175,11 @@ def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     n_tx * c_0, so both have identical maximisers.  A nonzero `origin`
     rotates the weights c_q * B_q by its own z^q, so a grid that moves with
     the frame is scored on one fixed table of offsets.  `phases`, when given,
-    is that table, `_phases(cfo, Q)`, held by a caller that reuses it;
-    `sums`, when given, is `comb_phase_sums(cfg)`, looked up once by a caller
-    that scores many frames.  The product with the table runs on the calling
-    thread (`_serial_product`), so scoring one frame never wakes the BLAS
-    worker threads.
+    is that table, `_phases(cfo, Q)`, held by a caller that reuses it.  The
+    product with the table runs on the calling thread (`_serial_product`),
+    so scoring one frame never wakes the BLAS worker threads.
     """
-    weights = sf.diag_sums * (comb_phase_sums(cfg) if sums is None else sums)
+    weights = sf.diag_sums * comb_phase_sums(cfg)
     if origin:
         weights = weights * _phases(np.float64(origin), sf.n_periods)
     if phases is None:
@@ -202,18 +199,16 @@ def integer_offsets(n_periods: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def estimate_simplified(sf: StackedFrame, diag_index: int, cfg: SystemConfig,
-                        sums: np.ndarray | None = None) -> CfoEstimate:
+def estimate_simplified(sf: StackedFrame, diag_index: int,
+                        cfg: SystemConfig) -> CfoEstimate:
     """Closed-form candidate construction plus a Q-point score comparison on
     the cached `integer_offsets` table: Q phases per call, not Q x Q.  Ties
     on the score break toward smaller |cfo|, then smaller candidate index.
-    `sums` is `likelihood`'s: without it the call looks them up itself.
     """
     ratio = diag_ratio(sf, diag_index)
     cand = candidate_grid(ratio, sf.n_periods)
     offsets, phases = integer_offsets(sf.n_periods)
-    scores = likelihood(sf, offsets, cfg, origin=cand[0] - offsets[0], phases=phases,
-                        sums=sums)
+    scores = likelihood(sf, offsets, cfg, origin=cand[0] - offsets[0], phases=phases)
     best = int(np.argmax(scores))
     if np.count_nonzero(scores == scores[best]) > 1:
         best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]
@@ -252,10 +247,10 @@ def estimate_ml_grid(sf: StackedFrame, cfg: SystemConfig,
     of its grids; a campaign builds it once and passes it to every frame.
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
-    half, sums = cfg.cfo_half_range, comb_phase_sums(cfg)
-    best = coarse[int(np.argmax(likelihood(sf, coarse, cfg, phases=coarse_phases, sums=sums)))]
+    half = cfg.cfo_half_range
+    best = coarse[int(np.argmax(likelihood(sf, coarse, cfg, phases=coarse_phases)))]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     fine = fine[(fine >= -half) & (fine < half)]
     n = len(fine)
-    scores = likelihood(sf, steps[:n], cfg, origin=fine[0], phases=step_phases[:n], sums=sums)
+    scores = likelihood(sf, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
     return CfoEstimate(value=float(fine[int(np.argmax(scores))]))

@@ -14,19 +14,19 @@ campaign draws.  The noise scale is not: a point's noise variance follows the
 mean signal power over every trial of the campaign.
 
 Campaigns estimate one frame at a time with the `estimate_*` functions that
-`bench` and `cfolab estimate` run; the ML baseline's phase tables and the
-comb phase sums are looked up once per campaign.  `analysis.emcb` takes its
-draws in batches of `analysis.DRAW_BATCH`.  No value depends on the batch
-around it, so the CSV bytes depend on neither the batch size nor the BLAS
-thread count.
+`bench` and `cfolab estimate` run; the ML baseline's phase tables are built
+once per campaign.  `analysis.emcb` takes its draws in batches of
+`analysis.DRAW_BATCH`.  No value depends on the batch around it, so the CSV
+bytes depend on neither the batch size nor the BLAS thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
 stacked frame, in two passes.  The first draws every trial's taps and offset
 and takes the mean signal power from the taps; the second walks the trials
 in order, simulates each trial's frames once and yields them point by
-point.  A campaign holds its taps and offsets, about 0.4 KB per trial at the
-reference dimensions, never all its frames.  The frames that `bench` and
-`cfolab estimate` run on are trial 0 at the first SNR point (`one_frame`).
+point.  A campaign holds its taps and offsets, about 0.6 KB per trial at the
+reference dimensions (576 B of taps and an 8 B offset), never all its
+frames.  The frames that `bench` and `cfolab estimate` run on are trial 0 at
+the first SNR point (`one_frame`).
 
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
@@ -237,12 +237,11 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
 
     sq_errors = [{est_id: [] for est_id, *_ in mc_ids} for _ in spec.snr_points_db]
     tables = estimator.ml_tables(cfg) if any(m == "ml_grid" for _, m, *_ in mc_ids) else None
-    sums = estimator.comb_phase_sums(cfg)
     for s_idx, cfo, stacked in _stacked_frames(spec, _trainings_for(spec)):
         for est_id, method, kind, idx in mc_ids:
             try:
                 if method == "simplified":
-                    res = estimator.estimate_simplified(stacked[kind], idx, cfg, sums)
+                    res = estimator.estimate_simplified(stacked[kind], idx, cfg)
                 else:
                     res = estimator.estimate_ml_grid(stacked[kind], cfg, tables)
             except estimator.DegenerateDiagonalError:

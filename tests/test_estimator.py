@@ -351,15 +351,6 @@ class TestOffsetTable:
         for sf in campaign_frames:
             self.assert_matches_fresh(sf, ref_cfg_b)
 
-    def test_campaign_comb_sums_give_same_bits(self, campaign_frames, ref_cfg_b):
-        # a campaign looks the comb phase sums up once and hands them in
-        sums = comb_phase_sums(ref_cfg_b)
-        for sf in campaign_frames:
-            own = estimate_simplified(sf, 7, ref_cfg_b)
-            shared = estimate_simplified(sf, 7, ref_cfg_b, sums)
-            assert own.value == shared.value
-            assert own.scores.tobytes() == shared.scores.tobytes()
-
     @pytest.mark.parametrize("which", ["toy", "ref_a", "ref_b"])
     def test_configs_match_fresh_scoring(self, which, toy_cfg, toy_profile, ref_cfg_a,
                                          ref_cfg_b, ref_profile):
