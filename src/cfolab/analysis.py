@@ -32,16 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelProfile, draw_channel, model_matrix
+from .channel import ChannelProfile, draw_channel, signal_power
 from .estimator import DegenerateDiagonalError, comb_phase_sums
 from .numerics import RandomSource
 from .training import ConfigError, SystemConfig, build_training, period_gram
 
 # |sum of comb phasors| below this is treated as a blind diagonal.
 DEGENERATE_PHASE_SUM = 1e-9
-
-# channel draws per batch of `emcb`; the bound does not depend on it
-DRAW_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -203,63 +200,61 @@ def optimal_diag_indices(gamma: float, cfg: SystemConfig,
     return tuple(sorted(i for i, v in values.items() if v <= cutoff))
 
 
-def _quadratic_forms(matrix: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Re h^H (matrix @ h) for every row h of a (T, D) array.
-
-    Each row takes its own matrix-vector product and dot product, so a row's
-    value does not depend on the other rows.
-    """
-    mh = np.matmul(matrix, h[:, :, None])
-    return np.real(np.matmul(h.conj()[:, None, :], mh))[:, 0, 0]
-
-
 def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
          rng: RandomSource) -> EmcbResult:
     """Extended Miller-Chang bound: snapshot CRB averaged over channel draws.
 
-    The bound's block structure over receive antennas lets its core matrix be
-    formed once from the N x (n_tx*L) model matrix instead of the full
-    Kronecker-expanded system; each draw then costs one small quadratic form.
-    Noise variance per SNR point is calibrated from the measured mean signal
-    power of the same draws, mirroring the Monte Carlo harness convention.
-    Draw k takes its taps from `rng.child(k)`.  The draws are taken in
-    batches of `DRAW_BATCH`; each draw's quadratic forms (the bound's
-    and, through the model matrix's Gram matrix, its signal power) are
-    computed on its own, so the values do not depend on the batch size.
+    A draw's bound denominator is the sum over receive antennas r of
+    h_r^H W^H (I - U U^H) W h_r, where S is the N x (n_tx*L) model matrix
+    (`model_matrix`), W = diag(n + N_g) S and U an orthonormal basis of the
+    column space of S.  S factors as Fbar^H M: Fbar holds the comb rows of
+    the unitary N-point DFT, whose rows are orthonormal, and M is the
+    block-diagonal (n_tx*P) x (n_tx*L) comb response, the pilots times
+    exp(-j*2*pi*comb*l/N).  So the core is M^H (B_2 - B_1 Pi B_1) M, where
+    B_k = Fbar diag((n + N_g)^k) Fbar^H has entry (a, b) equal to
+    fft((n + N_g)^k)[(comb_a - comb_b) mod N] / N and Pi projects onto the
+    column space of M.  Pi comes from a rank-revealing SVD of M's blocks;
+    with chan_len >= pilot_len (the reference preset) each block has full
+    row rank and Pi = I.  Neither S nor its SVD is formed, and only M's
+    columns of the profile's D delays are kept: the core is
+    (n_tx*D) x (n_tx*D).
+
+    Draw k takes its taps from `rng.child(k)`.  The quadratic forms of all
+    draws are one einsum, which uses no BLAS threads and gives each draw a
+    value independent of the others.  The noise variance per SNR point is
+    the draws' mean `signal_power` over the SNR, the harness's convention.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     snr_db = tuple(float(v) for v in np.atleast_1d(snr_db))
-    s = model_matrix(build_training(cfg, "cbts"), cfg)
-    n, ng = cfg.n_subcarriers, cfg.cp_len
-    weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s
-    # W^H (I - U U^H) W for an orthonormal basis U of the column space of s,
-    # found rank-revealing: with chan_len > pilot_len (the reference preset)
-    # s is structurally rank deficient.  The N x N projector is never formed.
-    u, sv, _ = np.linalg.svd(s, full_matrices=False)
-    a = u[:, :int(np.sum(sv > 1e-10 * sv[0]))].conj().T @ weighted
-    core = weighted.conj().T @ weighted - a.conj().T @ a  # (n_tx*L) x (n_tx*L)
+    ts = build_training(cfg, "cbts")
+    n, p, l, nt, delays = (cfg.n_subcarriers, cfg.pilot_len, cfg.chan_len, cfg.n_tx,
+                           list(profile.delays))
+    combs = np.array([cfg.lattice(mu) for mu in range(nt)])
+    # M's diagonal blocks, (n_tx, P, L); M's singular values are theirs
+    blocks = ts.freq_pilots[:, :, None] * np.exp(-2j * np.pi * combs[..., None] * np.arange(l) / n)
+    u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
+    m = np.zeros((nt, p, nt, len(delays)), dtype=complex)
+    m[range(nt), :, range(nt)] = blocks[..., delays]  # M's columns of the delays
+    m = m.reshape(nt * p, -1)
+    combs = combs.ravel()
+    ramp = np.arange(cfg.cp_len, cfg.cp_len + n, dtype=float)
+    b1, b2 = (np.fft.fft(ramp ** k)[np.subtract.outer(combs, combs) % n] / n for k in (1, 2))
+    b1m = (b1 @ m).reshape(nt, p, -1)
+    keep = sv > 1e-10 * sv.max()
+    a = np.concatenate([u[mu][:, keep[mu]].conj().T @ b1m[mu] for mu in range(nt)])
+    core = m.conj().T @ b2 @ m - a.conj().T @ a  # (n_tx*D) x (n_tx*D)
 
-    gram = s.conj().T @ s  # ||S h||^2 = h^H (S^H S) h
-
-    quad = np.empty(n_draws)
-    power = np.empty(n_draws)
-    for start in range(0, n_draws, DRAW_BATCH):
-        draws = range(start, min(start + DRAW_BATCH, n_draws))
-        # (draws, n_rx, n_tx*L): row nu of draw k is its `stacked(nu)`
-        h = np.array([draw_channel(profile, cfg, rng.child(k).generator()).taps
-                      for k in draws]).reshape(len(draws), cfg.n_rx, -1)
-        acc = sig = 0.0
-        for nu in range(cfg.n_rx):
-            acc = acc + _quadratic_forms(core, h[:, nu])
-            sig = sig + _quadratic_forms(gram, h[:, nu])
-        quad[start:draws.stop] = acc
-        power[start:draws.stop] = sig / cfg.n_rx  # mean |sample|^2: N * ||Sh||^2 / (n_rx * N)
+    taps = np.empty((n_draws, cfg.n_rx, nt, len(delays)), dtype=complex)
+    for k in range(n_draws):
+        taps[k] = draw_channel(profile, cfg, rng.child(k).generator()).taps[..., delays]
+    h = taps.reshape(n_draws, cfg.n_rx, -1)
+    quad = np.einsum("kri,ij,krj->k", h.conj(), core, h).real
     if np.any(quad <= 0.0):
         raise ConfigError(
             "bound denominator vanished: this training cannot resolve the offset"
         )
-    mean_power = float(power.mean())
+    mean_power = float(np.mean(signal_power(ts, profile, taps)))
 
     values = []
     for db in snr_db:

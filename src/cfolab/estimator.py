@@ -19,8 +19,9 @@ the ML baseline its grids on `ml_tables`, which a campaign builds once.
 
 The score products of one frame stay on the calling thread: `likelihood`
 splits a table too large for OpenBLAS's single-thread path into row blocks
-below SERIAL_BLAS_ELEMENTS.  Only the bound's batched products (`analysis`)
-use BLAS threads.
+below SERIAL_BLAS_ELEMENTS.  Elsewhere only the few small products and the
+SVD that build the bound's core, once per campaign (`analysis.emcb`), may use
+BLAS threads.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ mean signal power over every trial of the campaign.
 
 Campaigns estimate one frame at a time with the `estimate_*` functions that
 `bench` and `cfolab estimate` run; the ML baseline's phase tables are built
-once per campaign.  `analysis.emcb` takes its draws in batches of
-`analysis.DRAW_BATCH`.  No value depends on the batch around it, so the CSV
-bytes depend on neither the batch size nor the BLAS thread count.
+once per campaign.  `analysis.emcb` takes all its draws' quadratic forms in
+one einsum, without BLAS threads, so no value depends on the draws around it
+or on the BLAS thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
 stacked frame, in two passes.  The first draws every trial's taps and offset
@@ -101,6 +101,8 @@ class ExperimentSpec:
             raise ConfigError(f"estimators must not repeat an id, got {self.estimators!r}")
         for est_id in self.estimators:
             parse_estimator_id(est_id, self.config)
+        if self.noiseless and "emcb" in self.estimators:
+            raise ConfigError("a noiseless campaign has no noise for emcb to bound")
         # JSON hands over lists and integer SNRs; store the declared types
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "snr_points_db", tuple(map(float, self.snr_points_db)))
@@ -276,6 +278,8 @@ def run_mse_vs_iota(spec: ExperimentSpec, iota_list: Iterable[int]) -> list[Resu
 
 def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
     """Bound rows matching the campaign CSV schema (empirical column empty)."""
+    if spec.noiseless:
+        raise ConfigError("a noiseless campaign has no noise for emcb to bound")
     result = analysis.emcb(spec.config, spec.profile, spec.snr_points_db,
                            spec.emcb_draws, RandomSource(spec.seed, (3,)))
     return [ResultRow(estimator="emcb", snr_db=db, iota=None,

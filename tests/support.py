@@ -301,9 +301,10 @@ def projection_complement(basis: np.ndarray) -> np.ndarray:
 
 def emcb_per_draw(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
                   rng: RandomSource) -> tuple[float, ...]:
-    """The bound with one loop iteration per draw and receive antenna: the
-    quadratic form h^H core h and the signal power ||S h||^2 of each
-    `stacked(nu)` taken one vector at a time."""
+    """The bound with one loop iteration per draw and receive antenna, from
+    the N-row model matrix S and its SVD projector: the quadratic form
+    h^H core h and the signal power ||S h||^2 of each `stacked(nu)` taken one
+    vector at a time."""
     s = model_matrix(build_training(cfg, "cbts"), cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     draw_channel, emcb, estimate_simplified, model_matrix,
                     optimal_diag_indices, predicted_mse, reference_config,
                     reference_profile, stack, transmit_receive)
-from cfolab import analysis
 from cfolab.estimator import comb_phase_sums
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import emcb_per_draw, kron_model_matrix, projection_complement
@@ -259,18 +260,31 @@ class TestEmcb:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_batched_matches_per_draw_loop(self, toy_cfg, toy_profile, ref_cfg_b,
-                                           ref_profile, monkeypatch):
-        # the signal power goes through the Gram matrix S^H S, so the values
-        # agree to rounding; the batch size moves no bit
-        for cfg, profile, draws in ((toy_cfg, toy_profile, 30), (ref_cfg_b, ref_profile, 20)):
-            got = {}
-            for rows in (1, 7, analysis.DRAW_BATCH):
-                monkeypatch.setattr(analysis, "DRAW_BATCH", rows)
-                got[rows] = emcb(cfg, profile, (0.0, 20.0), draws,
-                                 RandomSource(5, (3,))).values
-            assert len(set(got.values())) == 1
+                                           ref_profile):
+        # the comb-space core and the einsum over all draws against the N-row
+        # model matrix and its SVD projector, one draw at a time; `short` has
+        # chan_len < pilot_len, so the projector onto the model's column
+        # space is not the identity on the combs
+        short = SystemConfig(64, 16, 2, 2, 10, 8, (0, 2))
+        rank = np.linalg.matrix_rank(model_matrix(build_training(short, "cbts"), short))
+        assert rank < short.n_tx * short.pilot_len
+        for cfg, profile, draws in ((toy_cfg, toy_profile, 30), (ref_cfg_b, ref_profile, 20),
+                                    (short, ChannelProfile((0, 3, 7), (0.0, -3.0, -6.0)), 30)):
+            got = emcb(cfg, profile, (0.0, 20.0), draws, RandomSource(5, (3,))).values
             oracle = emcb_per_draw(cfg, profile, (0.0, 20.0), draws, RandomSource(5, (3,)))
-            assert got[1] == pytest.approx(oracle, rel=1e-12)
+            assert got == pytest.approx(oracle, rel=1e-12)
+
+    def test_working_set(self, ref_cfg_b, ref_profile):
+        # 500 reference-dimension draws: the core is (n_tx*D)^2 and the taps
+        # (draws, n_rx, n_tx, D), while the 1024 x 225 model matrix and its
+        # SVD would take about 18 MB
+        tracemalloc.start()
+        try:
+            emcb(ref_cfg_b, ref_profile, (10.0,), 500, RandomSource(1, (3,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
 
     def test_draw_count_validated(self, toy_cfg, toy_profile):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cfolab import (ConfigError, add_noise, analysis, bias_floor, draw_channel,
+from cfolab import (ConfigError, add_noise, bias_floor, draw_channel,
                     harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
@@ -97,6 +97,9 @@ MALFORMED_CLI_CASES = {
     "iotas-empty-flag": (["mse-vs-iota", "--iotas", ""], {}),
     "iotas-on-mse-vs-snr": (["mse-vs-snr"], {"iotas": [3]}),
     "iotas-on-emcb": (["emcb"], {"iotas": [3], "emcb_draws": 10}),
+    "noiseless-with-emcb": (["mse-vs-snr"], {"noiseless": True,
+                                             "estimators": ["simplified:3", "emcb"]}),
+    "emcb-noiseless": (["emcb"], {"noiseless": True, "emcb_draws": 10}),
 }
 
 
@@ -216,18 +219,6 @@ class TestRunMseVsSnr:
             snr_points_db=(5.0, 20.0), trials=30, seed=23, emcb_draws=40)
         text = rows_to_csv(run_mse_vs_snr(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REFERENCE_CSV_SHA256
-
-    @pytest.mark.parametrize("rows", [1, 7, None])
-    def test_batch_size_does_not_move_bytes(self, toy_cfg, toy_profile, monkeypatch, rows):
-        # the golden campaign with the bound's draws in batches of 1 and 7
-        # and of the default size
-        if rows is not None:
-            monkeypatch.setattr(analysis, "DRAW_BATCH", rows)
-        spec = ExperimentSpec(
-            config=toy_cfg, profile=toy_profile,
-            estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
-            snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
-        assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the same reference-dimension campaign in a child process limited to
