@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelProfile, draw_channel, signal_power
-from .estimator import DegenerateDiagonalError, comb_phase_sums
+from .estimator import DegenerateDiagonalError
 from .numerics import RandomSource
 from .training import ConfigError, SystemConfig, build_training, period_gram
 
@@ -51,7 +51,7 @@ def _check_index(diag_index: int, cfg: SystemConfig) -> complex:
     q = cfg.n_periods
     if not 1 <= diag_index <= q - 1:
         raise ValueError(f"diag_index must be in [1, {q - 1}], got {diag_index}")
-    s = complex(comb_phase_sums(cfg)[diag_index])
+    s = complex(cfg.comb_phase_sums[diag_index])
     if abs(s) < DEGENERATE_PHASE_SUM:
         raise DegenerateDiagonalError(
             f"comb phase sum vanishes at diag_index={diag_index}; "
@@ -69,7 +69,7 @@ def cross_term(diag_index: int, cfg: SystemConfig) -> float:
     """
     s1 = _check_index(diag_index, cfg)
     q = cfg.n_periods
-    sums = comb_phase_sums(cfg)
+    sums = cfg.comb_phase_sums
     s2, sm = sums[2 * diag_index % q], sums[-diag_index % q]
     return float(2.0 * min(diag_index, q - diag_index)
                  * np.real(s2 * sm * sm) / abs(s1) ** 2)

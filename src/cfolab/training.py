@@ -113,6 +113,15 @@ class SystemConfig:
         """Q: number of length-P periods in one training frame."""
         return self.n_subcarriers // self.pilot_len
 
+    @cached_property
+    def comb_phase_sums(self) -> np.ndarray:
+        """Element q = sum over antennas of exp(j*2*pi*offset*q/Q), once per
+        config (read-only)."""
+        q = np.arange(self.n_periods)
+        sums = np.exp(2j * np.pi * np.outer(q, self.offsets) / self.n_periods).sum(axis=1)
+        sums.flags.writeable = False
+        return sums
+
     @property
     def shift_stride(self) -> int:
         """Per-antenna cyclic shift applied to the generator sequence."""

@@ -20,8 +20,7 @@ from cfolab import (ChannelProfile, ChannelRealization, ConfigError, RandomSourc
                     StackedFrame, SystemConfig, TrainingSet, build_training,
                     diag_ratio, draw_channel, model_matrix, period_gram)
 from cfolab.channel import _check_cfo
-from cfolab.estimator import (COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid,
-                              comb_phase_sums)
+from cfolab.estimator import COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid
 from cfolab.numerics import complex_normal, phase_ramp
 
 
@@ -166,7 +165,7 @@ def frame_to_csv(frame: np.ndarray, fh: IO[str]) -> None:
 def likelihood_derivative(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
     """d/dz of the likelihood score as a function of z on the unit circle."""
     q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * comb_phase_sums(cfg)
+    weights = sf.diag_sums * cfg.comb_phase_sums
     forward = np.sum(weights * z ** q * q)
     backward = np.sum(np.conj(weights) * z ** (-q.astype(float)) * q)
     return complex(z ** -1.0 * (forward - backward))
@@ -180,7 +179,7 @@ def curvature_factor(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex
     appears among the closed-form candidates.
     """
     q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * comb_phase_sums(cfg)
+    weights = sf.diag_sums * cfg.comb_phase_sums
     return complex(np.sum(weights * z ** q * q))
 
 
@@ -213,7 +212,7 @@ def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
     each grid scored by one product over the whole grid, not in row blocks."""
     half = cfg.cfo_half_range
     q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * comb_phase_sums(cfg)
+    weights = sf.diag_sums * cfg.comb_phase_sums
 
     def scores(grid):
         return 2.0 * np.real(np.exp(2j * np.pi * (grid[:, None] * q) / sf.n_periods)
@@ -233,7 +232,7 @@ def simplified_fresh(sf: StackedFrame, diag_index: int, cfg: SystemConfig) -> Cf
     ratio = diag_ratio(sf, diag_index)
     cand = candidate_grid(ratio, sf.n_periods)
     q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * comb_phase_sums(cfg)
+    weights = sf.diag_sums * cfg.comb_phase_sums
     scores = 2.0 * np.real(np.exp(2j * np.pi * (cand[:, None] * q) / sf.n_periods)
                            @ weights)
     best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]

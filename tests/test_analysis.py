@@ -9,7 +9,6 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     draw_channel, emcb, estimate_simplified, model_matrix,
                     optimal_diag_indices, predicted_mse, reference_config,
                     reference_profile, stack, transmit_receive)
-from cfolab.estimator import comb_phase_sums
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import emcb_per_draw, kron_model_matrix, projection_complement
 
@@ -119,7 +118,7 @@ class TestBiasFloor:
         se = float(np.std(errs)) / np.sqrt(errs.size)
         p = ref_profile.powers_linear
         spread = (ref_cfg_b.n_tx * float(np.sum(p ** 2))
-                  / (ref_cfg_b.n_rx * abs(comb_phase_sums(ref_cfg_b)[idx]) ** 2))
+                  / (ref_cfg_b.n_rx * abs(ref_cfg_b.comb_phase_sums[idx]) ** 2))
         floor = bias_floor(idx, ref_cfg_b, ref_profile)
         assert abs(floor - mc) <= spread * mc + 3.0 * se, (
             f"index {idx}: floor {floor:.3e} vs Monte Carlo {mc:.3e}")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
 from cfolab.channel import ChannelRealization
 from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
                               StackedFrame, _phases, _serial_product,
-                              candidate_grid, comb_phase_sums, diag_ratio,
+                              candidate_grid, diag_ratio,
                               integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (curvature_factor, derivative_factor_residual,
@@ -156,7 +158,7 @@ class TestLikelihood:
         r = y @ y.conj().T
         sf = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
         q = np.arange(8)
-        bsum = comb_phase_sums(toy_cfg)
+        bsum = toy_cfg.comb_phase_sums
         for eps in (-1.7, 0.0, 2.2):
             z = np.exp(2j * np.pi * eps / 8)
             one_sided = np.sum(sf.diag_sums * bsum * z ** q)
@@ -371,6 +373,49 @@ class TestOffsetTable:
             phases[0, 0] = 0.0
 
 
+# sha256 over the bits of every estimate on the campaign frames of both
+# training kinds at 0, 10 and 25 dB and on two of them with a degenerate
+# index (`estimator_bits`).  The golden CSVs pin only the values; a change that
+# moves any score, candidate, ratio or value updates this digest and says so.
+ESTIMATOR_BITS_SHA256 = (
+    "09ff3f394589bd96b60423ffa2fd2292b7afb9c3b6dd2b021f097b65c43ebbfb")
+
+
+def estimator_bits(frames, cfg, digest):
+    """Feed `digest` the bytes of estimate_simplified's (value, scores,
+    candidates, diag_ratio) at every index 1..Q-1 and of estimate_ml_grid's
+    value, frame by frame; return the number of degenerate indices."""
+    tables = ml_tables(cfg)
+    degenerate = 0
+    for sf in frames:
+        for index in range(1, cfg.n_periods):
+            try:
+                est = estimate_simplified(sf, index, cfg)
+            except DegenerateDiagonalError:
+                digest.update(b"degenerate")
+                degenerate += 1
+                continue
+            digest.update(np.array([est.value, est.diag_ratio]).tobytes())
+            digest.update(est.scores.tobytes())
+            digest.update(est.candidates.tobytes())
+        digest.update(np.float64(estimate_ml_grid(sf, cfg, tables).value).tobytes())
+    return degenerate
+
+
+def test_estimator_bit_pin(campaign_frames, ref_cfg_b):
+    digest = hashlib.sha256()
+    assert estimator_bits(campaign_frames, ref_cfg_b, digest) == 0
+    # a zero lag-9 sum makes index 7 degenerate through its mirror and
+    # index 9 through a zero ratio
+    cut = []
+    for sf in campaign_frames[:2]:
+        sums = sf.diag_sums.copy()
+        sums[9] = 0.0
+        cut.append(StackedFrame(matrix=sf.matrix, diag_sums=sums))
+    assert estimator_bits(cut, ref_cfg_b, digest) == 2 * len(cut)
+    assert digest.hexdigest() == ESTIMATOR_BITS_SHA256
+
+
 def edge_fine_grids(cfg, profile):
     """Noiseless frames whose coarse best is the first or the last point of
     the coarse grid, with the length of the fine grid each leaves after
@@ -401,7 +446,7 @@ class TestSerialScoring:
         tables = [step_phases[:n] for n in counts] + [coarse_phases]
         assert max(counts) <= len(steps) and len(coarse_phases) == 320
         for sf in campaign_frames:
-            plain = sf.diag_sums * comb_phase_sums(ref_cfg_b)
+            plain = sf.diag_sums * ref_cfg_b.comb_phase_sums
             shifted = plain * _phases(np.float64(-3.05), q)
             for weights in (plain, shifted):
                 for table in tables:
@@ -485,7 +530,7 @@ class TestNoiselessDiagonalStructure:
             sf = stack(frame, ref_cfg_a)
             acc += np.abs(sf.diag_sums) / n
             power += float(np.mean(np.abs(frame) ** 2)) / ref_cfg_a.n_tx / n
-        sums = np.abs(comb_phase_sums(ref_cfg_a))
+        sums = np.abs(ref_cfg_a.comb_phase_sums)
         for q in range(1, q_count):
             pred = ref_cfg_a.n_rx * ref_cfg_a.pilot_len * power * (q_count - q) * sums[q]
             assert acc[q] == pytest.approx(pred, rel=0.15)
