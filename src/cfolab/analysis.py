@@ -28,8 +28,6 @@ any unbiased estimator could do on the same frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelProfile, draw_channel, signal_power
@@ -39,12 +37,6 @@ from .training import ConfigError, SystemConfig, build_training, period_gram
 
 # |sum of comb phasors| below this is treated as a blind diagonal.
 DEGENERATE_PHASE_SUM = 1e-9
-
-
-@dataclass(frozen=True)
-class EmcbResult:
-    snr_db: tuple[float, ...]
-    values: tuple[float, ...]
 
 
 def _check_index(diag_index: int, cfg: SystemConfig) -> complex:
@@ -201,8 +193,9 @@ def optimal_diag_indices(gamma: float, cfg: SystemConfig,
 
 
 def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
-         rng: RandomSource) -> EmcbResult:
-    """Extended Miller-Chang bound: snapshot CRB averaged over channel draws.
+         rng: RandomSource) -> tuple[float, ...]:
+    """Extended Miller-Chang bound: snapshot CRB averaged over channel draws,
+    one value per point of `snr_db`, in its order.
 
     A draw's bound denominator is the sum over receive antennas r of
     h_r^H W^H (I - U U^H) W h_r, where S is the N x (n_tx*L) model matrix
@@ -226,7 +219,6 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    snr_db = tuple(float(v) for v in np.atleast_1d(snr_db))
     ts = build_training(cfg, "cbts")
     n, p, l, nt, delays = (cfg.n_subcarriers, cfg.pilot_len, cfg.chan_len, cfg.n_tx,
                            list(profile.delays))
@@ -247,7 +239,7 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
 
     taps = np.empty((n_draws, cfg.n_rx, nt, len(delays)), dtype=complex)
     for k in range(n_draws):
-        taps[k] = draw_channel(profile, cfg, rng.child(k).generator()).taps[..., delays]
+        taps[k] = draw_channel(profile, cfg, rng.child(k).generator())[..., delays]
     h = taps.reshape(n_draws, cfg.n_rx, -1)
     quad = np.einsum("kri,ij,krj->k", h.conj(), core, h).real
     if np.any(quad <= 0.0):
@@ -256,8 +248,6 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
         )
     mean_power = float(np.mean(signal_power(ts, profile, taps)))
 
-    values = []
-    for db in snr_db:
-        noise_var = mean_power / 10.0 ** (db / 10.0)
-        values.append(float(np.mean(n * noise_var / (8.0 * np.pi ** 2 * quad))))
-    return EmcbResult(snr_db=snr_db, values=tuple(values))
+    return tuple(float(np.mean(n * (mean_power / 10.0 ** (db / 10.0))
+                               / (8.0 * np.pi ** 2 * quad)))
+                 for db in map(float, np.atleast_1d(snr_db)))

@@ -13,8 +13,10 @@ provided:
 The two agree to ~1e-12 relative; that cross-check is the main correctness
 oracle of the repository, so keep the paths independent.
 
-A frame is a plain (n_rx, N) complex array.  ``add_noise`` is the one place
-noise enters a frame; the caller supplies the generators and the variance.
+A frame is a plain (n_rx, N) complex array, and a channel realization a
+plain (n_rx, n_tx, chan_len) array of taps, zero off the profile's delays
+(`draw_channel`).  ``add_noise`` is the one place noise enters a frame; the
+caller supplies the generators and the variance.
 In a campaign (``harness``) trial t's channel and offset come from spawn key
 (1, t) and its unit noise at SNR point s from (2, s, t), so a trial's draws
 do not depend on the trial count; the noise variance does, because it is the
@@ -29,7 +31,7 @@ exp(j*2*pi*cfo*(n + cp_len)/N).  Channel taps are constant over the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,28 +86,10 @@ def reference_profile() -> ChannelProfile:
     )
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Taps for every (receive, transmit) pair, zero off the delay grid.
-
-    taps has shape (n_rx, n_tx, chan_len); `stacked(nu)` returns the flat
-    per-receive-antenna vector in transmit-major order, matching the column
-    layout of the model matrix.
-    """
-
-    taps: np.ndarray = field(repr=False)
-
-    @property
-    def length(self) -> int:
-        return self.taps.shape[2]
-
-    def stacked(self, rx: int) -> np.ndarray:
-        return self.taps[rx].reshape(-1)
-
-
 def draw_channel(profile: ChannelProfile, cfg: SystemConfig,
-                 gen: np.random.Generator) -> ChannelRealization:
-    """Independent circular Gaussian taps CN(0, p_l) on the profile's delay grid.
+                 gen: np.random.Generator) -> np.ndarray:
+    """Independent circular Gaussian taps CN(0, p_l) on the profile's delay grid,
+    an (n_rx, n_tx, chan_len) array that is zero off the delays.
 
     Draws from a running generator, so a caller can draw the channel and other
     trial quantities from one stream.  One draw holds, tap by tap in delay
@@ -121,7 +105,7 @@ def draw_channel(profile: ChannelProfile, cfg: SystemConfig,
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
     values = scale * (unit[:, 0] + 1j * unit[:, 1])  # (taps, n_rx, n_tx)
     taps[..., list(profile.delays)] = np.moveaxis(values, 0, -1)
-    return ChannelRealization(taps=taps)
+    return taps
 
 
 def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
@@ -132,7 +116,7 @@ def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
         )
 
 
-def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
+def transmit_receive(ts: TrainingSet, taps: np.ndarray, cfo: float,
                      cfg: SystemConfig) -> np.ndarray:
     """Noiseless time-domain simulation of one training frame, (n_rx, N) complex.
 
@@ -144,10 +128,10 @@ def transmit_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     """
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
-    if ch.length > ng:
+    if taps.shape[-1] > ng:
         raise ConfigError("channel memory longer than the cyclic prefix")
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-    spectra = ts.time_spectra * np.fft.fft(ch.taps, n)
+    spectra = ts.time_spectra * np.fft.fft(taps, n)
     return rot * np.fft.ifft(spectra.sum(axis=1))
 
 
@@ -203,12 +187,16 @@ def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:
     return f_bar.conj().T @ (pilot_diag[:, None] * f_breve)
 
 
-def model_receive(ts: TrainingSet, ch: ChannelRealization, cfo: float,
+def model_receive(ts: TrainingSet, taps: np.ndarray, cfo: float,
                   cfg: SystemConfig) -> np.ndarray:
-    """Noiseless (n_rx, N) frame from the assembled matrix model (the oracle path)."""
+    """Noiseless (n_rx, N) frame from the assembled matrix model (the oracle path).
+
+    Receive antenna nu's taps enter flat in transmit-major order,
+    `taps[nu].reshape(-1)`, the column layout of the model matrix.
+    """
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     s = model_matrix(ts, cfg)
     front = np.sqrt(n) * np.exp(2j * np.pi * cfo * ng / n)
     ramp = phase_ramp(n, cfo, n)
-    return np.vstack([front * ramp * (s @ ch.stacked(nu)) for nu in range(cfg.n_rx)])
+    return np.vstack([front * ramp * (s @ taps[nu].reshape(-1)) for nu in range(cfg.n_rx)])

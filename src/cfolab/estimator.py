@@ -9,6 +9,9 @@ conjugated diagonal sum to its mirror into Q closed-form candidate offsets
 maximises the likelihood score.  Cost: Q lag sums of the period rows plus Q
 score evaluations - no line search, no polynomial rooting.
 
+A stacked frame is the plain length-Q array of its lag sums (`stack`); the
+estimators read nothing else.  A mirror sum counts as zero at 1e-12 of c_0.
+
 The ML baseline maximises the same score by brute force on a two-stage grid
 and serves as the accuracy/runtime reference.
 
@@ -29,7 +32,7 @@ BLAS threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,32 +55,7 @@ class DegenerateDiagonalError(RuntimeError):
     """The selected correlation diagonal carries no usable signal."""
 
 
-@dataclass(frozen=True)
-class StackedFrame:
-    """Period-stacked view of a received frame.
-
-    matrix:    Q x (n_rx * P), row q holds period q of every receive antenna;
-               only test oracles read it, the estimators read `diag_sums`.
-    diag_sums: length-Q vector of lag sums, element q = sum over r and n of
-               matrix[r, n] * conj(matrix[r + q, n]): the q-th upper-diagonal
-               sum of the sample correlation matrix @ matrix^H, which is never
-               formed (element 0 = total energy, real and non-negative).
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    diag_sums: np.ndarray = field(repr=False)
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.diag_sums)
-
-    @cached_property
-    def diag_norm(self) -> float:
-        """Norm of the lag sums, taken once per frame for every `diag_ratio`."""
-        return np.linalg.norm(self.diag_sums)
-
-
-@dataclass(frozen=True)
+@dataclass
 class CfoEstimate:
     value: float
     diag_ratio: complex | None = None
@@ -85,16 +63,19 @@ class CfoEstimate:
     scores: np.ndarray | None = field(default=None, repr=False)
 
 
-def stack(frame: np.ndarray, cfg: SystemConfig) -> StackedFrame:
-    """Reshape an (n_rx, N) frame into period rows and take their lag sums."""
+def stack(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Lag sums c of an (n_rx, N) frame: row q of the Q x (n_rx * P) matrix holds
+    period q of every receive antenna, and c_k = sum over r of
+    vdot(matrix[r + k], matrix[r]), the k-th upper-diagonal sum of the sample
+    correlation, which is never formed.  c_0 is the frame energy; no |c_k|
+    exceeds it (Cauchy-Schwarz)."""
     n, p, q = cfg.n_subcarriers, cfg.pilot_len, cfg.n_periods
     if frame.shape != (cfg.n_rx, n):
         raise ValueError(
             f"frame shape {frame.shape} does not match config ({cfg.n_rx}, {n})"
         )
     matrix = frame.reshape(cfg.n_rx, q, p).transpose(1, 0, 2).reshape(q, -1)
-    diag_sums = np.array([np.vdot(matrix[k:], matrix[:q - k]) for k in range(q)])
-    return StackedFrame(matrix=matrix, diag_sums=diag_sums)
+    return np.array([np.vdot(matrix[k:], matrix[:q - k]) for k in range(q)])
 
 
 @lru_cache(maxsize=16)
@@ -105,20 +86,20 @@ def _lags(n_periods: int) -> np.ndarray:
     return q
 
 
-def diag_ratio(sf: StackedFrame, diag_index: int) -> complex:
-    """Complex ratio of mirrored diagonal sums whose argument encodes the CFO.
+def diag_ratio(c: np.ndarray, diag_index: int) -> complex:
+    """Complex ratio of mirrored lag sums whose argument encodes the CFO.
 
-    ratio = i * conj(c_i) / ((Q - i) * c_{Q-i}) for diagonal index i.  Raises
-    DegenerateDiagonalError when the mirror sum is numerically negligible
-    (|c_{Q-i}| below 1e-12 of the lag-sum norm `sf.diag_norm`, taken once per
-    frame), since the phase would then be meaningless.
+    ratio = i * conj(c_i) / ((Q - i) * c_{Q-i}) for diagonal index i of the
+    lag sums c (`stack`).  Raises DegenerateDiagonalError when the mirror sum
+    is numerically negligible, |c_{Q-i}| at most 1e-12 of the frame energy
+    c_0, since the phase would then be meaningless.  As no |c_k| exceeds c_0,
+    c_0 is within sqrt(Q) of the lag sums' norm.
     """
-    c = sf.diag_sums
     q = len(c)
     if not 1 <= diag_index <= q - 1:
         raise ValueError(f"diag_index must be in [1, {q - 1}], got {diag_index}")
     mirror = c[q - diag_index]
-    if abs(mirror) <= 1e-12 * sf.diag_norm:
+    if abs(mirror) <= 1e-12 * c[0].real:
         raise DegenerateDiagonalError(
             f"diagonal sum {q - diag_index} is numerically zero; "
             f"estimation impossible at diag_index={diag_index}"
@@ -165,21 +146,21 @@ def _serial_product(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def likelihood(sf: StackedFrame, cfo, cfg: SystemConfig, *, origin: float = 0.0,
+def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
                phases: np.ndarray | None = None) -> np.ndarray | float:
     """Likelihood score of candidate offsets origin + cfo (scalar in, scalar out).
 
-    Score(eps) = 2 * Re sum_q c_q * B_q * z^q with z = exp(j*2*pi*eps/Q) and
-    B_q the comb phase sums; equal to the trace form up to the constant
-    n_tx * c_0, so both have identical maximisers.  A nonzero `origin`
-    rotates the weights c_q * B_q by its own z^q, so a grid that moves with
-    the frame is scored on one fixed table of offsets.  `phases`, when given,
-    is that table, `_phases(cfo, Q)`, held by a caller that reuses it.  The
-    product with the table runs on the calling thread (`_serial_product`),
-    so scoring one frame never wakes the BLAS worker threads.
+    Score(eps) = 2 * Re sum_q c_q * B_q * z^q with c the lag sums (`stack`),
+    z = exp(j*2*pi*eps/Q) and B_q the comb phase sums; equal to the trace form
+    up to the constant n_tx * c_0, so both have identical maximisers.  A
+    nonzero `origin` rotates the weights c_q * B_q by its own z^q, so a grid
+    that moves with the frame is scored on one fixed table of offsets.
+    `phases`, when given, is that table, `_phases(cfo, Q)`, held by a caller
+    that reuses it.  The product with the table runs on the calling thread
+    (`_serial_product`), so scoring one frame never wakes the BLAS threads.
     """
-    q = len(sf.diag_sums)
-    weights = sf.diag_sums * cfg.comb_phase_sums
+    q = len(c)
+    weights = c * cfg.comb_phase_sums
     if origin:
         rotation = 2j * np.pi * (origin * _lags(q))
         weights *= np.exp(np.divide(rotation, q, out=rotation), out=rotation)
@@ -200,16 +181,16 @@ def integer_offsets(n_periods: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def estimate_simplified(sf: StackedFrame, diag_index: int,
+def estimate_simplified(c: np.ndarray, diag_index: int,
                         cfg: SystemConfig) -> CfoEstimate:
     """Closed-form candidate construction plus a Q-point score comparison on
     the cached `integer_offsets` table: Q phases per call, not Q x Q.  Ties
     on the score break toward smaller |cfo|, then smaller candidate index.
     """
-    ratio = diag_ratio(sf, diag_index)
-    cand = candidate_grid(ratio, sf.n_periods)
-    offsets, phases = integer_offsets(sf.n_periods)
-    scores = likelihood(sf, offsets, cfg, origin=cand[0] - offsets[0], phases=phases)
+    ratio = diag_ratio(c, diag_index)
+    cand = candidate_grid(ratio, len(c))
+    offsets, phases = integer_offsets(len(c))
+    scores = likelihood(c, offsets, cfg, origin=cand[0] - offsets[0], phases=phases)
     listed = scores.tolist()
     best = listed.index(max(listed))
     if listed.count(listed[best]) > 1:
@@ -236,7 +217,7 @@ def ml_tables(cfg: SystemConfig) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def estimate_ml_grid(sf: StackedFrame, cfg: SystemConfig,
+def estimate_ml_grid(c: np.ndarray, cfg: SystemConfig,
                      tables: tuple[np.ndarray, ...] | None = None) -> CfoEstimate:
     """Two-stage grid maximisation of the likelihood over (-Q/2, Q/2).
 
@@ -250,9 +231,9 @@ def estimate_ml_grid(sf: StackedFrame, cfg: SystemConfig,
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
     half = cfg.cfo_half_range
-    best = coarse[int(np.argmax(likelihood(sf, coarse, cfg, phases=coarse_phases)))]
+    best = coarse[int(np.argmax(likelihood(c, coarse, cfg, phases=coarse_phases)))]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     fine = fine[(fine >= -half) & (fine < half)]
     n = len(fine)
-    scores = likelihood(sf, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
+    scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
     return CfoEstimate(value=float(fine[int(np.argmax(scores))]))

@@ -20,13 +20,14 @@ one einsum, without BLAS threads, so no value depends on the draws around it
 or on the BLAS thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
-stacked frame, in two passes.  The first draws every trial's taps and offset
-and takes the mean signal power from the taps; the second walks the trials
-in order, simulates each trial's frames once and yields them point by
-point.  A campaign holds its taps and offsets, about 0.6 KB per trial at the
-reference dimensions (576 B of taps and an 8 B offset), never all its
-frames.  The frames that `bench` and `cfolab estimate` run on are trial 0 at
-the first SNR point (`one_frame`).
+stacked frame, the (Q,) array of its lag sums, in two passes.  The first
+draws every trial's taps and offset and takes the mean signal power from the
+taps; the second walks the trials in order, simulates each trial's frames
+once from one reused tap array and yields them point by point.  A campaign
+holds its taps and offsets, about 0.6 KB per trial at the reference
+dimensions (576 B of taps and an 8 B offset), never all its frames.  The
+frames that `bench` and `cfolab estimate` run on are trial 0 at the first SNR
+point (`one_frame`).
 
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
@@ -41,8 +42,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import analysis, estimator
-from .channel import (ChannelProfile, ChannelRealization, add_noise, draw_channel,
-                      reference_profile, signal_power, transmit_receive)
+from .channel import (ChannelProfile, add_noise, draw_channel, reference_profile,
+                      signal_power, transmit_receive)
 from .numerics import RandomSource
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, is_finite_number, is_integer,
@@ -170,12 +171,13 @@ def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
 
 
 def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
-    """Yield (snr_index, cfo, {kind: stacked noisy frame}), trial-major.
+    """Yield (snr_index, cfo, {kind: lag sums of the noisy frame}), trial-major.
 
     Pass 1 draws each trial's taps, then its offset, on key (1, trial) and
     keeps the taps on the profile's delays: a point's noise variance per
     training kind is the mean `signal_power` of every trial over the SNR.
-    Pass 2 simulates each trial's noiseless frames once and adds, per point,
+    Pass 2 writes each trial's taps into the delay columns of one zeroed tap
+    array, simulates the trial's noiseless frames once and adds, per point,
     the unit noise of key (2, point, trial).  Yields nothing when the spec
     asks for no training.
     """
@@ -186,7 +188,7 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     taps = np.empty((spec.trials, cfg.n_rx, cfg.n_tx, len(delays)), dtype=complex)
     for t in range(spec.trials):
         gen = RandomSource(spec.seed, (1, t)).generator()
-        taps[t] = draw_channel(spec.profile, cfg, gen).taps[..., delays]
+        taps[t] = draw_channel(spec.profile, cfg, gen)[..., delays]
         # uniform() is closed at the lower end; nudge the endpoint inward
         cfos[t] = (spec.epsilon_value if spec.epsilon_mode == "fixed"
                    else np.nextafter(gen.uniform(-half, half), 0.0))
@@ -194,19 +196,21 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
                   for kind, ts in trainings.items()}
     noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
                   for k in trainings} for db in spec.snr_points_db]
+    # every trial overwrites the delay columns; the others stay zero
+    trial_taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
     for trial, cfo in enumerate(cfos.tolist()):
-        ch = ChannelRealization(np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex))
-        ch.taps[..., delays] = taps[trial]
-        frames = {kind: transmit_receive(ts, ch, cfo, cfg) for kind, ts in trainings.items()}
+        trial_taps[..., delays] = taps[trial]
+        frames = {kind: transmit_receive(ts, trial_taps, cfo, cfg)
+                  for kind, ts in trainings.items()}
         for s_idx, var in enumerate(noise_var):
             gen = RandomSource(spec.seed, (2, s_idx, trial)).generator()
             yield s_idx, cfo, {kind: estimator.stack(frame, cfg)
                                for kind, frame in add_noise(frames, var, gen).items()}
 
 
-def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, estimator.StackedFrame]:
+def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, np.ndarray]:
     """Trial 0 of the campaign layout at the first SNR point, offset fixed at `cfo`:
-    one stacked frame per training kind of the spec's estimators."""
+    the lag sums of one frame per training kind of the spec's estimators."""
     spec = replace(spec, trials=1, epsilon_mode="fixed", epsilon_value=cfo)
     return next(_stacked_frames(spec, _trainings_for(spec)))[2]
 
@@ -280,13 +284,13 @@ def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
     """Bound rows matching the campaign CSV schema (empirical column empty)."""
     if spec.noiseless:
         raise ConfigError("a noiseless campaign has no noise for emcb to bound")
-    result = analysis.emcb(spec.config, spec.profile, spec.snr_points_db,
+    values = analysis.emcb(spec.config, spec.profile, spec.snr_points_db,
                            spec.emcb_draws, RandomSource(spec.seed, (3,)))
     return [ResultRow(estimator="emcb", snr_db=db, iota=None,
                       trials=spec.emcb_draws, empirical_mse=None,
                       analytic_mse=None, emcb=val, mean_runtime_us=None,
                       degenerate_count=0)
-            for db, val in zip(result.snr_db, result.values)]
+            for db, val in zip(spec.snr_points_db, values)]
 
 
 def run_bench(spec: ExperimentSpec, repetitions: int = 200) -> list[BenchRow]:

@@ -61,10 +61,12 @@ class SystemConfig:
         chu_root:      generator-sequence root, coprime with pilot_len.
 
     The repetition count Q = N/P must be even (N divisible by 2P) and larger
-    than n_tx.  The estimator's accuracy analysis additionally assumes
-    P >= chan_len; the shipped wideband preset violates that deliberately
-    (its power profile concentrates energy in the first few taps, which is
-    the condition that actually matters), so it is not enforced here.
+    than n_tx.  No cyclic shift 0 < d < Q may map the offset set onto itself
+    mod Q: every estimator's score would then repeat with period d in the CFO.
+    The estimator's accuracy analysis additionally assumes P >= chan_len; the
+    shipped wideband preset violates that deliberately (its power profile
+    concentrates energy in the first few taps, which is the condition that
+    actually matters), so it is not enforced here.
     """
 
     n_subcarriers: int
@@ -101,6 +103,9 @@ class SystemConfig:
             raise ConfigError(f"comb offsets must be distinct, got {self.offsets}")
         if any(not (0 <= i <= q - 1) for i in self.offsets):
             raise ConfigError(f"comb offsets must lie in [0, {q - 1}], got {self.offsets}")
+        if any({(i + d) % q for i in self.offsets} == set(self.offsets) for d in range(1, q)):
+            raise ConfigError(f"comb offsets {self.offsets} repeat under a nonzero cyclic "
+                              f"shift mod Q={q}, which aliases every estimator's score")
         if math.gcd(self.chu_root, p) != 1:
             raise ConfigError(f"chu_root={self.chu_root} must be coprime with pilot_len={p}")
         if self.chan_len < 1 or self.chan_len > self.cp_len:

@@ -13,7 +13,8 @@ def toy_cfg() -> SystemConfig:
     """Small config for fast structural tests: N=64, P=8, Q=8.
 
     Offsets (1, 6) keep every mirror pair of diagonal indices usable (only
-    index 4 is blind); offset differences of Q/2 would alias the likelihood.
+    index 4 is blind); offsets a Q/2 apart would alias the likelihood, and
+    `SystemConfig` refuses them.
     """
     return SystemConfig(n_subcarriers=64, pilot_len=8, n_tx=2, n_rx=2,
                         cp_len=10, chan_len=8, offsets=(1, 6))

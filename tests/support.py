@@ -16,9 +16,9 @@ from typing import IO
 import numpy as np
 
 import cfolab
-from cfolab import (ChannelProfile, ChannelRealization, ConfigError, RandomSource,
-                    StackedFrame, SystemConfig, TrainingSet, build_training,
-                    diag_ratio, draw_channel, model_matrix, period_gram)
+from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
+                    TrainingSet, build_training, diag_ratio, draw_channel,
+                    model_matrix, period_gram)
 from cfolab.channel import _check_cfo
 from cfolab.estimator import COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid
 from cfolab.numerics import complex_normal, phase_ramp
@@ -95,9 +95,17 @@ def shift_correlation(ts: TrainingSet, cfg: SystemConfig,
     return complex(period_gram(ts, cfg, (lag_a, lag_b))[ant_a, 0, ant_b, 1])
 
 
-def sample_corr(sf: StackedFrame) -> np.ndarray:
+def period_matrix(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Q x (n_rx * P) period rows of an (n_rx, N) frame: row q holds period q of
+    receive antenna 0, then of antenna 1, and so on."""
+    q, p = cfg.n_periods, cfg.pilot_len
+    return np.hstack([frame[nu].reshape(q, p) for nu in range(cfg.n_rx)])
+
+
+def sample_corr(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Q x Q Hermitian sample correlation of the period rows, matrix @ matrix^H."""
-    return sf.matrix @ sf.matrix.conj().T
+    matrix = period_matrix(frame, cfg)
+    return matrix @ matrix.conj().T
 
 
 def upper_diagonal_sums(a: np.ndarray) -> np.ndarray:
@@ -114,10 +122,11 @@ def steering_matrix(cfo: float, cfg: SystemConfig) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(q, offs + cfo) / cfg.n_periods)
 
 
-def likelihood_trace(sf: StackedFrame, cfo: float, cfg: SystemConfig) -> float:
-    """Trace form of the likelihood: Tr[B(eps)^H corr B(eps)], real by symmetry."""
+def likelihood_trace(corr: np.ndarray, cfo: float, cfg: SystemConfig) -> float:
+    """Trace form of the likelihood of a Q x Q sample correlation:
+    Tr[B(eps)^H corr B(eps)], real by symmetry."""
     b = steering_matrix(cfo, cfg)
-    return float(np.real(np.trace(b.conj().T @ sample_corr(sf) @ b)))
+    return float(np.real(np.trace(b.conj().T @ corr @ b)))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +139,7 @@ def _period_bases(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return dft_matrix(cfg.pilot_len).conj().T, responses
 
 
-def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,
+def stacked_signal_matrix(ts: TrainingSet, taps: np.ndarray, cfo: float,
                           cfg: SystemConfig) -> np.ndarray:
     """Noiseless n_tx x (n_rx * P) stacked signal matrix.
 
@@ -148,7 +157,7 @@ def stacked_signal_matrix(ts: TrainingSet, ch: ChannelRealization, cfo: float,
     for mu in range(cfg.n_tx):
         ramp = phase_ramp(p, cfo + cfg.offsets[mu], n)
         # column nu: the period seen at receive antenna nu
-        periods = idft @ (ts.freq_pilots[mu][:, None] * (responses[mu] @ ch.taps[:, mu].T))
+        periods = idft @ (ts.freq_pilots[mu][:, None] * (responses[mu] @ taps[:, mu].T))
         x[mu] = (front * ramp * periods.T).reshape(-1)
     return x
 
@@ -162,36 +171,37 @@ def frame_to_csv(frame: np.ndarray, fh: IO[str]) -> None:
             writer.writerow([nu, n, f"{v.real:.12g}", f"{v.imag:.12g}"])
 
 
-def likelihood_derivative(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
-    """d/dz of the likelihood score as a function of z on the unit circle."""
-    q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * cfg.comb_phase_sums
+def likelihood_derivative(c: np.ndarray, z: complex, cfg: SystemConfig) -> complex:
+    """d/dz of the likelihood score of lag sums c as a function of z on the
+    unit circle."""
+    q = np.arange(len(c))
+    weights = c * cfg.comb_phase_sums
     forward = np.sum(weights * z ** q * q)
     backward = np.sum(np.conj(weights) * z ** (-q.astype(float)) * q)
     return complex(z ** -1.0 * (forward - backward))
 
 
-def curvature_factor(sf: StackedFrame, z: complex, cfg: SystemConfig) -> complex:
+def curvature_factor(c: np.ndarray, z: complex, cfg: SystemConfig) -> complex:
     """The degree-(Q-1) polynomial factor shared by the derivative's roots.
 
     At the true offset's phasor this quantity is real and positive for
     comb-structured training, which is what guarantees the true offset
     appears among the closed-form candidates.
     """
-    q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * cfg.comb_phase_sums
+    q = np.arange(len(c))
+    weights = c * cfg.comb_phase_sums
     return complex(np.sum(weights * z ** q * q))
 
 
-def derivative_factor_form(sf: StackedFrame, z: complex, diag_index: int,
+def derivative_factor_form(c: np.ndarray, z: complex, diag_index: int,
                            cfg: SystemConfig) -> complex:
     """Factorised derivative: z^-(Q+1) * (z^Q - ratio) * curvature_factor(z)."""
-    q = sf.n_periods
-    ratio = diag_ratio(sf, diag_index)
-    return complex(z ** (-(q + 1.0)) * (z ** q - ratio) * curvature_factor(sf, z, cfg))
+    q = len(c)
+    ratio = diag_ratio(c, diag_index)
+    return complex(z ** (-(q + 1.0)) * (z ** q - ratio) * curvature_factor(c, z, cfg))
 
 
-def derivative_factor_residual(sf: StackedFrame, diag_index: int, cfg: SystemConfig,
+def derivative_factor_residual(c: np.ndarray, diag_index: int, cfg: SystemConfig,
                                n_points: int = 64) -> float:
     """Mismatch between the direct and factorised derivative on the unit circle.
 
@@ -201,22 +211,21 @@ def derivative_factor_residual(sf: StackedFrame, diag_index: int, cfg: SystemCon
     structured training design.
     """
     zs = np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    direct = np.array([likelihood_derivative(sf, z, cfg) for z in zs])
-    factored = np.array([derivative_factor_form(sf, z, diag_index, cfg) for z in zs])
+    direct = np.array([likelihood_derivative(c, z, cfg) for z in zs])
+    factored = np.array([derivative_factor_form(c, z, diag_index, cfg) for z in zs])
     return float(np.max(np.abs(direct - factored)) / np.max(np.abs(direct)))
 
 
-def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
+def ml_grid_fresh(c: np.ndarray, cfg: SystemConfig) -> float:
     """The two-stage ML grid search with every grid point's phases computed
     afresh: no cached table, no shift to the fine grid's first point, and
     each grid scored by one product over the whole grid, not in row blocks."""
     half = cfg.cfo_half_range
-    q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * cfg.comb_phase_sums
+    q = np.arange(len(c))
+    weights = c * cfg.comb_phase_sums
 
     def scores(grid):
-        return 2.0 * np.real(np.exp(2j * np.pi * (grid[:, None] * q) / sf.n_periods)
-                             @ weights)
+        return 2.0 * np.real(np.exp(2j * np.pi * (grid[:, None] * q) / len(c)) @ weights)
 
     coarse = np.arange(-half, half, COARSE_STEP)
     best = coarse[int(np.argmax(scores(coarse)))]
@@ -225,16 +234,15 @@ def ml_grid_fresh(sf: StackedFrame, cfg: SystemConfig) -> float:
     return float(fine[int(np.argmax(scores(fine)))])
 
 
-def simplified_fresh(sf: StackedFrame, diag_index: int, cfg: SystemConfig) -> CfoEstimate:
+def simplified_fresh(c: np.ndarray, diag_index: int, cfg: SystemConfig) -> CfoEstimate:
     """The simplified estimator with every candidate's phases computed afresh
     (a Q x Q table per call, no origin shift) and the pick made by a full
     lexicographic sort on (-score, |cfo|, index)."""
-    ratio = diag_ratio(sf, diag_index)
-    cand = candidate_grid(ratio, sf.n_periods)
-    q = np.arange(sf.n_periods)
-    weights = sf.diag_sums * cfg.comb_phase_sums
-    scores = 2.0 * np.real(np.exp(2j * np.pi * (cand[:, None] * q) / sf.n_periods)
-                           @ weights)
+    ratio = diag_ratio(c, diag_index)
+    cand = candidate_grid(ratio, len(c))
+    q = np.arange(len(c))
+    weights = c * cfg.comb_phase_sums
+    scores = 2.0 * np.real(np.exp(2j * np.pi * (cand[:, None] * q) / len(c)) @ weights)
     best = np.lexsort((np.arange(len(cand)), np.abs(cand), -scores))[0]
     return CfoEstimate(value=float(cand[best]), diag_ratio=ratio, candidates=cand,
                        scores=scores)
@@ -249,7 +257,7 @@ def complex_normal_two_calls(rng: np.random.Generator, shape,
 
 
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
-                      gen: np.random.Generator) -> ChannelRealization:
+                      gen: np.random.Generator) -> np.ndarray:
     """The channel draw tap by tap in delay order, one `complex_normal` call per tap."""
     if profile.length > cfg.chan_len:
         raise ConfigError(
@@ -258,17 +266,17 @@ def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
     for delay, power in zip(profile.delays, profile.powers_linear):
         taps[:, :, delay] = complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
-    return ChannelRealization(taps=taps)
+    return taps
 
 
-def transmit_receive_direct(ts: TrainingSet, ch: ChannelRealization, cfo: float,
+def transmit_receive_direct(ts: TrainingSet, taps: np.ndarray, cfo: float,
                             cfg: SystemConfig) -> np.ndarray:
     """Noiseless frame sample by sample: per receive antenna, the linear
     convolution of each CP-extended time sequence with its taps, the N samples
     after the prefix, rotated by the CFO ramp."""
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
-    if ch.length > ng:
+    if taps.shape[-1] > ng:
         raise ConfigError("channel memory longer than the cyclic prefix")
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
     out = np.zeros((cfg.n_rx, n), dtype=complex)
@@ -276,7 +284,7 @@ def transmit_receive_direct(ts: TrainingSet, ch: ChannelRealization, cfo: float,
         acc = np.zeros(n, dtype=complex)
         for mu in range(cfg.n_tx):
             with_cp = np.concatenate([ts.time_sequences[mu][-ng:], ts.time_sequences[mu]])
-            acc += np.convolve(with_cp, ch.taps[nu, mu])[ng:ng + n]
+            acc += np.convolve(with_cp, taps[nu, mu])[ng:ng + n]
         out[nu] = rot * acc
     return out
 
@@ -302,16 +310,16 @@ def emcb_per_draw(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: i
                   rng: RandomSource) -> tuple[float, ...]:
     """The bound with one loop iteration per draw and receive antenna, from
     the N-row model matrix S and its SVD projector: the quadratic form
-    h^H core h and the signal power ||S h||^2 of each `stacked(nu)` taken one
-    vector at a time."""
+    h^H core h and the signal power ||S h||^2 of each receive antenna's flat
+    taps taken one vector at a time."""
     s = model_matrix(build_training(cfg, "cbts"), cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s
     core = weighted.conj().T @ projection_complement(s) @ weighted
     quad, power = np.empty(n_draws), np.empty(n_draws)
     for k in range(n_draws):
-        ch = draw_channel(profile, cfg, rng.child(k).generator())
-        hs = [ch.stacked(nu) for nu in range(cfg.n_rx)]
+        taps = draw_channel(profile, cfg, rng.child(k).generator())
+        hs = [taps[nu].reshape(-1) for nu in range(cfg.n_rx)]
         quad[k] = sum(float(np.real(h.conj() @ (core @ h))) for h in hs)
         power[k] = sum(float(np.linalg.norm(s @ h) ** 2) for h in hs) / cfg.n_rx
     mean_power = float(power.mean())

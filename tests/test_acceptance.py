@@ -16,8 +16,6 @@ from cfolab import (RandomSource, SystemConfig,
                     estimate_ml_grid, estimate_simplified, likelihood,
                     model_receive, optimal_diag_indices, reference_config,
                     reference_profile, stack, transmit_receive)
-from cfolab.channel import ChannelRealization
-from cfolab.estimator import StackedFrame
 from cfolab.harness import (ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_snr,
                             spec_from_json)
 from cfolab.training import OFFSETS_A, OFFSETS_B
@@ -147,7 +145,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
 
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), complex)
     taps[:, :, 0] = 1.0
-    frame = transmit_receive(ts, ChannelRealization(taps=taps), 2.3, cfg)
+    frame = transmit_receive(ts, taps, 2.3, cfg)
     sf = stack(frame, cfg)
     assert derivative_factor_residual(sf, 7, cfg) < 5e-2
     worst_faded = 0.0
@@ -163,7 +161,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
     ts1 = build_training(single, "cbts")
     taps1 = np.zeros((1, 1, 64), complex)
     taps1[0, 0, 0] = 1.0
-    frame1 = transmit_receive(ts1, ChannelRealization(taps=taps1), 1.7, single)
+    frame1 = transmit_receive(ts1, taps1, 1.7, single)
     assert derivative_factor_residual(stack(frame1, single), 9, single) < 1e-6
 
     z = np.exp(2j * np.pi * 2.3 / cfg.n_periods)
@@ -191,9 +189,8 @@ def test_criterion_7_noiseless_exactness():
     for _ in range(100):
         y = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
         r = y @ y.conj().T
-        sf_r = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
-        fast = likelihood(sf_r, grid, toy)
-        trace = np.array([likelihood_trace(sf_r, e, toy) for e in grid])
+        fast = likelihood(upper_diagonal_sums(r), grid, toy)
+        trace = np.array([likelihood_trace(r, e, toy) for e in grid])
         assert np.argmax(fast) == np.argmax(trace)
     print("PASS criterion 7: noiseless recovery at 1e-2 and dual-form argmax")
 

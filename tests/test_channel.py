@@ -9,13 +9,8 @@ from cfolab.channel import signal_power
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (circular_convolve, draw_channel_loop, frame_to_csv,
-                     stacked_signal_matrix, steering_matrix,
+                     period_matrix, stacked_signal_matrix, steering_matrix,
                      transmit_receive_direct)
-
-
-def stack_rows(frame, cfg):
-    q, p = cfg.n_periods, cfg.pilot_len
-    return np.hstack([frame[nu].reshape(q, p) for nu in range(cfg.n_rx)])
 
 
 class TestChannelProfile:
@@ -52,29 +47,29 @@ class TestChannelProfile:
 
 class TestDrawChannel:
     def test_support_matches_reference_delays(self, ref_cfg_b, ref_profile):
-        ch = draw_channel(ref_profile, ref_cfg_b, RandomSource(1, (5,)).generator())
+        taps = draw_channel(ref_profile, ref_cfg_b, RandomSource(1, (5,)).generator())
+        assert taps.shape == (ref_cfg_b.n_rx, ref_cfg_b.n_tx, ref_cfg_b.chan_len)
         active = {0, 4, 16, 24, 46, 74}
-        for l in range(ch.length):
+        for l in range(taps.shape[-1]):
             if l in active:
-                assert np.all(ch.taps[:, :, l] != 0)
+                assert np.all(taps[:, :, l] != 0)
             else:
-                assert np.all(ch.taps[:, :, l] == 0)
+                assert np.all(taps[:, :, l] == 0)
 
     def test_unit_tap_energy(self):
-        cfg = SystemConfig(64, 8, 2, 2, 10, 8, (1, 5))
+        cfg = SystemConfig(64, 8, 2, 2, 10, 8, (1, 6))
         prof = ChannelProfile(delays=(0,), powers_db=(0.0,))
         gen = RandomSource(2, (0,)).generator()
         acc = 0.0
         n = 10_000
         for _ in range(n):
-            ch = draw_channel(prof, cfg, gen)
-            acc += np.abs(ch.taps[0, 0, 0]) ** 2
+            acc += np.abs(draw_channel(prof, cfg, gen)[0, 0, 0]) ** 2
         assert acc / n == pytest.approx(1.0, rel=0.03)
 
     def test_seed_reproducibility(self, toy_cfg, toy_profile):
         a = draw_channel(toy_profile, toy_cfg, RandomSource(9, (3,)).generator())
         b = draw_channel(toy_profile, toy_cfg, RandomSource(9, (3,)).generator())
-        assert np.array_equal(a.taps, b.taps)
+        assert np.array_equal(a, b)
 
     def test_profile_must_fit(self, toy_cfg):
         prof = ChannelProfile(delays=(0, 9), powers_db=(0.0, -3.0))
@@ -108,10 +103,7 @@ class TestOracleEquivalence:
         ts = build_training(cfg, "cbts")
         taps = np.zeros((1, 1, 8), complex)
         taps[0, 0, 0] = 1.0
-        from cfolab.channel import ChannelRealization
-
-        ch = ChannelRealization(taps=taps)
-        frame = transmit_receive(ts, ch, 0.0, cfg)
+        frame = transmit_receive(ts, taps, 0.0, cfg)
         assert np.max(np.abs(frame[0] - ts.time_sequences[0])) < 1e-12
 
     def test_rotation_inverse_recovers_zero_offset(self, toy_cfg, toy_profile):
@@ -128,7 +120,7 @@ class TestOracleEquivalence:
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(6, (0,)).generator())
         frame = transmit_receive(ts, ch, 0.0, toy_cfg)
         for nu in range(toy_cfg.n_rx):
-            ref = sum(circular_convolve(ts.time_sequences[mu], ch.taps[nu, mu])
+            ref = sum(circular_convolve(ts.time_sequences[mu], ch[nu, mu])
                       for mu in range(toy_cfg.n_tx))
             assert np.max(np.abs(frame[nu] - ref)) < 1e-11
 
@@ -184,7 +176,7 @@ class TestFftSimulation:
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
             for cfo in _edge_offsets(cfg):
                 rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-                spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(ch.taps, n)
+                spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(ch, n)
                 want = rot * np.fft.ifft(spectra.sum(axis=1))
                 assert np.array_equal(transmit_receive(ts, ch, cfo, cfg), want)
         assert not ts.time_spectra.flags.writeable
@@ -198,8 +190,8 @@ class TestFftSimulation:
             gen, loop_gen = (RandomSource(seed, (1, seed)).generator() for _ in range(2))
             got = draw_channel(profile, cfg, gen)
             want = draw_channel_loop(profile, cfg, loop_gen)
-            assert got.taps.dtype == want.taps.dtype
-            assert got.taps.tobytes() == want.taps.tobytes()
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
             # the stream is left where the loop leaves it
             assert gen.uniform() == loop_gen.uniform()
 
@@ -220,7 +212,7 @@ class TestSignalPower:
             gen = RandomSource(11, (1, t)).generator()
             ch = draw_channel(profile, cfg, gen)
             frame = transmit_receive(ts, ch, gen.uniform(-1.0, 1.0) * cfg.cfo_half_range, cfg)
-            taps.append(ch.taps[..., list(profile.delays)])
+            taps.append(ch[..., list(profile.delays)])
             want.append(np.mean(np.abs(frame) ** 2))
         got = signal_power(ts, profile, np.array(taps))
         assert got.shape == (200,)
@@ -236,11 +228,9 @@ class TestStackedSignalModel:
         assert s.shape == (1024, 3 * 75)
 
     def test_zero_channel_zero_matrix(self, toy_cfg):
-        from cfolab.channel import ChannelRealization
-
         ts = build_training(toy_cfg, "cbts")
-        ch = ChannelRealization(taps=np.zeros((2, 2, 8), complex))
-        assert np.all(stacked_signal_matrix(ts, ch, 1.0, toy_cfg) == 0)
+        taps = np.zeros((2, 2, 8), complex)
+        assert np.all(stacked_signal_matrix(ts, taps, 1.0, toy_cfg) == 0)
 
     @pytest.mark.parametrize("offsets", [OFFSETS_A, OFFSETS_B])
     def test_period_stacking_identity(self, offsets):
@@ -249,7 +239,7 @@ class TestStackedSignalModel:
         ch = draw_channel(reference_profile(), cfg, RandomSource(13, (1,)).generator())
         cfo = -4.2
         frame = transmit_receive(ts, ch, cfo, cfg)
-        y = stack_rows(frame, cfg)
+        y = period_matrix(frame, cfg)
         bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(ts, ch, cfo, cfg)
         assert np.max(np.abs(y - bx)) < 1e-9
 

@@ -7,14 +7,12 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     add_noise, estimate_ml_grid, estimate_simplified,
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
-from cfolab.channel import ChannelRealization
 from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
-                              StackedFrame, _phases, _serial_product,
-                              candidate_grid, diag_ratio,
-                              integer_offsets, ml_tables)
+                              _phases, _serial_product, candidate_grid,
+                              diag_ratio, integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (curvature_factor, derivative_factor_residual,
-                     likelihood_trace, ml_grid_fresh, sample_corr,
+                     likelihood_trace, ml_grid_fresh, period_matrix, sample_corr,
                      simplified_fresh, upper_diagonal_sums)
 
 
@@ -35,33 +33,30 @@ def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
 def unit_taps(cfg):
     taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), complex)
     taps[:, :, 0] = 1.0
-    return ChannelRealization(taps=taps)
-
-
-def synthetic_stacked(diag_sums, q):
-    """StackedFrame carrying only the diagonal sums (enough for diag_ratio)."""
-    return StackedFrame(matrix=np.zeros((q, q), complex),
-                        diag_sums=np.asarray(diag_sums, dtype=complex))
+    return taps
 
 
 class TestStack:
     def test_index_arithmetic(self):
         cfg = SystemConfig(4, 2, 1, 1, 2, 1, (0,))
-        sf = stack(np.array([[1 + 0j, 2, 3, 4]]), cfg)
-        assert np.array_equal(sf.matrix, [[1, 2], [3, 4]])
-        assert sample_corr(sf)[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
-        assert sf.diag_sums[0] == pytest.approx(np.trace(sample_corr(sf)))
-        assert sf.diag_sums[1] == pytest.approx(sample_corr(sf)[0, 1])
+        frame = np.array([[1 + 0j, 2, 3, 4]])
+        c = stack(frame, cfg)
+        assert np.array_equal(period_matrix(frame, cfg), [[1, 2], [3, 4]])
+        corr = sample_corr(frame, cfg)
+        assert corr[0, 1] == pytest.approx(1 * np.conj(3) + 2 * np.conj(4))
+        assert c[0] == pytest.approx(np.trace(corr))
+        assert c[1] == pytest.approx(corr[0, 1])
 
     def test_corr_hermitian_and_trace_real(self, toy_cfg, toy_profile):
         frame, _, _ = make_frame(toy_cfg, toy_profile, 1.3, snr_db=10.0)
-        sf = stack(frame, toy_cfg)
-        assert np.max(np.abs(sample_corr(sf) - sample_corr(sf).conj().T)) == 0.0
-        assert sf.diag_sums[0].imag == 0.0
-        assert sf.diag_sums[0].real >= 0.0
+        c = stack(frame, toy_cfg)
+        corr = sample_corr(frame, toy_cfg)
+        assert np.max(np.abs(corr - corr.conj().T)) == 0.0
+        assert c[0].imag == 0.0
+        assert c[0].real >= 0.0
 
     def test_lag_sums_match_correlation_diagonals(self, rng, toy_cfg, ref_cfg_b,
-                                                  ref_profile):
+                                                  ref_profile, campaign_frames):
         # stack never forms the sample correlation; its trace-form diagonal
         # sums are the oracle, relative to the zero lag, which bounds them all
         cases = [(rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64)),
@@ -69,9 +64,11 @@ class TestStack:
                  for _ in range(20)]
         cases.append((make_frame(ref_cfg_b, ref_profile, 2.3, snr_db=15.0)[0], ref_cfg_b))
         for frame, cfg in cases:
-            sf = stack(frame, cfg)
-            oracle = upper_diagonal_sums(sample_corr(sf))
-            assert np.max(np.abs(sf.diag_sums - oracle)) <= 1e-12 * abs(oracle[0])
+            oracle = upper_diagonal_sums(sample_corr(frame, cfg))
+            assert np.max(np.abs(stack(frame, cfg) - oracle)) <= 1e-12 * abs(oracle[0])
+        # the scale of `diag_ratio`'s threshold: no lag sum exceeds the energy c_0
+        for c in campaign_frames:
+            assert np.all(np.abs(c) <= c[0].real)
 
     def test_shape_mismatch_rejected(self, toy_cfg):
         with pytest.raises(ValueError):
@@ -96,19 +93,24 @@ class TestDiagRatio:
         c = np.zeros(4, complex)
         c[1] = 1 + 1j
         c[3] = 2.0
-        sf = synthetic_stacked(c, 4)
-        assert diag_ratio(sf, 1) == pytest.approx((1 - 1j) / 6)
+        assert diag_ratio(c, 1) == pytest.approx((1 - 1j) / 6)
 
     def test_degenerate_mirror_raises(self):
-        sf = synthetic_stacked([4.0, 1.0, 0.0, 1e-15], 4)
+        c = np.array([4.0, 1.0, 0.0, 1e-15], complex)
         with pytest.raises(DegenerateDiagonalError):
-            diag_ratio(sf, 1)   # mirror sum c[3] is numerically zero
+            diag_ratio(c, 1)   # mirror sum c[3] is numerically zero
+        # the threshold is 1e-12 of the frame energy c_0, inclusive
+        c[3] = 1e-12 * c[0].real
+        with pytest.raises(DegenerateDiagonalError):
+            diag_ratio(c, 1)
+        c[3] = 1.01e-12 * c[0].real
+        assert diag_ratio(c, 1) == pytest.approx(1 / (3 * c[3]))
 
     def test_index_validation(self):
-        sf = synthetic_stacked(np.ones(4), 4)
+        c = np.ones(4, complex)
         for bad in (0, 4, -1):
             with pytest.raises(ValueError):
-                diag_ratio(sf, bad)
+                diag_ratio(c, bad)
 
     def test_mirror_index_same_phase(self, toy_cfg, toy_profile):
         # the ratio for index i and Q-i is built from the same two sums, so
@@ -155,31 +157,30 @@ class TestLikelihood:
         # the two-sided sum is manifestly real: check the complex imbalance
         # of its one-sided half against the returned value
         y = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-        r = y @ y.conj().T
-        sf = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
+        c = upper_diagonal_sums(y @ y.conj().T)
         q = np.arange(8)
         bsum = toy_cfg.comb_phase_sums
         for eps in (-1.7, 0.0, 2.2):
             z = np.exp(2j * np.pi * eps / 8)
-            one_sided = np.sum(sf.diag_sums * bsum * z ** q)
+            one_sided = np.sum(c * bsum * z ** q)
             two_sided = one_sided + np.conj(one_sided)
             assert abs(two_sided.imag) < 1e-10 * abs(two_sided.real + 1e-30)
-            assert likelihood(sf, eps, toy_cfg) == pytest.approx(two_sided.real)
+            assert likelihood(c, eps, toy_cfg) == pytest.approx(two_sided.real)
 
     def test_trace_form_same_argmax(self, toy_cfg, rng):
         grid = np.arange(-4, 4, 0.01)
         for _ in range(100):
             y = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
             r = y @ y.conj().T
-            sf = StackedFrame(matrix=y, diag_sums=upper_diagonal_sums(r))
-            fast = likelihood(sf, grid, toy_cfg)
-            trace = np.array([likelihood_trace(sf, e, toy_cfg) for e in grid])
+            c = upper_diagonal_sums(r)
+            fast = likelihood(c, grid, toy_cfg)
+            trace = np.array([likelihood_trace(r, e, toy_cfg) for e in grid])
             assert np.argmax(fast) == np.argmax(trace)
             # the two-sided score counts the zero diagonal twice: it exceeds
             # the trace form by exactly n_tx * c_0
             diff = fast - trace
             assert np.std(diff) < 1e-9 * np.abs(diff).mean()
-            assert diff.mean() == pytest.approx(toy_cfg.n_tx * sf.diag_sums[0].real,
+            assert diff.mean() == pytest.approx(toy_cfg.n_tx * c[0].real,
                                                 rel=1e-9)
 
     def test_noiseless_grid_peak_at_true_offset(self, ref_cfg_b, ref_profile):
@@ -409,9 +410,9 @@ def test_estimator_bit_pin(campaign_frames, ref_cfg_b):
     # index 9 through a zero ratio
     cut = []
     for sf in campaign_frames[:2]:
-        sums = sf.diag_sums.copy()
+        sums = sf.copy()
         sums[9] = 0.0
-        cut.append(StackedFrame(matrix=sf.matrix, diag_sums=sums))
+        cut.append(sums)
     assert estimator_bits(cut, ref_cfg_b, digest) == 2 * len(cut)
     assert digest.hexdigest() == ESTIMATOR_BITS_SHA256
 
@@ -446,7 +447,7 @@ class TestSerialScoring:
         tables = [step_phases[:n] for n in counts] + [coarse_phases]
         assert max(counts) <= len(steps) and len(coarse_phases) == 320
         for sf in campaign_frames:
-            plain = sf.diag_sums * ref_cfg_b.comb_phase_sums
+            plain = sf * ref_cfg_b.comb_phase_sums
             shifted = plain * _phases(np.float64(-3.05), q)
             for weights in (plain, shifted):
                 for table in tables:
@@ -483,7 +484,7 @@ class TestDerivativeFactorisation:
         ts = build_training(cfg, "cbts")
         taps = np.zeros((1, 1, 8), complex)
         taps[0, 0, 0] = 1.0
-        frame = transmit_receive(ts, ChannelRealization(taps=taps), 1.2, cfg)
+        frame = transmit_receive(ts, taps, 1.2, cfg)
         sf = stack(frame, cfg)
         assert derivative_factor_residual(sf, 5, cfg) < 1e-6
 
@@ -528,7 +529,7 @@ class TestNoiselessDiagonalStructure:
             cfo = gen.uniform(-8, 8)
             frame = transmit_receive(ts, ch, cfo, ref_cfg_a)
             sf = stack(frame, ref_cfg_a)
-            acc += np.abs(sf.diag_sums) / n
+            acc += np.abs(sf) / n
             power += float(np.mean(np.abs(frame) ** 2)) / ref_cfg_a.n_tx / n
         sums = np.abs(ref_cfg_a.comb_phase_sums)
         for q in range(1, q_count):

@@ -40,10 +40,14 @@ class TestSystemConfig:
         dict(chan_len=11),                           # longer than cp_len
         dict(chan_len=0),
         dict(n_rx=0),
+        dict(offsets=(1, 5)),                        # aliases: shift by 4 mod Q=8
+        dict(n_tx=4, offsets=(0, 2, 4, 6)),          # aliases: shift by 2
+        dict(n_tx=4, offsets=(1, 2, 5, 6)),          # aliases: shift by 4
     ])
     def test_invalid_configs_raise(self, bad):
         base = dict(n_subcarriers=64, pilot_len=8, n_tx=2, n_rx=2,
-                    cp_len=10, chan_len=8, offsets=(1, 5))
+                    cp_len=10, chan_len=8, offsets=(1, 6))
+        SystemConfig(**base)
         base.update(bad)
         with pytest.raises(ConfigError):
             SystemConfig(**base)
