@@ -38,6 +38,8 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
     extras = {"iotas": raw.pop("iotas")} if "iotas" in raw else {}
     if extras and args.command != "mse-vs-iota":
         raise ConfigError(f"iotas applies to mse-vs-iota only, not to {args.command}")
+    if "estimators" in raw and args.command == "mse-vs-iota":
+        raise ConfigError("mse-vs-iota sweeps its iotas and takes no estimators key")
     return harness.spec_from_json(raw), extras
 
 

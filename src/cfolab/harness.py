@@ -14,10 +14,11 @@ campaign draws.  The noise scale is not: a point's noise variance follows the
 mean signal power over every trial of the campaign.
 
 Campaigns estimate one frame at a time with the `estimate_*` functions that
-`bench` and `cfolab estimate` run; the ML baseline's phase tables are built
-once per campaign.  `analysis.emcb` takes all its draws' quadratic forms in
-one einsum, without BLAS threads, so no value depends on the draws around it
-or on the BLAS thread count.
+`bench` and `cfolab estimate` run, a training kind's simplified indices in one
+call; the ML baseline's phase tables are built once per campaign.
+`analysis.emcb` takes all its draws' quadratic forms in one einsum, without
+BLAS threads, so no value depends on the draws around it or on the BLAS
+thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
 stacked frame, the (Q,) array of its lag sums, in two passes.  The first
@@ -220,11 +221,13 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
 
     All estimators at one SNR point see the same channels, offsets and (up to
     the per-kind noise scaling) the same noise draws, so comparisons between
-    them are paired.  Degenerate-diagonal failures are counted per row and
-    excluded from the average.  The analytic MSE of a structured-training
-    simplified row is the noise-only closed form plus the index's noiseless
-    bias floor; noiseless campaigns, and indices where the comb-weighted
-    diagonal sum can vanish (`analysis.comb_sum_can_vanish`), leave it empty.
+    them are paired.  A frame's simplified indices of one kind take one call,
+    with the bits of one call per index.  Degenerate-diagonal failures are
+    counted per row and excluded from the average.  The analytic MSE of a
+    structured-training simplified row is the noise-only closed form plus the
+    index's noiseless bias floor; noiseless campaigns, and indices where the
+    comb-weighted diagonal sum can vanish (`analysis.comb_sum_can_vanish`),
+    leave it empty.
     """
     cfg = spec.config
     parsed = [(e, *parse_estimator_id(e, cfg)) for e in spec.estimators]
@@ -241,18 +244,29 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
             except estimator.DegenerateDiagonalError:
                 pass
 
+    # one call per frame, method and kind; a lone simplified index passes an
+    # int, the per-frame path, which is cheaper alone than a sequence
+    groups: dict[tuple[str, str], list] = {}
+    for est_id, method, kind, idx in mc_ids:
+        groups.setdefault((method, kind), []).append((est_id, idx))
     sq_errors = [{est_id: [] for est_id, *_ in mc_ids} for _ in spec.snr_points_db]
-    tables = estimator.ml_tables(cfg) if any(m == "ml_grid" for _, m, *_ in mc_ids) else None
+    tables = estimator.ml_tables(cfg) if ("ml_grid", "cbts") in groups else None
     for s_idx, cfo, stacked in _stacked_frames(spec, _trainings_for(spec)):
-        for est_id, method, kind, idx in mc_ids:
+        for (method, kind), members in groups.items():
+            ids, idxs = zip(*members)
             try:
-                if method == "simplified":
-                    res = estimator.estimate_simplified(stacked[kind], idx, cfg)
+                if method == "ml_grid":
+                    results = [estimator.estimate_ml_grid(stacked[kind], cfg, tables)]
+                elif len(idxs) > 1:
+                    results = estimator.estimate_simplified(stacked[kind], idxs, cfg)
                 else:
-                    res = estimator.estimate_ml_grid(stacked[kind], cfg, tables)
+                    results = [estimator.estimate_simplified(stacked[kind], idxs[0], cfg)]
             except estimator.DegenerateDiagonalError:
-                continue
-            sq_errors[s_idx][est_id].append(_wrap_error(res.value - cfo, cfg.n_periods) ** 2)
+                results = [None]
+            for est_id, res in zip(ids, results):
+                if res is not None:
+                    sq_errors[s_idx][est_id].append(
+                        _wrap_error(res.value - cfo, cfg.n_periods) ** 2)
 
     rows: list[ResultRow] = []
     for snr_db, errors_at in zip(spec.snr_points_db, sq_errors):

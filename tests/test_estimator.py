@@ -417,6 +417,65 @@ def test_estimator_bit_pin(campaign_frames, ref_cfg_b):
     assert digest.hexdigest() == ESTIMATOR_BITS_SHA256
 
 
+class TestSimplifiedIndices:
+    """A sequence of indices gives, row for row, the int call's estimate."""
+
+    @staticmethod
+    def assert_same_bits(many, one):
+        assert np.float64(many.value).tobytes() == np.float64(one.value).tobytes()
+        assert (np.complex128(many.diag_ratio).tobytes()
+                == np.complex128(one.diag_ratio).tobytes())
+        assert many.candidates.tobytes() == one.candidates.tobytes()
+        assert many.scores.tobytes() == one.scores.tobytes()
+
+    def test_index_path_bits_match_int_path(self, campaign_frames, ref_cfg_b):
+        indices = list(range(1, ref_cfg_b.n_periods))
+        for sf in campaign_frames:
+            singles = [estimate_simplified(sf, i, ref_cfg_b) for i in indices]
+            for order in (indices, indices[::-1]):
+                got = estimate_simplified(sf, order, ref_cfg_b)
+                assert len(got) == len(order)
+                for i, est in zip(order, got):
+                    self.assert_same_bits(est, singles[i - 1])
+
+    def test_degenerate_indices_are_none(self, campaign_frames, ref_cfg_b):
+        # the bit pin's cut frames: index 7 loses its mirror, 9 its ratio
+        indices = list(range(1, ref_cfg_b.n_periods))
+        for sf in campaign_frames[:2]:
+            sums = sf.copy()
+            sums[9] = 0.0
+            for i, est in zip(indices, estimate_simplified(sums, indices, ref_cfg_b)):
+                if i in (7, 9):
+                    assert est is None
+                    with pytest.raises(DegenerateDiagonalError):
+                        estimate_simplified(sums, i, ref_cfg_b)
+                else:
+                    self.assert_same_bits(est, estimate_simplified(sums, i, ref_cfg_b))
+
+    @pytest.mark.parametrize("indices", [[0, 3], [3, 16], [2.0, 3], [[3]]])
+    def test_index_range_checked(self, campaign_frames, ref_cfg_b, indices):
+        with pytest.raises(ValueError, match="diag_index"):
+            estimate_simplified(campaign_frames[0], indices, ref_cfg_b)
+
+    def test_tie_break_row_by_row(self, campaign_frames, ref_cfg_b, monkeypatch):
+        # scores from {0, 1, 2} tie in almost every row; each row must pick
+        # what the int call picks on that row's scores
+        from cfolab import estimator
+
+        sf = campaign_frames[0]
+        q = ref_cfg_b.n_periods
+        indices = list(range(1, q))
+        gen = np.random.default_rng(19)
+        for _ in range(100):
+            scores = gen.integers(0, 3, (len(indices), q)).astype(float)
+            monkeypatch.setattr(estimator, "likelihood", lambda sf, c, cfg, **kw: scores)
+            got = estimate_simplified(sf, indices, ref_cfg_b)
+            for row, (i, est) in enumerate(zip(indices, got)):
+                monkeypatch.setattr(estimator, "likelihood",
+                                    lambda sf, c, cfg, **kw: scores[row])
+                assert est.value == estimate_simplified(sf, i, ref_cfg_b).value
+
+
 def edge_fine_grids(cfg, profile):
     """Noiseless frames whose coarse best is the first or the last point of
     the coarse grid, with the length of the fine grid each leaves after

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,8 +71,9 @@ TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
               "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
 # Command lines (given `--config FILE` after them) and overrides of the toy
 # config file that must exit with status 2 and a config error, never a
-# traceback; None writes a top-level JSON list instead of an object, and
-# bytes are written as the whole file.
+# traceback; None writes a top-level JSON list instead of an object, bytes
+# are written as the whole file, and a None value drops its key (mse-vs-iota
+# takes no estimators key).
 MALFORMED_CLI_CASES = {
     "config-unknown-key": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "bogus": 1}}),
     "config-string-dimension": (["mse-vs-snr"],
@@ -85,22 +87,24 @@ MALFORMED_CLI_CASES = {
     "estimate-snr-nan": (["estimate", "--snr-db", "nan"], {}),
     "bench-zero-repetitions": (["bench", "--repetitions", "0"], {}),
     "bench-without-monte-carlo": (["bench"], {"estimators": ["emcb"]}),
-    "iota-not-integer": (["mse-vs-iota", "--iotas", "a"], {}),
-    "iotas-not-a-list": (["mse-vs-iota"], {"iotas": 5}),
-    "iotas-repeated": (["mse-vs-iota", "--iotas", "3,3"], {}),
+    "iota-not-integer": (["mse-vs-iota", "--iotas", "a"], {"estimators": None}),
+    "iotas-not-a-list": (["mse-vs-iota"], {"iotas": 5, "estimators": None}),
+    "iotas-repeated": (["mse-vs-iota", "--iotas", "3,3"], {"estimators": None}),
     "config-not-utf8": (["mse-vs-snr"], b"\xff\xfe{}"),
     "snr-overflows": (["mse-vs-snr"], {"snr_points_db": [3100]}),
     "estimate-snr-overflows": (["estimate", "--snr-db", "3100"], {}),
     "emcb-snr-overflows": (["emcb"], {"snr_points_db": [3100], "emcb_draws": 10}),
     "emcb-snr-underflows": (["emcb"], {"snr_points_db": [-3100], "emcb_draws": 10}),
-    "iotas-empty-list": (["mse-vs-iota"], {"iotas": []}),
-    "iotas-empty-flag": (["mse-vs-iota", "--iotas", ""], {}),
+    "iotas-empty-list": (["mse-vs-iota"], {"iotas": [], "estimators": None}),
+    "iotas-empty-flag": (["mse-vs-iota", "--iotas", ""], {"estimators": None}),
     "iotas-on-mse-vs-snr": (["mse-vs-snr"], {"iotas": [3]}),
     "iotas-on-emcb": (["emcb"], {"iotas": [3], "emcb_draws": 10}),
     "noiseless-with-emcb": (["mse-vs-snr"], {"noiseless": True,
                                              "estimators": ["simplified:3", "emcb"]}),
     "emcb-noiseless": (["emcb"], {"noiseless": True, "emcb_draws": 10}),
     "config-aliasing-offsets": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "offsets": [0, 4]}}),
+    "estimators-on-mse-vs-iota": (["mse-vs-iota", "--iotas", "2,7"],
+                                  {"estimators": ["ml_grid", "simplified_rs:3"]}),
 }
 
 
@@ -311,6 +315,54 @@ class TestRunMseVsIota:
             assert r.analytic_mse is None
 
 
+class TestIndexGrouping:
+    """One estimate_simplified call per frame and kind moves no CSV byte."""
+
+    @pytest.fixture()
+    def spec(self, ref_cfg_b, ref_profile):
+        return ExperimentSpec(config=ref_cfg_b, profile=ref_profile,
+                              estimators=("simplified:1",), snr_points_db=(0.0, 15.0),
+                              trials=6, seed=11)
+
+    @staticmethod
+    def one_estimator_csv(spec):
+        """The CSV of `spec` assembled from one campaign per estimator."""
+        alone = {e: run_mse_vs_snr(replace(spec, estimators=(e,))) for e in spec.estimators}
+        return rows_to_csv([alone[e][s] for s in range(len(spec.snr_points_db))
+                            for e in spec.estimators])
+
+    def test_sweep_rows_match_one_estimator_campaigns(self, spec):
+        sweep = run_mse_vs_iota(spec, range(1, 16))
+        for i in range(1, 16):
+            alone = run_mse_vs_snr(replace(spec, estimators=(f"simplified:{i}",)))
+            assert rows_to_csv([r for r in sweep if r.iota == i]) == rows_to_csv(alone)
+
+    def test_mixed_spec_matches_one_estimator_campaigns(self, spec):
+        # the acceptance layout: three grouped cbts indices and lone rs and ML
+        spec = replace(spec, estimators=("simplified:5", "simplified:7", "simplified:9",
+                                         "simplified_rs:7", "ml_grid"))
+        assert rows_to_csv(run_mse_vs_snr(spec)) == self.one_estimator_csv(spec)
+
+    def test_degenerate_rows_counted(self, spec, monkeypatch):
+        from cfolab import estimator
+
+        lag_sums = estimator.stack
+
+        def cut(frame, cfg):
+            sums = lag_sums(frame, cfg)
+            sums[9] = 0.0
+            return sums
+
+        monkeypatch.setattr(estimator, "stack", cut)
+        spec = replace(spec, estimators=tuple(f"simplified:{i}" for i in (5, 7, 9, 11)))
+        rows = run_mse_vs_snr(spec)
+        for r in rows:
+            degenerate = r.iota in (7, 9)
+            assert r.degenerate_count == (spec.trials if degenerate else 0)
+            assert (r.empirical_mse is None) == degenerate
+        assert rows_to_csv(rows) == self.one_estimator_csv(spec)
+
+
 class TestIotaSweepReferenceScale:
     """Empirical index sweeps reproduce the reference near-optimal sets."""
 
@@ -443,7 +495,7 @@ class TestCli:
             "trials": 5, "seed": 2,
         }
         data.update(overrides)
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
 
     def test_estimate_runs(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
@@ -464,7 +516,7 @@ class TestCli:
 
     def test_mse_vs_iota_flag(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
-        self._write_toy_json(cfg_file)
+        self._write_toy_json(cfg_file, estimators=None)
         rc = cli_main(["mse-vs-iota", "--config", str(cfg_file), "--iotas", "1,3"])
         out = capsys.readouterr().out
         assert rc == 0
