@@ -21,19 +21,18 @@ The mirrored-diagonal construction makes the estimator's output for diagonal
 index i identical to that for Q - i (the phase ratio is the same), so every
 quantity here is symmetric under i <-> Q - i.
 
-The EMCB averages the deterministic single-snapshot Cramer-Rao bound over
-channel realizations; it benchmarks how close the estimator gets to the best
-any unbiased estimator could do on the same frames.
+The EMCB averages the single-snapshot Cramer-Rao bound over Rayleigh channels,
+exactly, by one integral over the eigenvalues of the bound's core; it shows how
+close the estimator gets to the best any unbiased estimator could do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelProfile, draw_channel, signal_power
+from .channel import ChannelProfile
 from .estimator import DegenerateDiagonalError
-from .numerics import RandomSource
-from .training import ConfigError, SystemConfig, build_training, period_gram
+from .training import ConfigError, SystemConfig, TrainingSet, build_training, period_gram
 
 # |sum of comb phasors| below this is treated as a blind diagonal.
 DEGENERATE_PHASE_SUM = 1e-9
@@ -192,62 +191,68 @@ def optimal_diag_indices(gamma: float, cfg: SystemConfig,
     return tuple(sorted(i for i, v in values.items() if v <= cutoff))
 
 
-def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
-         rng: RandomSource) -> tuple[float, ...]:
-    """Extended Miller-Chang bound: snapshot CRB averaged over channel draws,
-    one value per point of `snr_db`, in its order.
-
-    A draw's bound denominator is the sum over receive antennas r of
-    h_r^H W^H (I - U U^H) W h_r, where S is the N x (n_tx*L) model matrix
-    (`model_matrix`), W = diag(n + N_g) S and U an orthonormal basis of the
-    column space of S.  S factors as Fbar^H M: Fbar holds the comb rows of
-    the unitary N-point DFT, whose rows are orthonormal, and M is the
-    block-diagonal (n_tx*P) x (n_tx*L) comb response, the pilots times
-    exp(-j*2*pi*comb*l/N).  So the core is M^H (B_2 - B_1 Pi B_1) M, where
-    B_k = Fbar diag((n + N_g)^k) Fbar^H has entry (a, b) equal to
-    fft((n + N_g)^k)[(comb_a - comb_b) mod N] / N and Pi projects onto the
-    column space of M.  Pi comes from a rank-revealing SVD of M's blocks;
-    with chan_len >= pilot_len (the reference preset) each block has full
-    row rank and Pi = I.  Neither S nor its SVD is formed, and only M's
-    columns of the profile's D delays are kept: the core is
-    (n_tx*D) x (n_tx*D).
-
-    Draw k takes its taps from `rng.child(k)`.  The quadratic forms of all
-    draws are one einsum, which uses no BLAS threads and gives each draw a
-    value independent of the others.  The noise variance per SNR point is
-    the draws' mean `signal_power` over the SNR, the harness's convention.
+def _bound_core(cfg: SystemConfig, profile: ChannelProfile, ts: TrainingSet) -> np.ndarray:
+    """Core C of the bound's denominator X = sum_r h_r^H C h_r, h_r the taps on
+    the profile's D delays, transmit-major.  C = W^H (I - U U^H) W with
+    W = diag(n + N_g) S, S the model matrix (`model_matrix`) and U a basis of
+    its columns.  S = Fbar^H M, Fbar the comb rows of the unitary DFT and M the
+    block-diagonal comb response, so C = M^H B_2 M - (B_1 M)^H Pi (B_1 M), with
+    B_k[a, b] = g_k[comb_a - comb_b], g_k = fft((n + N_g)^k) / N, and Pi the
+    projector onto M's columns.  Each P x P block of B_k is circulant (comb =
+    offset + Q*p), so B_k M is a P-point FFT convolution.  On a comb, M's
+    columns are spanned by the constant-modulus pilots times the first
+    min(L, P) P-point DFT columns, so Pi's factor is an inverse FFT of the
+    phase-stripped rows (Pi = I if L >= P).
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+    n, p, k = cfg.n_subcarriers, cfg.pilot_len, cfg.n_tx * len(profile.delays)
+    offsets = np.asarray(cfg.offsets)
+    combs = offsets[:, None] + cfg.n_periods * np.arange(p)
+    # M's diagonal blocks on the delays, (n_tx, P, D)
+    m = ts.freq_pilots[..., None] * np.exp(
+        -2j * np.pi * combs[..., None] * np.asarray(profile.delays) / n)
+    g = np.fft.fft(np.arange(cfg.cp_len, cfg.cp_len + n) ** np.array([[1.0], [2.0]])) / n
+    # first column of the circulant block (mu, nu) of B_1 and B_2
+    first_col = g[:, combs[:, None] - offsets[:, None]]
+    b1m, b2m = np.fft.ifft(np.fft.fft(first_col)[..., None] * np.fft.fft(m, axis=1),
+                           axis=3)  # [mu, nu, p, d]: block (mu, nu) of B_k times M_nu
+    phases = ts.freq_pilots.conj() / np.abs(ts.freq_pilots)
+    a = np.fft.ifft(phases[:, None, :, None] * b1m, axis=2, norm="ortho")  # [mu, nu, l, d]
+    a = a[:, :, :min(cfg.chan_len, p)].transpose(0, 2, 1, 3).reshape(-1, k)
+    return (np.einsum("mpd,mnpe->mdne", m.conj(), b2m).reshape(k, k)
+            - np.einsum("ik,ij->kj", a.conj(), a))
+
+
+def mean_inverse(eigenvalues: np.ndarray, n_rx: int, nodes: int = 417) -> float:
+    """E[1/X] for X = sum_k lambda_k G_k, the G_k independent Gamma(n_rx, 1):
+    int_0^inf prod_k (1 + s*lambda_k)^(-n_rx) ds, by the trapezoid rule in
+    u = log s, where the integrand decays exponentially at both ends, from 40
+    e-folds below 1/max(lambda) to 40 above 1/min(lambda).  Eigenvalues below
+    1e-10 of the largest count as zero.  With n_rx * rank <= 1 (one antenna,
+    one eigenvalue: X is exponential) the mean is infinite, a ConfigError.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    lam = lam[lam > 1e-10 * lam.max(initial=0.0)]
+    if n_rx * lam.size <= 1:
+        raise ConfigError(f"the bound diverges: n_rx * rank = {n_rx * lam.size} <= 1, "
+                          "so its mean over channels is infinite")
+    log_lam = np.log(lam)
+    u = np.linspace(-log_lam.max() - 40.0, -log_lam.min() + 40.0, nodes)
+    f = np.exp(u - n_rx * np.logaddexp(0.0, u[:, None] + log_lam).sum(axis=1))
+    return float((u[1] - u[0]) * f.sum())
+
+
+def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db) -> tuple[float, ...]:
+    """Extended Miller-Chang bound per point of `snr_db`: the snapshot CRB
+    N * sigma^2 / (8*pi^2 * X) averaged exactly over taps CN(0, p_l).  X is a
+    sum of Gamma(n_rx) variables weighted by the eigenvalues of
+    Sigma^(1/2) C Sigma^(1/2), C the `_bound_core` and Sigma the profile's
+    powers tiled over transmit antennas; N * sigma^2 is the expected frame
+    energy sum_mu ||s_mu||^2 (the powers sum to 1) over the SNR.
+    """
     ts = build_training(cfg, "cbts")
-    n, p, l, nt, delays = (cfg.n_subcarriers, cfg.pilot_len, cfg.chan_len, cfg.n_tx,
-                           list(profile.delays))
-    combs = np.array([cfg.lattice(mu) for mu in range(nt)])
-    # M's diagonal blocks, (n_tx, P, L); M's singular values are theirs
-    blocks = ts.freq_pilots[:, :, None] * np.exp(-2j * np.pi * combs[..., None] * np.arange(l) / n)
-    u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
-    m = np.zeros((nt, p, nt, len(delays)), dtype=complex)
-    m[range(nt), :, range(nt)] = blocks[..., delays]  # M's columns of the delays
-    m = m.reshape(nt * p, -1)
-    combs = combs.ravel()
-    ramp = np.arange(cfg.cp_len, cfg.cp_len + n, dtype=float)
-    b1, b2 = (np.fft.fft(ramp ** k)[np.subtract.outer(combs, combs) % n] / n for k in (1, 2))
-    b1m = (b1 @ m).reshape(nt, p, -1)
-    keep = sv > 1e-10 * sv.max()
-    a = np.concatenate([u[mu][:, keep[mu]].conj().T @ b1m[mu] for mu in range(nt)])
-    core = m.conj().T @ b2 @ m - a.conj().T @ a  # (n_tx*D) x (n_tx*D)
-
-    taps = np.empty((n_draws, cfg.n_rx, nt, len(delays)), dtype=complex)
-    for k in range(n_draws):
-        taps[k] = draw_channel(profile, cfg, rng.child(k).generator())[..., delays]
-    h = taps.reshape(n_draws, cfg.n_rx, -1)
-    quad = np.einsum("kri,ij,krj->k", h.conj(), core, h).real
-    if np.any(quad <= 0.0):
-        raise ConfigError(
-            "bound denominator vanished: this training cannot resolve the offset"
-        )
-    mean_power = float(np.mean(signal_power(ts, profile, taps)))
-
-    return tuple(float(np.mean(n * (mean_power / 10.0 ** (db / 10.0))
-                               / (8.0 * np.pi ** 2 * quad)))
+    sd = np.sqrt(np.tile(profile.powers_linear, cfg.n_tx))
+    inv = mean_inverse(np.linalg.eigvalsh(sd[:, None] * _bound_core(cfg, profile, ts) * sd),
+                       cfg.n_rx)
+    energy = np.vdot(ts.time_sequences, ts.time_sequences).real
+    return tuple(float(energy * inv / (8.0 * np.pi ** 2 * 10.0 ** (db / 10.0)))
                  for db in map(float, np.atleast_1d(snr_db)))

@@ -25,9 +25,9 @@ frame's 15 indices cost about 80 us in one call, not 260 in 15.
 
 The score products of one frame stay on the calling thread: `likelihood`
 splits a table too large for OpenBLAS's single-thread path into row blocks
-below SERIAL_BLAS_ELEMENTS.  Elsewhere only the few small products and the
-SVD that build the bound's core, once per campaign (`analysis.emcb`), may use
-BLAS threads.
+below SERIAL_BLAS_ELEMENTS.  The bound (`analysis.emcb`) takes only FFTs,
+einsums and the eigenvalues of an (n_tx*D)-square matrix (18 x 18 at the
+reference dimensions), which stay on the calling thread too.
 """
 
 from __future__ import annotations

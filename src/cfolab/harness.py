@@ -5,8 +5,7 @@ under the campaign seed, so a campaign is a pure function of (spec, seed):
 
 * ``(0,)``: the random-training draw;
 * ``(1, t)``: trial t's channel taps, then its offset;
-* ``(2, s, t)``: the unit noise of SNR point s and trial t;
-* ``(3, k)``: the bound's channel draw k.
+* ``(2, s, t)``: the unit noise of SNR point s and trial t.
 
 No key depends on the trial count or the number of SNR points, so the draws
 are prefix-stable: trials 0..T-1 of a longer campaign draw what a T-trial
@@ -16,9 +15,6 @@ mean signal power over every trial of the campaign.
 Campaigns estimate one frame at a time with the `estimate_*` functions that
 `bench` and `cfolab estimate` run, a training kind's simplified indices in one
 call; the ML baseline's phase tables are built once per campaign.
-`analysis.emcb` takes all its draws' quadratic forms in one einsum, without
-BLAS threads, so no value depends on the draws around it or on the BLAS
-thread count.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
 stacked frame, the (Q,) array of its lag sums, in two passes.  The first
@@ -73,7 +69,7 @@ class ExperimentSpec:
     epsilon_mode: str = "uniform"   # "uniform" | "fixed"
     epsilon_value: float = 0.0
     noiseless: bool = False
-    emcb_draws: int = 500
+    emcb_draws: int = 500  # echoed in the emcb rows' trials column, changes no value
 
     def __post_init__(self):
         for key, least in (("trials", 1), ("seed", 0), ("emcb_draws", 1)):
@@ -232,6 +228,8 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
     cfg = spec.config
     parsed = [(e, *parse_estimator_id(e, cfg)) for e in spec.estimators]
     mc_ids = [p for p in parsed if p[1] != "emcb"]
+    # before the trials, so a bound that diverges fails fast
+    bound_rows = run_emcb(spec) if any(p[1] == "emcb" for p in parsed) else []
 
     # the noiseless bias floor depends on the index alone, not on the SNR;
     # indices whose diagonal sum can vanish get no prediction
@@ -283,9 +281,7 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
                 analytic_mse=analytic, emcb=None, mean_runtime_us=None,
                 degenerate_count=spec.trials - len(errs)))
 
-    if any(p[1] == "emcb" for p in parsed):
-        rows.extend(run_emcb(spec))
-    return rows
+    return rows + bound_rows
 
 
 def run_mse_vs_iota(spec: ExperimentSpec, iota_list: Iterable[int]) -> list[ResultRow]:
@@ -298,8 +294,7 @@ def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
     """Bound rows matching the campaign CSV schema (empirical column empty)."""
     if spec.noiseless:
         raise ConfigError("a noiseless campaign has no noise for emcb to bound")
-    values = analysis.emcb(spec.config, spec.profile, spec.snr_points_db,
-                           spec.emcb_draws, RandomSource(spec.seed, (3,)))
+    values = analysis.emcb(spec.config, spec.profile, spec.snr_points_db)
     return [ResultRow(estimator="emcb", snr_db=db, iota=None,
                       trials=spec.emcb_draws, empirical_mse=None,
                       analytic_mse=None, emcb=val, mean_runtime_us=None,

@@ -61,12 +61,11 @@ class RandomSource:
     give statistically independent streams, and `child` extends the key, so
     streams are laid out by purpose and index without arithmetic on ids.
     A campaign's layout (`harness`) is (0,) for the random training, (1, t)
-    for trial t's channel and offset, (2, s, t) for its unit noise at SNR
-    point s and (3, k) for bound draw k.  No key holds the trial count, so
-    the draws are prefix-stable; the noise scale is not, as it follows the
-    mean signal power of the whole campaign.  Parallel workers must each own
-    their stream: a RandomSource is a factory, the generators it hands out
-    are single-owner.
+    for trial t's channel and offset and (2, s, t) for its unit noise at SNR
+    point s.  No key holds the trial count, so the draws are prefix-stable;
+    the noise scale is not, as it follows the mean signal power of the whole
+    campaign.  Parallel workers must each own their stream: a RandomSource is
+    a factory, the generators it hands out are single-owner.
     """
 
     seed: int

@@ -16,8 +16,8 @@ from typing import IO
 import numpy as np
 
 import cfolab
-from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
-                    TrainingSet, build_training, diag_ratio, draw_channel,
+from cfolab import (ChannelProfile, ConfigError, SystemConfig,
+                    TrainingSet, build_training, diag_ratio,
                     model_matrix, period_gram)
 from cfolab.channel import _check_cfo
 from cfolab.estimator import COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid
@@ -306,26 +306,40 @@ def projection_complement(basis: np.ndarray) -> np.ndarray:
     return np.eye(basis.shape[0]) - ur @ ur.conj().T
 
 
-def emcb_per_draw(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
-                  rng: RandomSource) -> tuple[float, ...]:
-    """The bound with one loop iteration per draw and receive antenna, from
-    the N-row model matrix S and its SVD projector: the quadratic form
-    h^H core h and the signal power ||S h||^2 of each receive antenna's flat
-    taps taken one vector at a time."""
+def bound_core_full(cfg: SystemConfig, profile: ChannelProfile) -> np.ndarray:
+    """The bound's core W^H (I - U U^H) W from the N-row model matrix S and its
+    SVD projector, W = diag(n + N_g) S, on the columns of the profile's delays."""
     s = model_matrix(build_training(cfg, "cbts"), cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s
     core = weighted.conj().T @ projection_complement(s) @ weighted
-    quad, power = np.empty(n_draws), np.empty(n_draws)
-    for k in range(n_draws):
-        taps = draw_channel(profile, cfg, rng.child(k).generator())
-        hs = [taps[nu].reshape(-1) for nu in range(cfg.n_rx)]
-        quad[k] = sum(float(np.real(h.conj() @ (core @ h))) for h in hs)
-        power[k] = sum(float(np.linalg.norm(s @ h) ** 2) for h in hs) / cfg.n_rx
-    mean_power = float(power.mean())
-    return tuple(float(np.mean(n * mean_power / 10.0 ** (db / 10.0)
-                               / (8.0 * np.pi ** 2 * quad)))
-                 for db in np.atleast_1d(snr_db))
+    cols = (cfg.chan_len * np.arange(cfg.n_tx)[:, None] + list(profile.delays)).ravel()
+    return core[np.ix_(cols, cols)]
+
+
+def emcb_monte_carlo(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws: int,
+                     gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The bound as a Monte Carlo mean over `n_draws` Rayleigh channels, all taps
+    from one `complex_normal` call, with its standard error per SNR point.
+
+    Each draw gives the quadratic form X of `bound_core_full` and the signal
+    power per sample ||S h||^2 averaged over receive antennas; the estimate is
+    N * mean(power) * mean(1/X) / (8 pi^2 snr), and its standard error follows
+    from the two means' variances and covariance (delta method)."""
+    s = model_matrix(build_training(cfg, "cbts"), cfg)
+    cols = (cfg.chan_len * np.arange(cfg.n_tx)[:, None] + list(profile.delays)).ravel()
+    sd = np.sqrt(np.tile(profile.powers_linear, cfg.n_tx))
+    h = sd * complex_normal(gen, (n_draws, cfg.n_rx, len(cols)))
+    inv = 1.0 / np.einsum("kri,ij,krj->k", h.conj(), bound_core_full(cfg, profile), h).real
+    gram = s[:, cols].conj().T @ s[:, cols]
+    power = np.einsum("kri,ij,krj->k", h.conj(), gram, h).real / cfg.n_rx
+    mean_power, mean_inv = power.mean(), inv.mean()
+    cov = np.cov(power, inv) / n_draws
+    rel_se = np.sqrt(cov[0, 0] / mean_power ** 2 + cov[1, 1] / mean_inv ** 2
+                     - 2.0 * cov[0, 1] / (mean_power * mean_inv))
+    scale = cfg.n_subcarriers / (8.0 * np.pi ** 2 * 10.0 ** (np.asarray(snr_db) / 10.0))
+    value = scale * mean_power * mean_inv
+    return value, rel_se * value
 
 
 def run_cli_one_blas_thread(*argv: str) -> None:

@@ -47,14 +47,14 @@ ml_grid,10,,20,8.25548081285e-05,,,,0
 simplified:3,20,3,20,1.88930527835e-05,1.51876324022e-05,,,0
 simplified_rs:3,20,3,20,6.36821886688,,,,0
 ml_grid,20,,20,2.00366164185e-05,,,,0
-emcb,10,,10,,,0.000151731738535,,0
-emcb,20,,10,,,1.51731738535e-05,,0
+emcb,10,,10,,,0.000142507071733,,0
+emcb,20,,10,,,1.42507071733e-05,,0
 """
 
 # sha256 of the CSV of a 30-trial reference-dimension campaign with both
 # training kinds, ml_grid and the bound; the same rule as GOLDEN_TOY_CSV.
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "26411779cfb97c618eee44037d79987a769ec50f7941edb2c63dc5c845c44bcb")
+    "f13d5a7ea644452d29cf4dac0c565cd5d6802a9bcb02691f65fac0c137fd996e")
 
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
@@ -69,6 +69,11 @@ scores              1.157321e+04 2.274731e+04 1.150042e+04 4.425635e+04 1.158009
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
               "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
+# one transmit antenna, one receive antenna and one tap: the bound's mean over
+# channels is infinite
+DIVERGENT_BOUND = {"config": {"n_subcarriers": 64, "pilot_len": 16, "n_tx": 1, "n_rx": 1,
+                              "cp_len": 8, "chan_len": 8, "offsets": [0]},
+                   "profile": {"delays": [0], "powers_db": [0]}}
 # Command lines (given `--config FILE` after them) and overrides of the toy
 # config file that must exit with status 2 and a config error, never a
 # traceback; None writes a top-level JSON list instead of an object, bytes
@@ -102,6 +107,7 @@ MALFORMED_CLI_CASES = {
     "noiseless-with-emcb": (["mse-vs-snr"], {"noiseless": True,
                                              "estimators": ["simplified:3", "emcb"]}),
     "emcb-noiseless": (["emcb"], {"noiseless": True, "emcb_draws": 10}),
+    "emcb-divergent": (["emcb"], DIVERGENT_BOUND),
     "config-aliasing-offsets": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "offsets": [0, 4]}}),
     "estimators-on-mse-vs-iota": (["mse-vs-iota", "--iotas", "2,7"],
                                   {"estimators": ["ml_grid", "simplified_rs:3"]}),
@@ -398,6 +404,14 @@ class TestRunEmcb:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(r.estimator == "emcb" for r in rows)
 
+    def test_divergent_bound_fails_before_the_trials(self, monkeypatch):
+        spec = spec_from_json({**DIVERGENT_BOUND, "snr_points_db": [10],
+                               "estimators": ["simplified:1", "emcb"]})
+        monkeypatch.setattr(harness, "_stacked_frames",
+                            lambda *args: pytest.fail("the trials ran first"))
+        with pytest.raises(ConfigError, match="diverges"):
+            run_mse_vs_snr(spec)
+
     def test_merged_when_requested(self, toy_cfg, toy_profile):
         spec = ExperimentSpec(
             config=toy_cfg, profile=toy_profile,
@@ -558,7 +572,8 @@ class TestCli:
     @pytest.mark.parametrize("field,value", MALFORMED_SPEC_VALUES,
                              ids=MALFORMED_SPEC_IDS)
     def test_malformed_config_exit_code(self, tmp_path, capsys, field, value):
-        # with emcb requested, a zero draw count reaches the bound's own check
+        # with emcb requested; the spec still refuses emcb_draws=0, which the
+        # exact bound never reads
         cfg_file = tmp_path / "bad.json"
         self._write_toy_json(cfg_file, **{"estimators": ["simplified:3", "emcb"],
                                           field: value})
