@@ -3,10 +3,9 @@
 Two independent realizations of the same noiseless received frame are
 provided:
 
-* ``transmit_receive`` simulates the time-domain frame: the cyclic prefix
-  makes the N samples kept after it the circular convolution of each time
-  sequence with its taps, taken as one product of FFTs, then rotated by
-  the CFO.
+* ``transmit_receive`` simulates the time-domain frame: the N samples kept
+  after the cyclic prefix are the circular convolution of each time sequence
+  with its taps, one matrix product on the nonzero delays, rotated by the CFO.
 * ``model_receive`` assembles the equivalent matrix model explicitly and
   multiplies it out.
 
@@ -120,31 +119,31 @@ def transmit_receive(ts: TrainingSet, taps: np.ndarray, cfo: float,
                      cfg: SystemConfig) -> np.ndarray:
     """Noiseless time-domain simulation of one training frame, (n_rx, N) complex.
 
-    Per receive antenna: sum over transmit antennas of the time sequence
-    convolved with the taps, rotated by the CFO ramp.  The cyclic prefix is at
-    least as long as the channel memory, so the N samples kept after it are
-    the circular convolution, taken here as one product of N-point FFTs; the
-    training's own spectra are computed once per TrainingSet.
+    Per receive antenna: the sum over transmit antennas of the time sequence
+    circularly convolved with the taps (the cyclic prefix covers the channel
+    memory), as the taps on their D nonzero delays (none: a zero frame) times
+    the (n_tx * D, N) `TrainingSet.delayed`, rotated by a CFO ramp of one
+    phase per period times one per sample of a period.
     """
     _check_cfo(cfo, cfg)
-    n, ng = cfg.n_subcarriers, cfg.cp_len
+    n, ng, p, q = cfg.n_subcarriers, cfg.cp_len, cfg.pilot_len, cfg.n_periods
     if taps.shape[-1] > ng:
         raise ConfigError("channel memory longer than the cyclic prefix")
-    rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-    spectra = ts.time_spectra * np.fft.fft(taps, n)
-    return rot * np.fft.ifft(spectra.sum(axis=1))
+    delays = np.flatnonzero(taps.any(axis=(0, 1)))
+    frame = taps[..., delays].reshape(len(taps), -1) @ ts.delayed(tuple(delays.tolist()))
+    ramps = np.exp(2j * np.pi * cfo / n * np.concatenate([p * np.arange(q) + ng, np.arange(p)]))
+    frame *= (ramps[:q, None] * ramps[q:]).reshape(n)
+    return frame
 
 
 def signal_power(ts: TrainingSet, profile: ChannelProfile,
                  delay_taps: np.ndarray) -> np.ndarray:
     """Mean power per sample of the noiseless frames of taps (..., n_rx, n_tx, D)
     on the profile's delays, without simulating them: sum over r of
-    h_r^H G h_r / (n_rx N), with G the Gram matrix of the time sequences
-    cyclically delayed by those delays.  Both products are einsums, which
-    never wake the BLAS worker threads.
+    h_r^H G h_r / (n_rx N), with G the Gram matrix of `ts.delayed(delays)`.
+    Both products are einsums, which never wake the BLAS worker threads.
     """
-    cols = np.stack([np.roll(ts.time_sequences, d, axis=1) for d in profile.delays], axis=1)
-    cols = cols.reshape(-1, cols.shape[-1])
+    cols = ts.delayed(profile.delays)
     h = delay_taps.reshape(*delay_taps.shape[:-2], -1)
     quad = np.einsum("...ri,ij,...rj->...", h.conj(), np.einsum("in,jn->ij", cols.conj(), cols), h)
     return quad.real / (h.shape[-2] * cols.shape[-1])

@@ -25,9 +25,9 @@ frame's 15 indices cost about 80 us in one call, not 260 in 15.
 
 The score products of one frame stay on the calling thread: `likelihood`
 splits a table too large for OpenBLAS's single-thread path into row blocks
-below SERIAL_BLAS_ELEMENTS.  The bound (`analysis.emcb`) takes only FFTs,
-einsums and the eigenvalues of an (n_tx*D)-square matrix (18 x 18 at the
-reference dimensions), which stay on the calling thread too.
+below SERIAL_BLAS_ELEMENTS.  At the reference dimensions so do the gemms of
+`channel.transmit_receive` (2 x 18 by 18 x 1024) and `stack` (16 x 128 by
+128 x 16), and the FFTs, einsums and 18 x 18 eigenvalues of `analysis.emcb`.
 """
 
 from __future__ import annotations
@@ -65,18 +65,28 @@ class CfoEstimate:
 
 
 def stack(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Lag sums c of an (n_rx, N) frame: row q of the Q x (n_rx * P) matrix holds
-    period q of every receive antenna, and c_k = sum over r of
-    vdot(matrix[r + k], matrix[r]), the k-th upper-diagonal sum of the sample
-    correlation, which is never formed.  c_0 is the frame energy; no |c_k|
-    exceeds it (Cauchy-Schwarz)."""
+    """Lag sums c of an (n_rx, N) frame: row q of the Q x (n_rx * P) matrix M
+    holds period q of every receive antenna, and c_k = sum over r of
+    G[r + k, r] = vdot(M[r + k], M[r]) with G = conj(M) @ M^T one Gram product:
+    the k-th upper-diagonal sum of the sample correlation G^T, summed by
+    `np.add.reduceat`.  c_0 is the frame energy; no |c_k| exceeds it."""
     n, p, q = cfg.n_subcarriers, cfg.pilot_len, cfg.n_periods
     if frame.shape != (cfg.n_rx, n):
         raise ValueError(
             f"frame shape {frame.shape} does not match config ({cfg.n_rx}, {n})"
         )
     matrix = frame.reshape(cfg.n_rx, q, p).transpose(1, 0, 2).reshape(q, -1)
-    return np.array([np.vdot(matrix[k:], matrix[:q - k]) for k in range(q)])
+    order, starts = _lag_order(q)
+    return np.add.reduceat((matrix.conj() @ matrix.T).ravel()[order], starts)
+
+
+@lru_cache(maxsize=16)
+def _lag_order(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of G[r + k, r], lag by lag, and each lag's start (read-only)."""
+    order = np.concatenate([np.arange(k * q, q * q, q + 1) for k in range(q)])
+    starts = np.r_[0, np.cumsum(np.arange(q, 1, -1))]
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
 
 
 @lru_cache(maxsize=16)

@@ -8,7 +8,7 @@ absorbed into the transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +58,11 @@ class RandomSource:
     A source is a master seed plus a `SeedSequence` spawn key: a tuple of
     non-negative integers naming one node of the seed's stream tree.
     Identical (seed, key) pairs reproduce bit-identical draws; distinct keys
-    give statistically independent streams, and `child` extends the key, so
-    streams are laid out by purpose and index without arithmetic on ids.
-    A campaign's layout (`harness`) is (0,) for the random training, (1, t)
-    for trial t's channel and offset and (2, s, t) for its unit noise at SNR
-    point s.  No key holds the trial count, so the draws are prefix-stable;
+    give statistically independent streams, so streams are laid out by
+    purpose and index without arithmetic on ids.  A campaign's layout
+    (`harness`) is (0,) for the random training, (1, t) for trial t's
+    channel and offset and (2, s, t) for its unit noise at SNR point s.
+    No key holds the trial count, so the draws are prefix-stable;
     the noise scale is not, as it follows the mean signal power of the whole
     campaign.  Parallel workers must each own their stream: a RandomSource is
     a factory, the generators it hands out are single-owner.
@@ -74,7 +74,3 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.default_rng(ss)
-
-    def child(self, *key: int) -> "RandomSource":
-        """Source on the stream below this one named by `key`."""
-        return replace(self, key=self.key + key)

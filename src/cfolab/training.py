@@ -188,13 +188,18 @@ class TrainingSet:
     freq_pilots: np.ndarray = field(repr=False)
     grid_vectors: np.ndarray = field(repr=False)
     time_sequences: np.ndarray = field(repr=False)
+    _delayed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def time_spectra(self) -> np.ndarray:
-        """N-point FFT of each time sequence, computed once (read-only)."""
-        spectra = np.fft.fft(self.time_sequences)
-        spectra.flags.writeable = False
-        return spectra
+    def delayed(self, delays: tuple[int, ...]) -> np.ndarray:
+        """(n_tx * D, N) matrix, row mu * D + k time sequence mu cyclically
+        delayed by delays[k]; the last delays' matrix is held (read-only)."""
+        if delays not in self._delayed:
+            n = self.time_sequences.shape[-1]
+            rows = (np.arange(n) - np.array(delays, dtype=int)[:, None]) % n
+            self._delayed.clear()
+            self._delayed[delays] = self.time_sequences[:, rows].reshape(-1, n)
+            self._delayed[delays].flags.writeable = False
+        return self._delayed[delays]
 
 
 def build_training(cfg: SystemConfig, kind: str = "cbts",

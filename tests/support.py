@@ -289,6 +289,33 @@ def transmit_receive_direct(ts: TrainingSet, taps: np.ndarray, cfo: float,
     return out
 
 
+def transmit_receive_fft(ts: TrainingSet, taps: np.ndarray, cfo: float,
+                         cfg: SystemConfig) -> np.ndarray:
+    """Noiseless frame as one product of N-point FFTs of the time sequences
+    and of every tap column, zero or not, rotated by the CFO ramp over all N
+    samples."""
+    _check_cfo(cfo, cfg)
+    n, ng = cfg.n_subcarriers, cfg.cp_len
+    rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
+    spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(taps, n)
+    return rot * np.fft.ifft(spectra.sum(axis=1))
+
+
+def stack_vdot(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Lag sums of a frame, c_k = vdot(M[k:], M[:Q - k]) of the period rows M,
+    one `np.vdot` per lag."""
+    matrix = period_matrix(frame, cfg)
+    q = cfg.n_periods
+    return np.array([np.vdot(matrix[k:], matrix[:q - k]) for k in range(q)])
+
+
+def edge_offsets(cfg: SystemConfig) -> tuple[float, ...]:
+    """Offsets near 0 and just inside both ends of (-Q/2, Q/2)."""
+    half = cfg.cfo_half_range
+    return (float(np.nextafter(-half, 0.0)), -1e-9, 0.0, 1e-9, 0.37,
+            float(np.nextafter(half, 0.0)))
+
+
 def projection_complement(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the complement of the column space.
 

@@ -8,9 +8,10 @@ from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
 from cfolab.channel import signal_power
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import (circular_convolve, draw_channel_loop, frame_to_csv,
-                     period_matrix, stacked_signal_matrix, steering_matrix,
-                     transmit_receive_direct)
+from support import (circular_convolve, draw_channel_loop, edge_offsets,
+                     frame_to_csv, period_matrix, stacked_signal_matrix,
+                     steering_matrix, transmit_receive_direct,
+                     transmit_receive_fft)
 
 
 class TestChannelProfile:
@@ -135,16 +136,9 @@ class TestOracleEquivalence:
 TOY_PROFILE = ChannelProfile(delays=(0, 2, 7), powers_db=(0.0, -3.0, -6.0))
 
 
-def _edge_offsets(cfg):
-    """Offsets near 0 and just inside both ends of (-Q/2, Q/2)."""
-    half = cfg.cfo_half_range
-    return (float(np.nextafter(-half, 0.0)), -1e-9, 0.0, 1e-9, 0.37,
-            float(np.nextafter(half, 0.0)))
-
-
 class TestFftSimulation:
-    """The FFT frame against the direct linear-convolution loop, and the
-    one-call channel draw against the tap-by-tap loop."""
+    """The simulated frame against the direct linear-convolution loop and the
+    FFT oracle, and the one-call channel draw against the tap-by-tap loop."""
 
     @pytest.mark.parametrize("kind", ["cbts", "rs"])
     @pytest.mark.parametrize("cfg,profile", [
@@ -157,29 +151,63 @@ class TestFftSimulation:
         ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
         for seed in range(3):
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
-            for cfo in _edge_offsets(cfg):
+            for cfo in edge_offsets(cfg):
                 direct = transmit_receive_direct(ts, ch, cfo, cfg)
                 fft = transmit_receive(ts, ch, cfo, cfg)
                 assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("kind", ["cbts", "rs"])
     @pytest.mark.parametrize("which", ["toy", "reference"])
-    def test_held_spectra_give_same_bits(self, which, kind, toy_cfg, toy_profile,
-                                         ref_cfg_b, ref_profile):
-        # the training's spectra, taken once per TrainingSet, against the
-        # formula that takes them on every call
+    def test_frame_kernel_matches_fft_oracle(self, which, kind, toy_cfg, toy_profile,
+                                             ref_cfg_b, ref_profile):
+        # the product over the nonzero delays with a per-period ramp against
+        # the FFTs of every tap column with the ramp over all N samples
         cfg, profile = ((toy_cfg, toy_profile) if which == "toy"
                         else (ref_cfg_b, ref_profile))
         ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
-        n, ng = cfg.n_subcarriers, cfg.cp_len
         for seed in range(3):
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
-            for cfo in _edge_offsets(cfg):
-                rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-                spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(ch, n)
-                want = rot * np.fft.ifft(spectra.sum(axis=1))
-                assert np.array_equal(transmit_receive(ts, ch, cfo, cfg), want)
-        assert not ts.time_spectra.flags.writeable
+            for cfo in edge_offsets(cfg):
+                want = transmit_receive_fft(ts, ch, cfo, cfg)
+                got = transmit_receive(ts, ch, cfo, cfg)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["cbts", "rs"])
+    def test_frame_kernel_cache_warm_and_cold_same_bits(self, kind, ref_cfg_b, ref_profile):
+        ch = draw_channel(ref_profile, ref_cfg_b, RandomSource(4, (1,)).generator())
+        rng = RandomSource(3, (0,)) if kind == "rs" else None
+        warm = build_training(ref_cfg_b, kind, rng)
+        first = transmit_receive(warm, ch, 2.3, ref_cfg_b)
+        held = warm.delayed(ref_profile.delays)
+        assert not held.flags.writeable
+        assert held.shape == (ref_cfg_b.n_tx * len(ref_profile.delays), ref_cfg_b.n_subcarriers)
+        assert transmit_receive(warm, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
+        assert warm.delayed(ref_profile.delays) is held
+        # taps on other delays replace the held matrix; the next call rebuilds it
+        other = ch.copy()
+        other[..., 4] = 0.0
+        transmit_receive(warm, other, 2.3, ref_cfg_b)
+        assert transmit_receive(warm, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
+        cold = build_training(ref_cfg_b, kind, rng)
+        assert transmit_receive(cold, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
+
+    def test_frame_kernel_zero_delay_column(self, toy_cfg, toy_profile):
+        # a profile delay whose taps are all zero drops out of the product
+        ts = build_training(toy_cfg, "cbts")
+        ch = draw_channel(toy_profile, toy_cfg, RandomSource(2, (1,)).generator())
+        ch[..., 2] = 0.0
+        for cfo in edge_offsets(toy_cfg):
+            want = transmit_receive_fft(ts, ch, cfo, toy_cfg)
+            got = transmit_receive(ts, ch, cfo, toy_cfg)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_frame_kernel_zero_taps_zero_frame(self, toy_cfg):
+        ts = build_training(toy_cfg, "cbts")
+        taps = np.zeros((toy_cfg.n_rx, toy_cfg.n_tx, toy_cfg.chan_len), complex)
+        frame = transmit_receive(ts, taps, 0.37, toy_cfg)
+        assert frame.shape == (toy_cfg.n_rx, toy_cfg.n_subcarriers)
+        assert np.all(frame == 0)
+        assert np.all(transmit_receive_fft(ts, taps, 0.37, toy_cfg) == 0)
 
     @pytest.mark.parametrize("which", ["toy", "reference"])
     def test_draw_matches_tap_loop(self, which, toy_cfg, toy_profile, ref_cfg_b,

@@ -11,9 +11,9 @@ from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
                               _phases, _serial_product, candidate_grid,
                               diag_ratio, integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
-from support import (curvature_factor, derivative_factor_residual,
+from support import (curvature_factor, derivative_factor_residual, edge_offsets,
                      likelihood_trace, ml_grid_fresh, period_matrix, sample_corr,
-                     simplified_fresh, upper_diagonal_sums)
+                     simplified_fresh, stack_vdot, upper_diagonal_sums)
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -69,6 +69,27 @@ class TestStack:
         # the scale of `diag_ratio`'s threshold: no lag sum exceeds the energy c_0
         for c in campaign_frames:
             assert np.all(np.abs(c) <= c[0].real)
+
+    @pytest.mark.parametrize("kind", ["cbts", "rs"])
+    @pytest.mark.parametrize("which", ["toy", "reference"])
+    def test_lag_kernel_matches_vdot_oracle(self, which, kind, toy_cfg, toy_profile,
+                                            ref_cfg_b, ref_profile):
+        # the Gram product's lag sums against one vdot per lag, on noiseless
+        # and noisy frames, relative to the energy c_0
+        cfg, profile = ((toy_cfg, toy_profile) if which == "toy"
+                        else (ref_cfg_b, ref_profile))
+        ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
+        for seed in range(3):
+            ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
+            for cfo in edge_offsets(cfg):
+                clean = transmit_receive(ts, ch, cfo, cfg)
+                for var in (0.0, 0.1, 1.0):
+                    gen = RandomSource(seed, (2, 0, 0)).generator()
+                    frame = add_noise({kind: clean}, {kind: var}, gen)[kind]
+                    want = stack_vdot(frame, cfg)
+                    got = stack(frame, cfg)
+                    assert got[0].imag == 0.0
+                    assert np.max(np.abs(got - want)) <= 1e-15 * want[0].real
 
     def test_shape_mismatch_rejected(self, toy_cfg):
         with pytest.raises(ValueError):
@@ -379,7 +400,7 @@ class TestOffsetTable:
 # index (`estimator_bits`).  The golden CSVs pin only the values; a change that
 # moves any score, candidate, ratio or value updates this digest and says so.
 ESTIMATOR_BITS_SHA256 = (
-    "09ff3f394589bd96b60423ffa2fd2292b7afb9c3b6dd2b021f097b65c43ebbfb")
+    "433fe00016d0fecd9cce96b8de9da14bd583cd0d906e0b7feeff57f0011acfaa")
 
 
 def estimator_bits(frames, cfg, digest):

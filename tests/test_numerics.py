@@ -88,9 +88,7 @@ class TestRandomSource:
         assert not np.array_equal(a, c)
 
     def test_stream_helper(self):
-        # child extends the key; the key is the SeedSequence spawn key
-        assert RandomSource(5).child(3) == RandomSource(5, (3,))
-        assert RandomSource(5, (1,)).child(2, 3) == RandomSource(5, (1, 2, 3))
+        # the key is the SeedSequence spawn key
         ss = np.random.SeedSequence(5, spawn_key=(1, 2))
         assert np.array_equal(RandomSource(5, (1, 2)).generator().standard_normal(8),
                               np.random.default_rng(ss).standard_normal(8))
