@@ -5,7 +5,7 @@ provided:
 
 * ``transmit_receive`` simulates the time-domain frame: the N samples kept
   after the cyclic prefix are the circular convolution of each time sequence
-  with its taps, one matrix product on the nonzero delays, rotated by the CFO.
+  with its taps, one matrix product on the profile's delays, rotated by the CFO.
 * ``model_receive`` assembles the equivalent matrix model explicitly and
   multiplies it out.
 
@@ -13,7 +13,7 @@ The two agree to ~1e-12 relative; that cross-check is the main correctness
 oracle of the repository, so keep the paths independent.
 
 A frame is a plain (n_rx, N) complex array, and a channel realization a
-plain (n_rx, n_tx, chan_len) array of taps, zero off the profile's delays
+plain (n_rx, n_tx, D) array of taps on the profile's D delays
 (`draw_channel`).  ``add_noise`` is the one place noise enters a frame; the
 caller supplies the generators and the variance.
 In a campaign (``harness``) trial t's channel and offset come from spawn key
@@ -65,6 +65,13 @@ class ChannelProfile:
     def length(self) -> int:
         return self.delays[-1] + 1
 
+    def check_fits(self, cfg: SystemConfig) -> None:
+        """Refuse a profile whose last delay lies past chan_len (<= cp_len)."""
+        if self.length > cfg.chan_len:
+            raise ConfigError(
+                f"profile length {self.length} exceeds configured chan_len {cfg.chan_len}"
+            )
+
     @cached_property
     def powers_linear(self) -> np.ndarray:
         # relative to the strongest tap, so no finite dB list overflows to inf
@@ -87,24 +94,17 @@ def reference_profile() -> ChannelProfile:
 
 def draw_channel(profile: ChannelProfile, cfg: SystemConfig,
                  gen: np.random.Generator) -> np.ndarray:
-    """Independent circular Gaussian taps CN(0, p_l) on the profile's delay grid,
-    an (n_rx, n_tx, chan_len) array that is zero off the delays.
+    """Independent circular Gaussian taps CN(0, p_l) on the profile's D delays, (n_rx, n_tx, D).
 
     Draws from a running generator, so a caller can draw the channel and other
     trial quantities from one stream.  One draw holds, tap by tap in delay
     order, all real parts and then all imaginary parts: the order of
     `complex_normal` taken per tap.
     """
-    if profile.length > cfg.chan_len:
-        raise ConfigError(
-            f"profile length {profile.length} exceeds configured chan_len {cfg.chan_len}"
-        )
+    profile.check_fits(cfg)
     unit = gen.standard_normal((len(profile.delays), 2, cfg.n_rx, cfg.n_tx))
     scale = np.sqrt(profile.powers_linear / 2.0)[:, None, None]
-    taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
-    values = scale * (unit[:, 0] + 1j * unit[:, 1])  # (taps, n_rx, n_tx)
-    taps[..., list(profile.delays)] = np.moveaxis(values, 0, -1)
-    return taps
+    return np.moveaxis(scale * (unit[:, 0] + 1j * unit[:, 1]), 0, -1)
 
 
 def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
@@ -115,36 +115,33 @@ def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
         )
 
 
-def transmit_receive(ts: TrainingSet, taps: np.ndarray, cfo: float,
-                     cfg: SystemConfig) -> np.ndarray:
+def transmit_receive(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
+                     cfo: float, cfg: SystemConfig) -> np.ndarray:
     """Noiseless time-domain simulation of one training frame, (n_rx, N) complex.
 
     Per receive antenna: the sum over transmit antennas of the time sequence
     circularly convolved with the taps (the cyclic prefix covers the channel
-    memory), as the taps on their D nonzero delays (none: a zero frame) times
-    the (n_tx * D, N) `TrainingSet.delayed`, rotated by a CFO ramp of one
-    phase per period times one per sample of a period.
+    memory), as the taps times the (n_tx * D, N) `TrainingSet.delayed`, rotated
+    by a CFO ramp of one phase per period times one per sample of a period.
     """
     _check_cfo(cfo, cfg)
+    profile.check_fits(cfg)
     n, ng, p, q = cfg.n_subcarriers, cfg.cp_len, cfg.pilot_len, cfg.n_periods
-    if taps.shape[-1] > ng:
-        raise ConfigError("channel memory longer than the cyclic prefix")
-    delays = np.flatnonzero(taps.any(axis=(0, 1)))
-    frame = taps[..., delays].reshape(len(taps), -1) @ ts.delayed(tuple(delays.tolist()))
+    frame = taps.reshape(cfg.n_rx, -1) @ ts.delayed(profile.delays)
     ramps = np.exp(2j * np.pi * cfo / n * np.concatenate([p * np.arange(q) + ng, np.arange(p)]))
     frame *= (ramps[:q, None] * ramps[q:]).reshape(n)
     return frame
 
 
 def signal_power(ts: TrainingSet, profile: ChannelProfile,
-                 delay_taps: np.ndarray) -> np.ndarray:
+                 taps: np.ndarray) -> np.ndarray:
     """Mean power per sample of the noiseless frames of taps (..., n_rx, n_tx, D)
     on the profile's delays, without simulating them: sum over r of
     h_r^H G h_r / (n_rx N), with G the Gram matrix of `ts.delayed(delays)`.
     Both products are einsums, which never wake the BLAS worker threads.
     """
     cols = ts.delayed(profile.delays)
-    h = delay_taps.reshape(*delay_taps.shape[:-2], -1)
+    h = taps.reshape(*taps.shape[:-2], -1)
     quad = np.einsum("...ri,ij,...rj->...", h.conj(), np.einsum("in,jn->ij", cols.conj(), cols), h)
     return quad.real / (h.shape[-2] * cols.shape[-1])
 
@@ -186,16 +183,18 @@ def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:
     return f_bar.conj().T @ (pilot_diag[:, None] * f_breve)
 
 
-def model_receive(ts: TrainingSet, taps: np.ndarray, cfo: float,
-                  cfg: SystemConfig) -> np.ndarray:
+def model_receive(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
+                  cfo: float, cfg: SystemConfig) -> np.ndarray:
     """Noiseless (n_rx, N) frame from the assembled matrix model (the oracle path).
 
     Receive antenna nu's taps enter flat in transmit-major order,
-    `taps[nu].reshape(-1)`, the column layout of the model matrix.
+    `taps[nu].reshape(-1)`, against model matrix columns chan_len * mu + delays[k].
     """
     _check_cfo(cfo, cfg)
+    profile.check_fits(cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
-    s = model_matrix(ts, cfg)
+    cols = (cfg.chan_len * np.arange(cfg.n_tx)[:, None] + list(profile.delays)).ravel()
+    s = model_matrix(ts, cfg)[:, cols]
     front = np.sqrt(n) * np.exp(2j * np.pi * cfo * ng / n)
     ramp = phase_ramp(n, cfo, n)
     return np.vstack([front * ramp * (s @ taps[nu].reshape(-1)) for nu in range(cfg.n_rx)])

@@ -20,7 +20,7 @@ call; the ML baseline's phase tables are built once per campaign.
 stacked frame, the (Q,) array of its lag sums, in two passes.  The first
 draws every trial's taps and offset and takes the mean signal power from the
 taps; the second walks the trials in order, simulates each trial's frames
-once from one reused tap array and yields them point by point.  A campaign
+once from its taps and yields them point by point.  A campaign
 holds its taps and offsets, about 0.6 KB per trial at the reference
 dimensions (576 B of taps and an 8 B offset), never all its frames.  The
 frames that `bench` and `cfolab estimate` run on are trial 0 at the first SNR
@@ -72,6 +72,7 @@ class ExperimentSpec:
     emcb_draws: int = 500  # echoed in the emcb rows' trials column, changes no value
 
     def __post_init__(self):
+        self.profile.check_fits(self.config)
         for key, least in (("trials", 1), ("seed", 0), ("emcb_draws", 1)):
             value = getattr(self, key)
             if not is_integer(value) or value < least:
@@ -137,15 +138,11 @@ def parse_estimator_id(est_id: str, cfg: SystemConfig):
     if name in ("simplified", "simplified_rs"):
         if not arg:
             raise ConfigError(f"{name} needs a diagonal index, e.g. '{name}:7'")
-        try:
-            idx = int(arg)
-        except ValueError:
-            raise ConfigError(f"diagonal index must be an integer, got {arg!r}") from None
-        if not 1 <= idx <= cfg.n_periods - 1:
-            raise ConfigError(
-                f"diagonal index {idx} out of range [1, {cfg.n_periods - 1}]"
-            )
-        return ("simplified", "cbts" if name == "simplified" else "rs", idx)
+        # one spelling per index, so no two ids of one index pass the repeat check
+        if arg not in map(str, range(1, cfg.n_periods)):
+            raise ConfigError(f"diagonal index must be an integer in [1, {cfg.n_periods - 1}] "
+                              f"in plain decimal, got {arg!r}")
+        return ("simplified", "cbts" if name == "simplified" else "rs", int(arg))
     raise ConfigError(f"unknown estimator id {est_id!r}")
 
 
@@ -170,22 +167,21 @@ def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
 def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     """Yield (snr_index, cfo, {kind: lag sums of the noisy frame}), trial-major.
 
-    Pass 1 draws each trial's taps, then its offset, on key (1, trial) and
-    keeps the taps on the profile's delays: a point's noise variance per
-    training kind is the mean `signal_power` of every trial over the SNR.
-    Pass 2 writes each trial's taps into the delay columns of one zeroed tap
-    array, simulates the trial's noiseless frames once and adds, per point,
-    the unit noise of key (2, point, trial).  Yields nothing when the spec
-    asks for no training.
+    Pass 1 draws each trial's taps on the profile's delays, then its offset,
+    on key (1, trial) into one (trials, n_rx, n_tx, D) array: a point's noise
+    variance per training kind is the mean `signal_power` of every trial over
+    the SNR.  Pass 2 simulates each trial's noiseless frames once from its
+    slice of that array and adds, per point, the unit noise of key
+    (2, point, trial).  Yields nothing when the spec asks for no training.
     """
     if not trainings:
         return
-    cfg, delays, half = spec.config, list(spec.profile.delays), spec.config.cfo_half_range
+    cfg, delays, half = spec.config, spec.profile.delays, spec.config.cfo_half_range
     cfos = np.empty(spec.trials)
     taps = np.empty((spec.trials, cfg.n_rx, cfg.n_tx, len(delays)), dtype=complex)
     for t in range(spec.trials):
         gen = RandomSource(spec.seed, (1, t)).generator()
-        taps[t] = draw_channel(spec.profile, cfg, gen)[..., delays]
+        taps[t] = draw_channel(spec.profile, cfg, gen)
         # uniform() is closed at the lower end; nudge the endpoint inward
         cfos[t] = (spec.epsilon_value if spec.epsilon_mode == "fixed"
                    else np.nextafter(gen.uniform(-half, half), 0.0))
@@ -193,11 +189,8 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
                   for kind, ts in trainings.items()}
     noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
                   for k in trainings} for db in spec.snr_points_db]
-    # every trial overwrites the delay columns; the others stay zero
-    trial_taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
     for trial, cfo in enumerate(cfos.tolist()):
-        trial_taps[..., delays] = taps[trial]
-        frames = {kind: transmit_receive(ts, trial_taps, cfo, cfg)
+        frames = {kind: transmit_receive(ts, spec.profile, taps[trial], cfo, cfg)
                   for kind, ts in trainings.items()}
         for s_idx, var in enumerate(noise_var):
             gen = RandomSource(spec.seed, (2, s_idx, trial)).generator()

@@ -54,7 +54,7 @@ def noiseless_sq_errors(ref_cfg_b, ref_profile) -> dict[int, np.ndarray]:
         gen = RandomSource(77, (2 + 2 * t,)).generator()
         ch = draw_channel(ref_profile, ref_cfg_b, gen)
         cfo = gen.uniform(-8, 8)
-        sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_b), ref_cfg_b)
+        sf = stack(transmit_receive(ts, ref_profile, ch, cfo, ref_cfg_b), ref_cfg_b)
         for idx, out in errs.items():
             v = estimate_simplified(sf, idx, ref_cfg_b).value
             out.append(((v - cfo + 8) % 16 - 8) ** 2)

@@ -139,8 +139,16 @@ def _period_bases(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return dft_matrix(cfg.pilot_len).conj().T, responses
 
 
-def stacked_signal_matrix(ts: TrainingSet, taps: np.ndarray, cfo: float,
-                          cfg: SystemConfig) -> np.ndarray:
+def full_taps(profile: ChannelProfile, taps: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The (n_rx, n_tx, chan_len) channel impulse responses of taps on the
+    profile's delays: zero at every other delay."""
+    full = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
+    full[..., list(profile.delays)] = taps
+    return full
+
+
+def stacked_signal_matrix(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
+                          cfo: float, cfg: SystemConfig) -> np.ndarray:
     """Noiseless n_tx x (n_rx * P) stacked signal matrix.
 
     Row mu, block nu holds the common length-P period transmitted by antenna
@@ -150,6 +158,7 @@ def stacked_signal_matrix(ts: TrainingSet, taps: np.ndarray, cfo: float,
     _check_cfo(cfo, cfg)
     if ts.kind != "cbts":
         raise ConfigError("stacked signal model requires comb-structured (cbts) training")
+    taps = full_taps(profile, taps, cfg)
     n, p = cfg.n_subcarriers, cfg.pilot_len
     idft, responses = _period_bases(cfg)
     front = np.sqrt(p) * np.exp(2j * np.pi * cfo * cfg.cp_len / n)
@@ -258,26 +267,22 @@ def complex_normal_two_calls(rng: np.random.Generator, shape,
 
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
                       gen: np.random.Generator) -> np.ndarray:
-    """The channel draw tap by tap in delay order, one `complex_normal` call per tap."""
-    if profile.length > cfg.chan_len:
-        raise ConfigError(
-            f"profile length {profile.length} exceeds configured chan_len {cfg.chan_len}"
-        )
-    taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), dtype=complex)
-    for delay, power in zip(profile.delays, profile.powers_linear):
-        taps[:, :, delay] = complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
-    return taps
+    """The channel draw tap by tap in delay order, one `complex_normal` call per
+    tap, stacked on the last axis: (n_rx, n_tx, D)."""
+    profile.check_fits(cfg)
+    return np.stack([complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
+                     for power in profile.powers_linear], axis=-1)
 
 
-def transmit_receive_direct(ts: TrainingSet, taps: np.ndarray, cfo: float,
-                            cfg: SystemConfig) -> np.ndarray:
+def transmit_receive_direct(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
+                            cfo: float, cfg: SystemConfig) -> np.ndarray:
     """Noiseless frame sample by sample: per receive antenna, the linear
-    convolution of each CP-extended time sequence with its taps, the N samples
-    after the prefix, rotated by the CFO ramp."""
+    convolution of each CP-extended time sequence with its chan_len-sample
+    impulse responses (`full_taps`), the N samples after the prefix, rotated
+    by the CFO ramp."""
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
-    if taps.shape[-1] > ng:
-        raise ConfigError("channel memory longer than the cyclic prefix")
+    taps = full_taps(profile, taps, cfg)
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
     out = np.zeros((cfg.n_rx, n), dtype=complex)
     for nu in range(cfg.n_rx):
@@ -289,15 +294,15 @@ def transmit_receive_direct(ts: TrainingSet, taps: np.ndarray, cfo: float,
     return out
 
 
-def transmit_receive_fft(ts: TrainingSet, taps: np.ndarray, cfo: float,
-                         cfg: SystemConfig) -> np.ndarray:
+def transmit_receive_fft(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
+                         cfo: float, cfg: SystemConfig) -> np.ndarray:
     """Noiseless frame as one product of N-point FFTs of the time sequences
-    and of every tap column, zero or not, rotated by the CFO ramp over all N
-    samples."""
+    and of every column of the chan_len-sample impulse responses
+    (`full_taps`), zero or not, rotated by the CFO ramp over all N samples."""
     _check_cfo(cfo, cfg)
     n, ng = cfg.n_subcarriers, cfg.cp_len
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
-    spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(taps, n)
+    spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(full_taps(profile, taps, cfg), n)
     return rot * np.fft.ifft(spectra.sum(axis=1))
 
 

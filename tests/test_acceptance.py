@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from cfolab import (RandomSource, SystemConfig,
+from cfolab import (ChannelProfile, RandomSource, SystemConfig,
                     build_training, chu_sequence, draw_channel,
                     estimate_ml_grid, estimate_simplified, likelihood,
                     model_receive, optimal_diag_indices, reference_config,
@@ -115,12 +115,13 @@ def test_criterion_5_oracle_equivalence():
         ts = build_training(cfg, "cbts")
         ch = draw_channel(reference_profile(), cfg, RandomSource(101, (1,)).generator())
         for cfo in CFO_POINTS:
-            td = transmit_receive(ts, ch, cfo, cfg)
-            mm = model_receive(ts, ch, cfo, cfg)
+            td = transmit_receive(ts, reference_profile(), ch, cfo, cfg)
+            mm = model_receive(ts, reference_profile(), ch, cfo, cfg)
             assert np.max(np.abs(td - mm)) < 1e-9
             y = np.hstack([td[nu].reshape(cfg.n_periods, cfg.pilot_len)
                            for nu in range(cfg.n_rx)])
-            bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(ts, ch, cfo, cfg)
+            bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(
+                ts, reference_profile(), ch, cfo, cfg)
             assert np.max(np.abs(y - bx)) < 1e-9
     print("PASS criterion 5: oracle equivalence and period-stacking identity at 1e-9")
 
@@ -143,9 +144,9 @@ def test_criterion_6_sequence_and_factorisation_properties():
                     worst_a = max(worst_a, abs(direct - closed))
     assert worst_a < 1e-9
 
-    taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), complex)
-    taps[:, :, 0] = 1.0
-    frame = transmit_receive(ts, taps, 2.3, cfg)
+    unit = ChannelProfile(delays=(0,), powers_db=(0.0,))  # one unit tap at delay 0
+    taps = np.ones((cfg.n_rx, cfg.n_tx, 1), complex)
+    frame = transmit_receive(ts, unit, taps, 2.3, cfg)
     sf = stack(frame, cfg)
     assert derivative_factor_residual(sf, 7, cfg) < 5e-2
     worst_faded = 0.0
@@ -153,15 +154,13 @@ def test_criterion_6_sequence_and_factorisation_properties():
         gen = RandomSource(29, (2 + 2 * t,)).generator()
         ch = draw_channel(reference_profile(), cfg, gen)
         cfo = gen.uniform(-8, 8)
-        sf_t = stack(transmit_receive(ts, ch, cfo, cfg), cfg)
+        sf_t = stack(transmit_receive(ts, reference_profile(), ch, cfo, cfg), cfg)
         worst_faded = max(worst_faded, derivative_factor_residual(sf_t, 7, cfg))
     assert worst_faded < 5e-2
 
     single = SystemConfig(1024, 64, 1, 1, 80, 64, (0,))
     ts1 = build_training(single, "cbts")
-    taps1 = np.zeros((1, 1, 64), complex)
-    taps1[0, 0, 0] = 1.0
-    frame1 = transmit_receive(ts1, taps1, 1.7, single)
+    frame1 = transmit_receive(ts1, unit, np.ones((1, 1, 1), complex), 1.7, single)
     assert derivative_factor_residual(stack(frame1, single), 9, single) < 1e-6
 
     z = np.exp(2j * np.pi * 2.3 / cfg.n_periods)
@@ -176,7 +175,7 @@ def test_criterion_7_noiseless_exactness():
     ts = build_training(cfg, "cbts")
     ch = draw_channel(reference_profile(), cfg, RandomSource(7, (1,)).generator())
     for cfo in CFO_POINTS:
-        frame = transmit_receive(ts, ch, cfo, cfg)
+        frame = transmit_receive(ts, reference_profile(), ch, cfo, cfg)
         sf = stack(frame, cfg)
         simp = estimate_simplified(sf, 7, cfg).value
         ml = estimate_ml_grid(sf, cfg).value

@@ -12,7 +12,7 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     reference_profile, stack, transmit_receive)
 from cfolab.analysis import _bound_core, mean_inverse
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import (bound_core_full, emcb_monte_carlo, kron_model_matrix,
+from support import (bound_core_full, emcb_monte_carlo, full_taps, kron_model_matrix,
                      projection_complement)
 
 
@@ -97,7 +97,7 @@ class TestBiasFloor:
             gen = RandomSource(77, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_a, gen)
             cfo = gen.uniform(-8, 8)
-            sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_a), ref_cfg_a)
+            sf = stack(transmit_receive(ts, ref_profile, ch, cfo, ref_cfg_a), ref_cfg_a)
             v = estimate_simplified(sf, 8, ref_cfg_a).value
             assert ((v - cfo + 8) % 16 - 8) ** 2 < 1e-20
 
@@ -167,7 +167,7 @@ class TestCombSumCanVanish:
             gen = RandomSource(77, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_b, gen)
             cfo = gen.uniform(-8, 8)
-            sf = stack(transmit_receive(ts, ch, cfo, ref_cfg_b), ref_cfg_b)
+            sf = stack(transmit_receive(ts, ref_profile, ch, cfo, ref_cfg_b), ref_cfg_b)
             v = estimate_simplified(sf, 8, ref_cfg_b).value
             sq.append(((v - cfo + 8) % 16 - 8) ** 2)
         assert float(np.mean(sq)) > 3.0 * bias_floor(8, ref_cfg_b, ref_profile)
@@ -239,7 +239,8 @@ class TestEmcb:
         ramp_full = np.tile(ramp, toy_cfg.n_rx)
         core_full = (full.conj().T * ramp_full) @ projection_complement(full) \
             @ (ramp_full[:, None] * full)
-        ch = draw_channel(toy_profile, toy_cfg, RandomSource(3, (9,)).generator())
+        ch = full_taps(toy_profile, draw_channel(toy_profile, toy_cfg,
+                                                 RandomSource(3, (9,)).generator()), toy_cfg)
         h_full = ch.reshape(-1)
         quad_full = float(np.real(h_full.conj() @ core_full @ h_full))
         quad_block = sum(float(np.real(h.conj() @ core @ h))

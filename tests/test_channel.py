@@ -9,7 +9,7 @@ from cfolab.channel import signal_power
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (circular_convolve, draw_channel_loop, edge_offsets,
-                     frame_to_csv, period_matrix, stacked_signal_matrix,
+                     frame_to_csv, full_taps, period_matrix, stacked_signal_matrix,
                      steering_matrix, transmit_receive_direct,
                      transmit_receive_fft)
 
@@ -48,14 +48,10 @@ class TestChannelProfile:
 
 class TestDrawChannel:
     def test_support_matches_reference_delays(self, ref_cfg_b, ref_profile):
+        # one tap per delay of the profile, (n_rx, n_tx, D), every one drawn
         taps = draw_channel(ref_profile, ref_cfg_b, RandomSource(1, (5,)).generator())
-        assert taps.shape == (ref_cfg_b.n_rx, ref_cfg_b.n_tx, ref_cfg_b.chan_len)
-        active = {0, 4, 16, 24, 46, 74}
-        for l in range(taps.shape[-1]):
-            if l in active:
-                assert np.all(taps[:, :, l] != 0)
-            else:
-                assert np.all(taps[:, :, l] == 0)
+        assert taps.shape == (ref_cfg_b.n_rx, ref_cfg_b.n_tx, 6)
+        assert np.all(taps != 0)
 
     def test_unit_tap_energy(self):
         cfg = SystemConfig(64, 8, 2, 2, 10, 8, (1, 6))
@@ -73,9 +69,18 @@ class TestDrawChannel:
         assert np.array_equal(a, b)
 
     def test_profile_must_fit(self, toy_cfg):
+        # one rule, `ChannelProfile.check_fits`, for the draw and both frame paths
+        ts = build_training(toy_cfg, "cbts")
         prof = ChannelProfile(delays=(0, 9), powers_db=(0.0, -3.0))
-        with pytest.raises(ConfigError):
-            draw_channel(prof, toy_cfg, RandomSource(1).generator())
+        taps = np.ones((toy_cfg.n_rx, toy_cfg.n_tx, 2), complex)
+        for call in (lambda: prof.check_fits(toy_cfg),
+                     lambda: draw_channel(prof, toy_cfg, RandomSource(1).generator()),
+                     lambda: transmit_receive(ts, prof, taps, 0.0, toy_cfg),
+                     lambda: model_receive(ts, prof, taps, 0.0, toy_cfg)):
+            with pytest.raises(ConfigError, match="profile length 10 exceeds .* chan_len 8"):
+                call()
+        # the last delay at chan_len - 1 fits
+        ChannelProfile(delays=(0, 7), powers_db=(0.0, -3.0)).check_fits(toy_cfg)
 
 
 class TestOracleEquivalence:
@@ -87,31 +92,30 @@ class TestOracleEquivalence:
         cfg = reference_config(offsets)
         ts = build_training(cfg, "cbts")
         ch = draw_channel(reference_profile(), cfg, RandomSource(11, (1,)).generator())
-        td = transmit_receive(ts, ch, cfo, cfg)
-        mm = model_receive(ts, ch, cfo, cfg)
+        td = transmit_receive(ts, reference_profile(), ch, cfo, cfg)
+        mm = model_receive(ts, reference_profile(), ch, cfo, cfg)
         assert np.max(np.abs(td - mm)) < 1e-9
 
     def test_toy_scale(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, (2,)).generator())
         for cfo in (-3.9, 0.0, 1.7):
-            td = transmit_receive(ts, ch, cfo, toy_cfg)
-            mm = model_receive(ts, ch, cfo, toy_cfg)
+            td = transmit_receive(ts, toy_profile, ch, cfo, toy_cfg)
+            mm = model_receive(ts, toy_profile, ch, cfo, toy_cfg)
             assert np.max(np.abs(td - mm)) < 1e-11
 
     def test_identity_channel_returns_time_sequence(self):
         cfg = SystemConfig(64, 8, 1, 1, 10, 8, (0,))
         ts = build_training(cfg, "cbts")
-        taps = np.zeros((1, 1, 8), complex)
-        taps[0, 0, 0] = 1.0
-        frame = transmit_receive(ts, taps, 0.0, cfg)
+        unit = ChannelProfile(delays=(0,), powers_db=(0.0,))
+        frame = transmit_receive(ts, unit, np.ones((1, 1, 1), complex), 0.0, cfg)
         assert np.max(np.abs(frame[0] - ts.time_sequences[0])) < 1e-12
 
     def test_rotation_inverse_recovers_zero_offset(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, (2,)).generator())
-        rotated = transmit_receive(ts, ch, 2.3, toy_cfg)
-        base = transmit_receive(ts, ch, 0.0, toy_cfg)
+        rotated = transmit_receive(ts, toy_profile, ch, 2.3, toy_cfg)
+        base = transmit_receive(ts, toy_profile, ch, 0.0, toy_cfg)
         n, ng = toy_cfg.n_subcarriers, toy_cfg.cp_len
         counter = np.conj(np.exp(2j * np.pi * 2.3 * (np.arange(n) + ng) / n))
         assert np.max(np.abs(rotated * counter - base)) < 1e-12
@@ -119,9 +123,10 @@ class TestOracleEquivalence:
     def test_cp_removal_equals_circular_convolution(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(6, (0,)).generator())
-        frame = transmit_receive(ts, ch, 0.0, toy_cfg)
+        frame = transmit_receive(ts, toy_profile, ch, 0.0, toy_cfg)
+        full = full_taps(toy_profile, ch, toy_cfg)
         for nu in range(toy_cfg.n_rx):
-            ref = sum(circular_convolve(ts.time_sequences[mu], ch[nu, mu])
+            ref = sum(circular_convolve(ts.time_sequences[mu], full[nu, mu])
                       for mu in range(toy_cfg.n_tx))
             assert np.max(np.abs(frame[nu] - ref)) < 1e-11
 
@@ -129,7 +134,7 @@ class TestOracleEquivalence:
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, (2,)).generator())
         with pytest.raises(ValueError, match="identifiable"):
-            transmit_receive(ts, ch, toy_cfg.cfo_half_range, toy_cfg)
+            transmit_receive(ts, toy_profile, ch, toy_cfg.cfo_half_range, toy_cfg)
 
 
 # the toy profile of conftest: its last tap sits at delay 7, the toy chan_len - 1
@@ -152,15 +157,15 @@ class TestFftSimulation:
         for seed in range(3):
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
             for cfo in edge_offsets(cfg):
-                direct = transmit_receive_direct(ts, ch, cfo, cfg)
-                fft = transmit_receive(ts, ch, cfo, cfg)
+                direct = transmit_receive_direct(ts, profile, ch, cfo, cfg)
+                fft = transmit_receive(ts, profile, ch, cfo, cfg)
                 assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("kind", ["cbts", "rs"])
     @pytest.mark.parametrize("which", ["toy", "reference"])
     def test_frame_kernel_matches_fft_oracle(self, which, kind, toy_cfg, toy_profile,
                                              ref_cfg_b, ref_profile):
-        # the product over the nonzero delays with a per-period ramp against
+        # the product over the profile's delays with a per-period ramp against
         # the FFTs of every tap column with the ramp over all N samples
         cfg, profile = ((toy_cfg, toy_profile) if which == "toy"
                         else (ref_cfg_b, ref_profile))
@@ -168,8 +173,8 @@ class TestFftSimulation:
         for seed in range(3):
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
             for cfo in edge_offsets(cfg):
-                want = transmit_receive_fft(ts, ch, cfo, cfg)
-                got = transmit_receive(ts, ch, cfo, cfg)
+                want = transmit_receive_fft(ts, profile, ch, cfo, cfg)
+                got = transmit_receive(ts, profile, ch, cfo, cfg)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["cbts", "rs"])
@@ -177,37 +182,39 @@ class TestFftSimulation:
         ch = draw_channel(ref_profile, ref_cfg_b, RandomSource(4, (1,)).generator())
         rng = RandomSource(3, (0,)) if kind == "rs" else None
         warm = build_training(ref_cfg_b, kind, rng)
-        first = transmit_receive(warm, ch, 2.3, ref_cfg_b)
+        first = transmit_receive(warm, ref_profile, ch, 2.3, ref_cfg_b)
         held = warm.delayed(ref_profile.delays)
         assert not held.flags.writeable
         assert held.shape == (ref_cfg_b.n_tx * len(ref_profile.delays), ref_cfg_b.n_subcarriers)
-        assert transmit_receive(warm, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
+        assert transmit_receive(warm, ref_profile, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
         assert warm.delayed(ref_profile.delays) is held
-        # taps on other delays replace the held matrix; the next call rebuilds it
-        other = ch.copy()
-        other[..., 4] = 0.0
-        transmit_receive(warm, other, 2.3, ref_cfg_b)
-        assert transmit_receive(warm, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
+        # another profile's delays replace the held matrix; the next call rebuilds it
+        shorter = ChannelProfile(ref_profile.delays[:-1], ref_profile.powers_db[:-1])
+        transmit_receive(warm, shorter, ch[..., :-1], 2.3, ref_cfg_b)
+        assert transmit_receive(warm, ref_profile, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
         cold = build_training(ref_cfg_b, kind, rng)
-        assert transmit_receive(cold, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
+        assert transmit_receive(cold, ref_profile, ch, 2.3, ref_cfg_b).tobytes() == first.tobytes()
 
-    def test_frame_kernel_zero_delay_column(self, toy_cfg, toy_profile):
-        # a profile delay whose taps are all zero drops out of the product
+    def test_frame_kernel_zero_delay_column(self, toy_cfg):
+        # a profile delay of power 0 (a -4000 dB gap normalises to [1, 0]) draws
+        # exactly zero taps, which the product multiplies like any other
+        profile = ChannelProfile(delays=(0, 3), powers_db=(0.0, -4000.0))
         ts = build_training(toy_cfg, "cbts")
-        ch = draw_channel(toy_profile, toy_cfg, RandomSource(2, (1,)).generator())
-        ch[..., 2] = 0.0
-        for cfo in edge_offsets(toy_cfg):
-            want = transmit_receive_fft(ts, ch, cfo, toy_cfg)
-            got = transmit_receive(ts, ch, cfo, toy_cfg)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for seed in range(3):
+            ch = draw_channel(profile, toy_cfg, RandomSource(seed, (1,)).generator())
+            assert np.all(ch[..., 1] == 0) and np.all(ch[..., 0] != 0)
+            for cfo in edge_offsets(toy_cfg):
+                want = transmit_receive_direct(ts, profile, ch, cfo, toy_cfg)
+                got = transmit_receive(ts, profile, ch, cfo, toy_cfg)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_frame_kernel_zero_taps_zero_frame(self, toy_cfg):
+    def test_frame_kernel_zero_taps_zero_frame(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
-        taps = np.zeros((toy_cfg.n_rx, toy_cfg.n_tx, toy_cfg.chan_len), complex)
-        frame = transmit_receive(ts, taps, 0.37, toy_cfg)
+        taps = np.zeros((toy_cfg.n_rx, toy_cfg.n_tx, len(toy_profile.delays)), complex)
+        frame = transmit_receive(ts, toy_profile, taps, 0.37, toy_cfg)
         assert frame.shape == (toy_cfg.n_rx, toy_cfg.n_subcarriers)
         assert np.all(frame == 0)
-        assert np.all(transmit_receive_fft(ts, taps, 0.37, toy_cfg) == 0)
+        assert np.all(transmit_receive_fft(ts, toy_profile, taps, 0.37, toy_cfg) == 0)
 
     @pytest.mark.parametrize("which", ["toy", "reference"])
     def test_draw_matches_tap_loop(self, which, toy_cfg, toy_profile, ref_cfg_b,
@@ -239,8 +246,9 @@ class TestSignalPower:
         for t in range(200):
             gen = RandomSource(11, (1, t)).generator()
             ch = draw_channel(profile, cfg, gen)
-            frame = transmit_receive(ts, ch, gen.uniform(-1.0, 1.0) * cfg.cfo_half_range, cfg)
-            taps.append(ch[..., list(profile.delays)])
+            frame = transmit_receive(ts, profile, ch,
+                                     gen.uniform(-1.0, 1.0) * cfg.cfo_half_range, cfg)
+            taps.append(ch)
             want.append(np.mean(np.abs(frame) ** 2))
         got = signal_power(ts, profile, np.array(taps))
         assert got.shape == (200,)
@@ -255,10 +263,10 @@ class TestStackedSignalModel:
         s = model_matrix(ts, ref_cfg_b)
         assert s.shape == (1024, 3 * 75)
 
-    def test_zero_channel_zero_matrix(self, toy_cfg):
+    def test_zero_channel_zero_matrix(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
-        taps = np.zeros((2, 2, 8), complex)
-        assert np.all(stacked_signal_matrix(ts, taps, 1.0, toy_cfg) == 0)
+        taps = np.zeros((2, 2, 3), complex)
+        assert np.all(stacked_signal_matrix(ts, toy_profile, taps, 1.0, toy_cfg) == 0)
 
     @pytest.mark.parametrize("offsets", [OFFSETS_A, OFFSETS_B])
     def test_period_stacking_identity(self, offsets):
@@ -266,9 +274,10 @@ class TestStackedSignalModel:
         ts = build_training(cfg, "cbts")
         ch = draw_channel(reference_profile(), cfg, RandomSource(13, (1,)).generator())
         cfo = -4.2
-        frame = transmit_receive(ts, ch, cfo, cfg)
+        frame = transmit_receive(ts, reference_profile(), ch, cfo, cfg)
         y = period_matrix(frame, cfg)
-        bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(ts, ch, cfo, cfg)
+        bx = steering_matrix(cfo, cfg) @ stacked_signal_matrix(ts, reference_profile(), ch,
+                                                               cfo, cfg)
         assert np.max(np.abs(y - bx)) < 1e-9
 
     def test_stacked_power_shortcut(self, toy_cfg, toy_profile):
@@ -278,8 +287,8 @@ class TestStackedSignalModel:
         # Q times stacked energy
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(21, (0,)).generator())
-        frame = transmit_receive(ts, ch, 1.2, toy_cfg)
-        x = stacked_signal_matrix(ts, ch, 1.2, toy_cfg)
+        frame = transmit_receive(ts, toy_profile, ch, 1.2, toy_cfg)
+        x = stacked_signal_matrix(ts, toy_profile, ch, 1.2, toy_cfg)
         assert np.mean(np.abs(frame) ** 2) / toy_cfg.n_tx == pytest.approx(
             float(np.mean(np.abs(x) ** 2)), rel=1e-12)
 
@@ -292,9 +301,9 @@ class TestStackedSignalModel:
         ts = build_training(toy_cfg, "rs", RandomSource(1, (1,)))
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, (2,)).generator())
         with pytest.raises(ConfigError):
-            model_receive(ts, ch, 0.0, toy_cfg)
+            model_receive(ts, toy_profile, ch, 0.0, toy_cfg)
         with pytest.raises(ConfigError):
-            stacked_signal_matrix(ts, ch, 0.0, toy_cfg)
+            stacked_signal_matrix(ts, toy_profile, ch, 0.0, toy_cfg)
 
 
 def test_frame_csv_dump(toy_cfg, toy_profile):
@@ -302,7 +311,7 @@ def test_frame_csv_dump(toy_cfg, toy_profile):
 
     ts = build_training(toy_cfg, "cbts")
     ch = draw_channel(toy_profile, toy_cfg, RandomSource(5, (1,)).generator())
-    frame = transmit_receive(ts, ch, 0.7, toy_cfg)
+    frame = transmit_receive(ts, toy_profile, ch, 0.7, toy_cfg)
     buf = io.StringIO()
     frame_to_csv(frame, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -314,7 +323,7 @@ class TestNoise:
     def test_noise_calibration(self, toy_cfg, toy_profile):
         ts = build_training(toy_cfg, "cbts")
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(8, (0,)).generator())
-        clean = transmit_receive(ts, ch, 0.5, toy_cfg)
+        clean = transmit_receive(ts, toy_profile, ch, 0.5, toy_cfg)
         target = 2.0
         acc = 0.0
         count = 0
@@ -339,7 +348,7 @@ class TestStackedCorrelationStructure:
             gen = RandomSource(31, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_b, gen)
             cfo = gen.uniform(-8, 8)
-            x = stacked_signal_matrix(ts, ch, cfo, ref_cfg_b)
+            x = stacked_signal_matrix(ts, ref_profile, ch, cfo, ref_cfg_b)
             rxx = x @ x.conj().T
             diag += np.real(np.diag(rxx)) / n
             off += np.abs(rxx - np.diag(np.diag(rxx))).max() / n

@@ -21,7 +21,7 @@ def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
     ts = build_training(cfg, "cbts")
     gen = RandomSource(seed, (2 + 2 * trial,)).generator()
     ch = draw_channel(profile, cfg, gen)
-    clean = transmit_receive(ts, ch, cfo, cfg)
+    clean = transmit_receive(ts, profile, ch, cfo, cfg)
     if snr_db is None:
         return clean, ch, ts
     nv = float(np.mean(np.abs(clean) ** 2)) / 10.0 ** (snr_db / 10.0)
@@ -30,10 +30,12 @@ def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
     return noisy, ch, ts
 
 
+# one unit tap at delay 0 on every antenna pair: each frame is its time sequence
+UNIT_PROFILE = ChannelProfile(delays=(0,), powers_db=(0.0,))
+
+
 def unit_taps(cfg):
-    taps = np.zeros((cfg.n_rx, cfg.n_tx, cfg.chan_len), complex)
-    taps[:, :, 0] = 1.0
-    return taps
+    return np.ones((cfg.n_rx, cfg.n_tx, 1), complex)
 
 
 class TestStack:
@@ -82,7 +84,7 @@ class TestStack:
         for seed in range(3):
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
             for cfo in edge_offsets(cfg):
-                clean = transmit_receive(ts, ch, cfo, cfg)
+                clean = transmit_receive(ts, profile, ch, cfo, cfg)
                 for var in (0.0, 0.1, 1.0):
                     gen = RandomSource(seed, (2, 0, 0)).generator()
                     frame = add_noise({kind: clean}, {kind: var}, gen)[kind]
@@ -145,7 +147,7 @@ class TestDiagRatio:
     def test_noiseless_phase_recovers_offset(self, cfo):
         cfg = reference_config()
         ts = build_training(cfg, "cbts")
-        frame = transmit_receive(ts, unit_taps(cfg), cfo, cfg)
+        frame = transmit_receive(ts, UNIT_PROFILE, unit_taps(cfg), cfo, cfg)
         sf = stack(frame, cfg)
         frac = (np.angle(diag_ratio(sf, 7)) / (2 * np.pi)) % 1.0
         delta = min(abs(frac - cfo % 1.0), 1.0 - abs(frac - cfo % 1.0))
@@ -546,7 +548,7 @@ class TestSerialScoring:
 class TestDerivativeFactorisation:
     def test_residual_small_for_structured_training(self, ref_cfg_b):
         ts = build_training(ref_cfg_b, "cbts")
-        frame = transmit_receive(ts, unit_taps(ref_cfg_b), 2.3, ref_cfg_b)
+        frame = transmit_receive(ts, UNIT_PROFILE, unit_taps(ref_cfg_b), 2.3, ref_cfg_b)
         sf = stack(frame, ref_cfg_b)
         assert derivative_factor_residual(sf, 7, ref_cfg_b) < 5e-2
 
@@ -562,9 +564,7 @@ class TestDerivativeFactorisation:
     def test_exact_for_single_antenna(self):
         cfg = SystemConfig(64, 8, 1, 1, 10, 8, (0,))
         ts = build_training(cfg, "cbts")
-        taps = np.zeros((1, 1, 8), complex)
-        taps[0, 0, 0] = 1.0
-        frame = transmit_receive(ts, taps, 1.2, cfg)
+        frame = transmit_receive(ts, UNIT_PROFILE, unit_taps(cfg), 1.2, cfg)
         sf = stack(frame, cfg)
         assert derivative_factor_residual(sf, 5, cfg) < 1e-6
 
@@ -607,7 +607,7 @@ class TestNoiselessDiagonalStructure:
             gen = RandomSource(55, (2 + 2 * t,)).generator()
             ch = draw_channel(ref_profile, ref_cfg_a, gen)
             cfo = gen.uniform(-8, 8)
-            frame = transmit_receive(ts, ch, cfo, ref_cfg_a)
+            frame = transmit_receive(ts, ref_profile, ch, cfo, ref_cfg_a)
             sf = stack(frame, ref_cfg_a)
             acc += np.abs(sf) / n
             power += float(np.mean(np.abs(frame) ** 2)) / ref_cfg_a.n_tx / n
@@ -642,7 +642,7 @@ class TestDegenerateDesignSweep:
             gen = RandomSource(11, (2 + 2 * t,)).generator()
             ch = draw_channel(toy_profile, blind_cfg, gen)
             cfo = gen.uniform(-4, 4)
-            clean = transmit_receive(ts, ch, cfo, blind_cfg)
+            clean = transmit_receive(ts, toy_profile, ch, cfo, blind_cfg)
             nv = float(np.mean(np.abs(clean) ** 2)) / 10.0
             noisy = add_noise({"cbts": clean}, {"cbts": nv},
                               RandomSource(11, (3 + 2 * t,)).generator())["cbts"]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfolab import (ConfigError, add_noise, bias_floor, draw_channel,
+from cfolab import (ChannelProfile, ConfigError, add_noise, bias_floor, draw_channel,
                     harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
@@ -74,6 +74,12 @@ TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
 DIVERGENT_BOUND = {"config": {"n_subcarriers": 64, "pilot_len": 16, "n_tx": 1, "n_rx": 1,
                               "cp_len": 8, "chan_len": 8, "offsets": [0]},
                    "profile": {"delays": [0], "powers_db": [0]}}
+# profiles of the toy config (chan_len 8, cp_len 10) whose last delay lies past
+# chan_len, past the cyclic prefix and past any array index
+UNFIT_DELAYS = [(0, 3, 9), (0, 3, 40), (0, 3, 10**20)]
+# diagonal indices of the toy config in any spelling but the plain decimal one
+NON_CANONICAL_IDS = ["simplified:03", "simplified:+3", "simplified: 3", "simplified:3 ",
+                     "simplified:0_3", "simplified_rs:03"]
 # Command lines (given `--config FILE` after them) and overrides of the toy
 # config file that must exit with status 2 and a config error, never a
 # traceback; None writes a top-level JSON list instead of an object, bytes
@@ -111,6 +117,11 @@ MALFORMED_CLI_CASES = {
     "config-aliasing-offsets": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "offsets": [0, 4]}}),
     "estimators-on-mse-vs-iota": (["mse-vs-iota", "--iotas", "2,7"],
                                   {"estimators": ["ml_grid", "simplified_rs:3"]}),
+    "iotas-non-canonical": (["mse-vs-iota", "--iotas", "3, 5,07"], {"estimators": None}),
+    "estimators-non-canonical": (["mse-vs-snr"], {"estimators": ["simplified:07"]}),
+    **{f"emcb-profile-delays-{d[-1]}": (["emcb"], {"profile": {
+        "delays": list(d), "powers_db": [0, -3, -6]}, "emcb_draws": 10})
+       for d in UNFIT_DELAYS},
 }
 
 
@@ -130,10 +141,18 @@ class TestParseEstimatorId:
         assert parse_estimator_id("emcb", toy_cfg) == ("emcb", "cbts", None)
 
     @pytest.mark.parametrize("bad", ["simplified", "simplified:0", "simplified:8",
-                                     "fancy", "simplified:x"])
+                                     "fancy", "simplified:x",
+                                     pytest.param("simplified:" + "9" * 5000, id="5000-digits"),
+                                     *NON_CANONICAL_IDS])
     def test_invalid_ids(self, toy_cfg, bad):
-        with pytest.raises((ConfigError, ValueError)):
+        with pytest.raises(ConfigError):
             parse_estimator_id(bad, toy_cfg)
+
+    @pytest.mark.parametrize("bad", NON_CANONICAL_IDS)
+    def test_non_canonical_index_rejected(self, toy_spec, bad):
+        # int() would read each as index 3, which the repeat check then misses
+        with pytest.raises(ConfigError, match="plain decimal"):
+            replace(toy_spec, estimators=("simplified:3", bad))
 
 
 class TestRunMseVsSnr:
@@ -489,6 +508,14 @@ class TestSpecPlumbing:
                                         "epsilon_value": 9.0}))
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
         assert "epsilon_value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delays", UNFIT_DELAYS, ids=lambda d: str(d[-1]))
+    def test_profile_past_chan_len_rejected(self, toy_spec, delays):
+        # the spec holds the rule for every campaign, a bound-only one too,
+        # which draws no channel
+        with pytest.raises(ConfigError, match="profile length .* exceeds"):
+            replace(toy_spec, estimators=("emcb",),
+                    profile=ChannelProfile(delays, (0.0, -3.0, -6.0)))
 
     @pytest.mark.parametrize("field,value", MALFORMED_SPEC_VALUES,
                              ids=MALFORMED_SPEC_IDS)
