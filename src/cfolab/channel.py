@@ -83,6 +83,13 @@ class ChannelProfile:
         p.flags.writeable = False
         return p
 
+    @cached_property
+    def tap_scales(self) -> np.ndarray:
+        """Per-delay std of a tap's real and of its imaginary part (read-only)."""
+        scales = np.sqrt(self.powers_linear / 2.0)
+        scales.flags.writeable = False
+        return scales
+
 
 def reference_profile() -> ChannelProfile:
     """Six-tap wideband profile used by the shipped presets."""
@@ -103,8 +110,8 @@ def draw_channel(profile: ChannelProfile, cfg: SystemConfig,
     """
     profile.check_fits(cfg)
     unit = gen.standard_normal((len(profile.delays), 2, cfg.n_rx, cfg.n_tx))
-    scale = np.sqrt(profile.powers_linear / 2.0)[:, None, None]
-    return np.moveaxis(scale * (unit[:, 0] + 1j * unit[:, 1]), 0, -1)
+    scale = profile.tap_scales[:, None, None]
+    return (scale * (unit[:, 0] + 1j * unit[:, 1])).transpose(1, 2, 0)
 
 
 def _check_cfo(cfo: float, cfg: SystemConfig) -> None:
@@ -126,9 +133,9 @@ def transmit_receive(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
     """
     _check_cfo(cfo, cfg)
     profile.check_fits(cfg)
-    n, ng, p, q = cfg.n_subcarriers, cfg.cp_len, cfg.pilot_len, cfg.n_periods
+    n, q = cfg.n_subcarriers, cfg.n_periods
     frame = taps.reshape(cfg.n_rx, -1) @ ts.delayed(profile.delays)
-    ramps = np.exp(2j * np.pi * cfo / n * np.concatenate([p * np.arange(q) + ng, np.arange(p)]))
+    ramps = np.exp(2j * np.pi * cfo / n * cfg.ramp_samples)
     frame *= (ramps[:q, None] * ramps[q:]).reshape(n)
     return frame
 

@@ -10,11 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
 from . import analysis, estimator, harness
 from .training import ConfigError, export_training_csv
+
+
+def _flag(name: str, text: str):
+    """A numeric flag's value as a JSON spec gives it: an int in plain decimal or
+    a float, never with the underscores, leading zeros, plus sign or spaces that
+    Python's int() and float() take.  The spec checks the value's type and range."""
+    try:
+        if re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
+            return json.loads(text)
+    except ValueError:  # an integer longer than Python converts
+        pass
+    raise ConfigError(f"{name} must be a JSON number, got {text!r}")
 
 
 def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
@@ -32,7 +45,7 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
     if args.preset:
         raw.setdefault("preset", args.preset)
     if args.seed is not None:
-        raw["seed"] = args.seed
+        raw["seed"] = _flag("--seed", args.seed)
     if not raw:
         raise ConfigError("provide --config FILE and/or --preset NAME")
     extras = {"iotas": raw.pop("iotas")} if "iotas" in raw else {}
@@ -55,16 +68,17 @@ def _emit(rows, out_path: str | None) -> None:
 def _cmd_estimate(args) -> int:
     spec, _ = _spec_from_args(args)
     cfg = spec.config
-    spec = replace(spec, estimators=("simplified:1",), snr_points_db=(args.snr_db,),
+    cfo, snr_db = _flag("--cfo", args.cfo), _flag("--snr-db", args.snr_db)
+    spec = replace(spec, estimators=("simplified:1",), snr_points_db=(snr_db,),
                    noiseless=args.noiseless)
-    sf = harness.one_frame(spec, args.cfo)["cbts"]
+    sf = harness.one_frame(spec, cfo)["cbts"]
     if args.diag_index is not None:
         idx = harness.parse_estimator_id(f"simplified:{args.diag_index}", cfg)[2]
     else:
-        gamma = 1e6 if args.noiseless else 10.0 ** (args.snr_db / 10.0) / cfg.n_tx
+        gamma = 1e6 if args.noiseless else 10.0 ** (snr_db / 10.0) / cfg.n_tx
         idx = analysis.optimal_diag_indices(gamma, cfg)[0]
     res = estimator.estimate_simplified(sf, idx, cfg)
-    print(f"true_cfo            {args.cfo:+.6f}")
+    print(f"true_cfo            {cfo:+.6f}")
     print(f"estimated_cfo       {res.value:+.6f}")
     print(f"diag_index          {idx}")
     print(f"diag_ratio          {res.diag_ratio.real:+.6e}{res.diag_ratio.imag:+.6e}j")
@@ -101,7 +115,7 @@ def _cmd_emcb(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec, _ = _spec_from_args(args)
-    bench = harness.run_bench(spec, repetitions=args.repetitions)
+    bench = harness.run_bench(spec, repetitions=_flag("--repetitions", args.repetitions))
     print(f"{'estimator':<20} {'reps':>6} {'median_us':>12} {'mean_us':>12}")
     for row in bench:
         print(f"{row.estimator:<20} {row.repetitions:>6} "
@@ -140,17 +154,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment file")
         p.add_argument("--preset", choices=harness.PRESET_NAMES,
                        help="shipped reference campaign")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        p.add_argument("--seed", default=None, help="master seed")
         if writes_csv:
             p.add_argument("--out", help="write CSV here instead of stdout")
 
     p = sub.add_parser("estimate", help="run one frame and print the estimate")
     common(p, writes_csv=False)
-    p.add_argument("--cfo", type=float, default=2.3, help="true offset in spacings")
-    p.add_argument("--snr-db", type=float, default=15.0,
+    p.add_argument("--cfo", default="2.3", help="true offset in spacings")
+    p.add_argument("--snr-db", default="15.0",
                    help="SNR in dB; omit noise with --noiseless")
     p.add_argument("--noiseless", action="store_true")
-    p.add_argument("--diag-index", type=int, default=None)
+    p.add_argument("--diag-index", default=None)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("mse-vs-snr", help="MSE-vs-SNR campaign")
@@ -168,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="runtime comparison of the estimators")
     common(p)
-    p.add_argument("--repetitions", type=int, default=200)
+    p.add_argument("--repetitions", default="200")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen-training", help="export the training design as CSV")

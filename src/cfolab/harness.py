@@ -10,7 +10,9 @@ under the campaign seed, so a campaign is a pure function of (spec, seed):
 No key depends on the trial count or the number of SNR points, so the draws
 are prefix-stable: trials 0..T-1 of a longer campaign draw what a T-trial
 campaign draws.  The noise scale is not: a point's noise variance follows the
-mean signal power over every trial of the campaign.
+mean signal power over every trial of the campaign.  The (1, t) keys, and the
+(2, s, t) keys of each point s, are hashed in one `RandomSource.generators`
+pass per campaign: the same keys and bits as one set-up per key.
 
 Campaigns estimate one frame at a time with the `estimate_*` functions that
 `bench` and `cfolab estimate` run, a training kind's simplified indices in one
@@ -172,15 +174,15 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     variance per training kind is the mean `signal_power` of every trial over
     the SNR.  Pass 2 simulates each trial's noiseless frames once from its
     slice of that array and adds, per point, the unit noise of key
-    (2, point, trial).  Yields nothing when the spec asks for no training.
+    (2, point, trial).  Each pass seeds its streams from one `generators` call
+    per key prefix.  Yields nothing when the spec asks for no training.
     """
     if not trainings:
         return
     cfg, delays, half = spec.config, spec.profile.delays, spec.config.cfo_half_range
     cfos = np.empty(spec.trials)
     taps = np.empty((spec.trials, cfg.n_rx, cfg.n_tx, len(delays)), dtype=complex)
-    for t in range(spec.trials):
-        gen = RandomSource(spec.seed, (1, t)).generator()
+    for t, gen in enumerate(RandomSource(spec.seed, (1,)).generators(spec.trials)):
         taps[t] = draw_channel(spec.profile, cfg, gen)
         # uniform() is closed at the lower end; nudge the endpoint inward
         cfos[t] = (spec.epsilon_value if spec.epsilon_mode == "fixed"
@@ -189,11 +191,12 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
                   for kind, ts in trainings.items()}
     noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
                   for k in trainings} for db in spec.snr_points_db]
-    for trial, cfo in enumerate(cfos.tolist()):
+    noise = [RandomSource(spec.seed, (2, s)).generators(spec.trials)
+             for s in range(len(noise_var))]
+    for trial, (cfo, gens) in enumerate(zip(cfos.tolist(), zip(*noise))):
         frames = {kind: transmit_receive(ts, spec.profile, taps[trial], cfo, cfg)
                   for kind, ts in trainings.items()}
-        for s_idx, var in enumerate(noise_var):
-            gen = RandomSource(spec.seed, (2, s_idx, trial)).generator()
+        for s_idx, (var, gen) in enumerate(zip(noise_var, gens)):
             yield s_idx, cfo, {kind: estimator.stack(frame, cfg)
                                for kind, frame in add_noise(frames, var, gen).items()}
 
@@ -297,8 +300,8 @@ def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
 
 def run_bench(spec: ExperimentSpec, repetitions: int = 200) -> list[BenchRow]:
     """Wall-clock comparison of the estimators on one shared noisy frame."""
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if not is_integer(repetitions) or repetitions < 1:
+        raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
     if set(spec.estimators) == {"emcb"}:
         raise ConfigError("bench times Monte Carlo estimators (simplified:<i>, "
                           "simplified_rs:<i>, ml_grid); emcb alone has none")

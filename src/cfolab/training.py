@@ -127,6 +127,15 @@ class SystemConfig:
         sums.flags.writeable = False
         return sums
 
+    @cached_property
+    def ramp_samples(self) -> np.ndarray:
+        """The CFO ramp's sample indices from the prefix start: each period's first
+        kept sample, then the offsets within a period (read-only)."""
+        p = self.pilot_len
+        samples = np.concatenate([p * np.arange(self.n_periods) + self.cp_len, np.arange(p)])
+        samples.flags.writeable = False
+        return samples
+
     @property
     def shift_stride(self) -> int:
         """Per-antenna cyclic shift applied to the generator sequence."""

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfolab import (ChannelProfile, ConfigError, add_noise, bias_floor, draw_channel,
-                    harness, predicted_mse)
+from cfolab import (ChannelProfile, ConfigError, RandomSource, add_noise, bias_floor,
+                    draw_channel, harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
                             _trainings_for, one_frame, parse_estimator_id,
@@ -122,6 +122,17 @@ MALFORMED_CLI_CASES = {
     **{f"emcb-profile-delays-{d[-1]}": (["emcb"], {"profile": {
         "delays": list(d), "powers_db": [0, -3, -6]}, "emcb_draws": 10})
        for d in UNFIT_DELAYS},
+    # numeric flags take a JSON spec's spellings, none that Python's int() or
+    # float() adds; the diagonal index takes the estimator ids' plain decimal
+    **{f"{command}{flag}={text!r}": ([command, flag, text], {})
+       for command, flag, spellings in (
+           ("estimate", "--diag-index", ("07", "+7", " 7", "0_5")),
+           ("estimate", "--cfo", ("0_3", "+0.5", "00.5", " 0.5", ".5", "1.")),
+           ("estimate", "--snr-db", ("1_5", "+15", "015", "15 ")),
+           ("mse-vs-snr", "--seed", ("1_5", "015", "+15", " 15", "1e1")),
+           ("bench", "--repetitions", ("1_0", "010", "+10", "1e1")))
+       for text in spellings},
+    "seed-5000-digits": (["mse-vs-snr", "--seed", "9" * 5000], {}),
 }
 
 
@@ -214,6 +225,25 @@ class TestRunMseVsSnr:
         assert all(np.array_equal(a, b) for a, b in zip(taps, taps2[:5]))
         assert cfos == cfos2[:5]
         assert all(np.array_equal(u, units2[key]) for key, u in units.items())
+
+    def test_streams_seeded_one_pass_per_key_prefix(self, toy_spec, monkeypatch):
+        # the campaign hashes its (1, t) keys in one `generators` call and its
+        # (2, s, t) keys in one per SNR point, and seeds no stream key by key
+        calls = []
+        generators = RandomSource.generators
+
+        def spy(source, n):
+            calls.append((source.seed, source.key, n))
+            return generators(source, n)
+
+        def per_key(source):
+            raise AssertionError(f"per-key generator() for key {source.key}")
+
+        monkeypatch.setattr(RandomSource, "generators", spy)
+        monkeypatch.setattr(RandomSource, "generator", per_key)
+        spec = replace(toy_spec, trials=6)
+        run_mse_vs_snr(spec)
+        assert calls == [(7, (1,), 6), (7, (2, 0), 6), (7, (2, 1), 6)]
 
     def test_memory_flat_in_trials(self, ref_cfg_b, ref_profile):
         # trials stream through the campaign: it holds each trial's taps and
@@ -639,6 +669,17 @@ class TestCli:
         self._write_toy_json(cfg_file)
         assert cli_main(["estimate", "--config", str(cfg_file)]) == 0
         assert capsys.readouterr().out == GOLDEN_ESTIMATE_TEXT
+
+    def test_numeric_flags_take_json_spellings(self, tmp_path, capsys):
+        # a JSON number's other spellings of one value print the same estimate
+        cfg_file = tmp_path / "toy.json"
+        self._write_toy_json(cfg_file)
+        texts = []
+        for flags in (["--cfo=-1.5", "--snr-db", "15", "--seed", "0", "--diag-index", "3"],
+                      ["--cfo=-15e-1", "--snr-db", "1.5E1", "--seed", "0", "--diag-index", "3"]):
+            assert cli_main(["estimate", "--config", str(cfg_file), *flags]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "true_cfo            -1.500000" in texts[0]
 
     @pytest.mark.parametrize("argv,overrides", MALFORMED_CLI_CASES.values(),
                              ids=MALFORMED_CLI_CASES)

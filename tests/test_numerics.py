@@ -1,6 +1,12 @@
+import copy
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cfolab
 from cfolab.numerics import (RandomSource, complex_normal, cyclic_shift, dft,
                              phase_ramp)
 from support import complex_normal_two_calls, dft_direct, dft_matrix
@@ -109,3 +115,79 @@ class TestRandomSource:
             assert np.array_equal(z, complex_normal_two_calls(ref, shape, variance))
             assert z.dtype == complex and z.shape == np.empty(shape).shape
             assert gen.uniform() == ref.uniform()
+
+
+# seeds of 1 to 5 words: numpy pads a seed under 4 words when the key is not
+# empty, so 2**130 + 5 is the case without padding
+ORACLE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
+# the empty key, the training key, the campaign's (1, t) and (2, s, t), and a
+# key element of two words
+ORACLE_KEYS = [(), (0,), (1, 17), (2, 3, 17), (5, 2**32 + 7)]
+
+
+def oracle(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def assert_same_stream(gen, ref):
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(gen.standard_normal(64), ref.standard_normal(64))
+
+
+class TestSeedingOracle:
+    """`generator` and `generators` against numpy's own SeedSequence."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("key", ORACLE_KEYS)
+    def test_generator_matches_seed_sequence(self, seed, key):
+        assert_same_stream(RandomSource(seed, key).generator(), oracle(seed, key))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("key", ORACLE_KEYS)
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_generators_match_seed_sequence(self, seed, key, n):
+        # every key's PCG64 words, and whole streams at both ends and the middle
+        gens = list(RandomSource(seed, key).generators(n))
+        assert len(gens) == n
+        for i, gen in enumerate(gens):
+            want = np.random.SeedSequence(seed, spawn_key=key + (i,)).generate_state(4, np.uint64)
+            assert np.array_equal(gen.bit_generator.seed_seq.generate_state(4, np.uint64), want)
+        for i in sorted({0, n // 2, n - 1} & set(range(n))):
+            assert_same_stream(gens[i], oracle(seed, key + (i,)))
+
+    @pytest.mark.parametrize("seed,key", [(-1, ()), (-1, (1,)), (3, (-1,)), (3, (2, -5)),
+                                          (2**64 + 3, (1, -1))])
+    def test_negative_seed_or_key_element_rejected(self, seed, key):
+        with pytest.raises(ValueError):
+            RandomSource(seed, key).generator()
+        with pytest.raises(ValueError):
+            RandomSource(seed, key).generators(3)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            RandomSource(1, (1,)).generators(-1)
+
+    @pytest.mark.parametrize("make", [lambda: RandomSource(9, (2, 1)).generator(),
+                                      lambda: list(RandomSource(9, (2,)).generators(3))[1]])
+    def test_deepcopy_keeps_the_stream(self, make):
+        gen = make()
+        gen.standard_normal(5)
+        twin = copy.deepcopy(gen)
+        assert np.array_equal(twin.standard_normal(64), gen.standard_normal(64))
+
+    def test_seed_sequence_serves_only_the_pcg64_words(self):
+        seq = RandomSource(7, (1,)).generator().bit_generator.seed_seq
+        want = np.random.SeedSequence(7, spawn_key=(1,)).generate_state(4, np.uint64)
+        assert np.array_equal(seq.generate_state(4, np.uint64), want)
+        for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError):
+                seq.generate_state(n_words, dtype)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the seed-sequence class is built on first use, since importing
+        # numpy.random takes tens of milliseconds of every command's start-up
+        src = os.path.dirname(os.path.dirname(cfolab.__file__))
+        code = "import sys, cfolab; assert 'numpy.random' not in sys.modules, sorted(sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert run.returncode == 0, run.stderr
