@@ -28,6 +28,8 @@ close the estimator gets to the best any unbiased estimator could do.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .channel import ChannelProfile
@@ -159,12 +161,19 @@ def bias_floor(diag_index: int, cfg: SystemConfig, profile: ChannelProfile) -> f
     Symmetric under i <-> Q - i like the estimator.
     """
     w = _leakage_weights(diag_index, cfg)
-    ts = build_training(cfg, "cbts")
-    p = profile.powers_linear
-    gram = period_gram(ts, cfg, profile.delays) / cfg.pilot_len
-    var = np.einsum("k,akbm,m->ab", p, np.abs(gram) ** 2, p) / cfg.n_rx
     # the sum over ordered pairs counts each unordered pair twice
-    return float(np.sum(var * np.abs(w - w.conj().T) ** 2) / (16.0 * np.pi ** 2))
+    return float(np.sum(_leakage_variance(cfg, profile) * np.abs(w - w.conj().T) ** 2)
+                 / (16.0 * np.pi ** 2))
+
+
+@lru_cache(maxsize=16)
+def _leakage_variance(cfg: SystemConfig, profile: ChannelProfile) -> np.ndarray:
+    """`bias_floor`'s V, which no index changes, once per (config, profile)."""
+    gram = period_gram(build_training(cfg, "cbts"), cfg, profile.delays) / cfg.pilot_len
+    p = profile.powers_linear
+    var = np.einsum("k,akbm,m->ab", p, np.abs(gram) ** 2, p) / cfg.n_rx
+    var.flags.writeable = False
+    return var
 
 
 def optimal_diag_indices(gamma: float, cfg: SystemConfig,

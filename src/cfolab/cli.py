@@ -37,8 +37,8 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past int()'s limit
+            raise ConfigError(f"{args.config} is not a JSON config: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config} must hold a JSON object, "
                               f"got {type(raw).__name__}")
@@ -151,6 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, writes_csv=True):
+        # -15e-1 after a flag is its value, not an option: argparse's own
+        # pattern takes only -1, -1.5 and -.5 for negative numbers
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", help="JSON experiment file")
         p.add_argument("--preset", choices=harness.PRESET_NAMES,
                        help="shipped reference campaign")
@@ -200,7 +203,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,23 +11,23 @@ score evaluations - no line search, no polynomial rooting.
 
 A stacked frame is the plain length-Q array of its lag sums (`stack`); the
 estimators read nothing else.  A mirror sum counts as zero at 1e-12 of c_0.
-
 The ML baseline maximises the same score by brute force on a two-stage grid
 and serves as the accuracy/runtime reference.
 
-Both estimators take one frame and score on cached read-only phase tables
-from a moving origin (`likelihood`'s `origin`): the simplified estimator its
-candidates as integer offsets from their fractional part (`integer_offsets`),
-the ML baseline its grids on `ml_tables`, which a campaign builds once.  A
-simplified estimate is a dozen numpy calls on Q-element arrays (15-19 us at the
-reference dimensions on a 2-core VM); a sequence of indices shares them, so a
-frame's 15 indices cost about 80 us in one call, not 260 in 15.
+Both estimators score on cached read-only phase tables from a moving origin
+(`likelihood`'s `origin`): the simplified estimator its candidates as integer
+offsets from their fractional part (`integer_offsets`), the ML baseline its
+grids on `ml_tables`, which a campaign builds once.  A simplified estimate is
+a dozen numpy calls on Q-element arrays (15-19 us at the reference dimensions
+on a 2-core VM); (T, Q) lag sums and a sequence of indices share them, so 15
+indices of a 64-frame chunk cost about 25 us a frame.
 
-The score products of one frame stay on the calling thread: `likelihood`
-splits a table too large for OpenBLAS's single-thread path into row blocks
-below SERIAL_BLAS_ELEMENTS.  At the reference dimensions so do the gemms of
-`channel.transmit_receive` (2 x 18 by 18 x 1024) and `stack` (16 x 128 by
-128 x 16), and the FFTs, einsums and 18 x 18 eigenvalues of `analysis.emcb`.
+The score products stay on the calling thread: `likelihood` splits a table
+too large for OpenBLAS's single-thread path into row blocks below
+SERIAL_BLAS_ELEMENTS, and scores a chunk of frames row by row.  At the
+reference dimensions so do the gemms of `channel.transmit_receive` (2 x 18 by
+18 x 1024) and `stack` (16 x 128 by 128 x 16), and the FFTs, einsums and
+18 x 18 eigenvalues of `analysis.emcb`.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ def stack(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
         )
     matrix = frame.reshape(cfg.n_rx, q, p).transpose(1, 0, 2).reshape(q, -1)
     order, starts = _lag_order(q)
-    return np.add.reduceat((matrix.conj() @ matrix.T).ravel()[order], starts)
+    sums = np.add.reduceat((matrix.conj() @ matrix.T).ravel()[order], starts)
+    sums.imag[0] = 0.0  # whatever a BLAS kernel's rounding of a_r*a_i and a_i*a_r
+    return sums
 
 
 @lru_cache(maxsize=16)
@@ -170,13 +172,14 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     that reuses it.  The product with the table runs on the calling thread
     (`_serial_product`), so scoring one frame never wakes the BLAS threads.
     An (n,) array of origins gives (n, len(cfo)) scores, row r the bits of the
-    call with origin r, from one stacked product of per-row matrix-vector ones.
+    call with origin r, from one stacked product of per-row matrix-vector ones;
+    (T, Q) lag sums with (T, n) origins give (T, n, len(cfo)), frame by frame.
     """
-    q = len(c)
-    weights = c * cfg.comb_phase_sums
+    q = c.shape[-1]
     rows = isinstance(origin, np.ndarray)
+    weights = (c[..., None, :] if rows else c) * cfg.comb_phase_sums
     if rows or origin:
-        rotation = 2j * np.pi * ((origin[:, None] if rows else origin) * _lags(q))
+        rotation = 2j * np.pi * ((origin[..., None] if rows else origin) * _lags(q))
         np.exp(np.divide(rotation, q, out=rotation), out=rotation)
         weights = np.multiply(weights, rotation, out=rotation)
     if phases is None:
@@ -199,15 +202,17 @@ def integer_offsets(n_periods: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_simplified(c: np.ndarray, diag_index,
-                        cfg: SystemConfig) -> CfoEstimate | list[CfoEstimate | None]:
+                        cfg: SystemConfig) -> CfoEstimate | np.ndarray:
     """Closed-form candidate construction plus a Q-point score comparison on
     the cached `integer_offsets` table: Q phases per call, not Q x Q.  Ties
     on the score break toward smaller |cfo|, then smaller candidate index.
-    A sequence of indices gives, per index, the int call's estimate bit for
-    bit, or None where it raises DegenerateDiagonalError, for one call's cost.
+
+    (T, Q) lag sums and a sequence of n indices give a (T, n) array of
+    values: entry (t, j) is the int call's value on frame t and index j, bit
+    for bit, or NaN where that call raises DegenerateDiagonalError.
     """
     if not isinstance(diag_index, (int, np.integer)):
-        return _estimate_indices(c, diag_index, cfg)
+        return _estimate_batch(c, diag_index, cfg)
     ratio = diag_ratio(c, diag_index)
     cand = candidate_grid(ratio, len(c))
     offsets, phases = integer_offsets(len(c))
@@ -220,31 +225,30 @@ def estimate_simplified(c: np.ndarray, diag_index,
                        candidates=cand, scores=scores)
 
 
-def _estimate_indices(c: np.ndarray, indices, cfg: SystemConfig) -> list[CfoEstimate | None]:
-    """`diag_ratio` and `candidate_grid` as arrays, and one `likelihood` call."""
-    q = len(c)
-    if not all(isinstance(i, (int, np.integer)) and 0 < i < q for i in indices):
-        raise ValueError(f"diag_index must be integers in [1, {q - 1}], got {indices!r}")
+def _estimate_batch(c: np.ndarray, indices, cfg: SystemConfig) -> np.ndarray:
+    """`diag_ratio` and `candidate_grid` as (T, n) arrays, one `likelihood`
+    call, and the int call's rules row by row."""
+    q = np.shape(c)[-1]
+    if np.ndim(c) != 2 or not all(isinstance(i, (int, np.integer)) and 0 < i < q for i in indices):
+        raise ValueError(f"need (T, Q) lag sums and diag_index integers in [1, {q - 1}], "
+                         f"got shape {np.shape(c)} and {indices!r}")
     idx = np.array(indices, dtype=int)
-    mirror = c[q - idx]
-    usable = ~(np.abs(mirror) <= 1e-12 * c[0].real)
-    # a degenerate mirror divides by one instead: its row is dropped here
-    ratio = idx * c[idx].conj() / ((q - idx) * np.where(usable, mirror, 1.0))
-    rows = np.flatnonzero(usable & (ratio != 0))
-    ratio = ratio[rows]
+    mirror = c[:, q - idx]
+    usable = ~(np.abs(mirror) <= 1e-12 * c[:, :1].real)
+    # a degenerate mirror divides by one instead: its value is dropped below
+    ratio = idx * c[:, idx].conj() / ((q - idx) * np.where(usable, mirror, 1.0))
+    usable &= ratio != 0
     frac = np.arctan2(ratio.imag, ratio.real) / (2 * np.pi) % 1.0
-    cand = frac[:, None] + _lags(q) - q / 2.0
+    cand = frac[..., None] + _lags(q) - q / 2.0
     offsets, phases = integer_offsets(q)
-    scores = likelihood(c, offsets, cfg, origin=cand[:, 0] - offsets[0], phases=phases)
-    best = scores.argmax(axis=1)
+    scores = likelihood(c, offsets, cfg, origin=cand[..., 0] - offsets[0], phases=phases)
+    best = scores.argmax(axis=-1)
     # a row's maximum is tied when its first and last occurrences differ
-    for row in np.flatnonzero(best != q - 1 - scores[:, ::-1].argmax(axis=1)).tolist():
+    for row in zip(*np.nonzero(best != q - 1 - scores[..., ::-1].argmax(axis=-1))):
         best[row] = np.lexsort((np.arange(q), np.abs(cand[row]), -scores[row]))[0]
-    estimates: list[CfoEstimate | None] = [None] * len(idx)
-    for r, *fields in zip(rows.tolist(), cand[np.arange(len(rows)), best].tolist(),
-                          ratio.tolist(), cand, scores):
-        estimates[r] = CfoEstimate(*fields)
-    return estimates
+    values = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
+    values[~usable] = np.nan
+    return values
 
 
 def ml_tables(cfg: SystemConfig) -> tuple[np.ndarray, ...]:

@@ -14,19 +14,17 @@ mean signal power over every trial of the campaign.  The (1, t) keys, and the
 (2, s, t) keys of each point s, are hashed in one `RandomSource.generators`
 pass per campaign: the same keys and bits as one set-up per key.
 
-Campaigns estimate one frame at a time with the `estimate_*` functions that
-`bench` and `cfolab estimate` run, a training kind's simplified indices in one
-call; the ML baseline's phase tables are built once per campaign.
-
 `_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
-stacked frame, the (Q,) array of its lag sums, in two passes.  The first
-draws every trial's taps and offset and takes the mean signal power from the
-taps; the second walks the trials in order, simulates each trial's frames
-once from its taps and yields them point by point.  A campaign
-holds its taps and offsets, about 0.6 KB per trial at the reference
-dimensions (576 B of taps and an 8 B offset), never all its frames.  The
-frames that `bench` and `cfolab estimate` run on are trial 0 at the first SNR
-point (`one_frame`).
+stacked frame, the (Q,) array of its lag sums.  A campaign holds each trial's
+taps and offset, about 0.6 KB per trial at the reference dimensions, and its
+squared errors, 8 B per trial, point and estimator, never all its frames.
+The frames that `bench` and `cfolab estimate` run on are trial 0 at the first
+SNR point (`one_frame`).
+
+Campaigns estimate with the `estimate_*` functions that `bench` and `cfolab
+estimate` run.  A lone simplified index and the ML baseline take one call per
+frame; a training kind's group of simplified indices takes one call per chunk
+of CHUNK_FRAMES frames of an SNR point.  No byte depends on the chunk size.
 
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
@@ -56,6 +54,11 @@ SNR_RANGE_DB = (-300.0, 300.0)
 
 CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
               "emcb,mean_runtime_us,degenerate_count")
+
+# frames of one SNR point and training kind that a group of simplified
+# indices estimates per call: a chunk's score products stay small, and no
+# byte depends on the chunk size
+CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -213,13 +216,13 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
 
     All estimators at one SNR point see the same channels, offsets and (up to
     the per-kind noise scaling) the same noise draws, so comparisons between
-    them are paired.  A frame's simplified indices of one kind take one call,
-    with the bits of one call per index.  Degenerate-diagonal failures are
-    counted per row and excluded from the average.  The analytic MSE of a
-    structured-training simplified row is the noise-only closed form plus the
-    index's noiseless bias floor; noiseless campaigns, and indices where the
-    comb-weighted diagonal sum can vanish (`analysis.comb_sum_can_vanish`),
-    leave it empty.
+    them are paired.  A group of simplified indices gives the bits of one
+    call per frame and index.  Degenerate-diagonal failures are counted per
+    row and excluded from the average, taken in trial order.  The analytic
+    MSE of a structured-training simplified row is the noise-only closed form
+    plus the index's noiseless bias floor; noiseless campaigns, and indices
+    where the comb-weighted diagonal sum can vanish
+    (`analysis.comb_sum_can_vanish`), leave it empty.
     """
     cfg = spec.config
     parsed = [(e, *parse_estimator_id(e, cfg)) for e in spec.estimators]
@@ -238,34 +241,47 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
             except estimator.DegenerateDiagonalError:
                 pass
 
-    # one call per frame, method and kind; a lone simplified index passes an
-    # int, the per-frame path, which is cheaper alone than a sequence
+    # a lone simplified index and the ML baseline keep one call per frame, which
+    # perfbench's traced call counts pin; a group of simplified indices takes
+    # one call per chunk of one point's frames
     groups: dict[tuple[str, str], list] = {}
-    for est_id, method, kind, idx in mc_ids:
-        groups.setdefault((method, kind), []).append((est_id, idx))
-    sq_errors = [{est_id: [] for est_id, *_ in mc_ids} for _ in spec.snr_points_db]
+    for col, (_, method, kind, idx) in enumerate(mc_ids):
+        groups.setdefault((method, kind), []).append((col, idx))
+    n_points, q, chunk = len(spec.snr_points_db), cfg.n_periods, min(CHUNK_FRAMES, spec.trials)
+    blocks = {(s, kind): np.empty((chunk, q), dtype=complex) for s in range(n_points)
+              for (method, kind), members in groups.items() if len(members) > 1}
+    cfos = np.empty(spec.trials)
+    # squared errors by point, estimator and trial; NaN where a diagonal was degenerate
+    sq_errors = np.full((n_points, len(mc_ids), spec.trials), np.nan)
     tables = estimator.ml_tables(cfg) if ("ml_grid", "cbts") in groups else None
-    for s_idx, cfo, stacked in _stacked_frames(spec, _trainings_for(spec)):
+    for n, (s_idx, cfo, stacked) in enumerate(_stacked_frames(spec, _trainings_for(spec))):
+        trial = n // n_points
+        cfos[trial] = cfo
         for (method, kind), members in groups.items():
-            ids, idxs = zip(*members)
+            cols, idxs = zip(*members)
+            if len(members) > 1:
+                block = blocks[s_idx, kind]
+                block[trial % chunk] = stacked[kind]
+                if trial % chunk == chunk - 1 or trial == spec.trials - 1:
+                    done = slice(trial - trial % chunk, trial + 1)
+                    values = estimator.estimate_simplified(block[:trial % chunk + 1], idxs, cfg)
+                    errors = _wrap_error(values - cfos[done, None], q).T.tolist()
+                    # Python's float power, as for a lone value: numpy's x * x
+                    # differs from it in the last bit about once in 1000
+                    sq_errors[s_idx, list(cols), done] = [[e ** 2 for e in r] for r in errors]
+                continue
             try:
-                if method == "ml_grid":
-                    results = [estimator.estimate_ml_grid(stacked[kind], cfg, tables)]
-                elif len(idxs) > 1:
-                    results = estimator.estimate_simplified(stacked[kind], idxs, cfg)
-                else:
-                    results = [estimator.estimate_simplified(stacked[kind], idxs[0], cfg)]
+                value = (estimator.estimate_ml_grid(stacked[kind], cfg, tables)
+                         if method == "ml_grid"
+                         else estimator.estimate_simplified(stacked[kind], idxs[0], cfg)).value
             except estimator.DegenerateDiagonalError:
-                results = [None]
-            for est_id, res in zip(ids, results):
-                if res is not None:
-                    sq_errors[s_idx][est_id].append(
-                        _wrap_error(res.value - cfo, cfg.n_periods) ** 2)
+                continue
+            sq_errors[s_idx, cols[0], trial] = _wrap_error(value - cfo, q) ** 2
 
     rows: list[ResultRow] = []
     for snr_db, errors_at in zip(spec.snr_points_db, sq_errors):
-        for est_id, method, kind, idx in mc_ids:
-            errs = errors_at[est_id]
+        for (est_id, method, kind, idx), errors in zip(mc_ids, errors_at):
+            errs = errors[~np.isnan(errors)]
             analytic = None
             if kind == "cbts" and idx in floors:
                 gamma = 10.0 ** (snr_db / 10.0) / cfg.n_tx
@@ -273,7 +289,7 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
             rows.append(ResultRow(
                 estimator=est_id, snr_db=float(snr_db), iota=idx,
                 trials=spec.trials,
-                empirical_mse=float(np.mean(errs)) if errs else None,
+                empirical_mse=float(np.mean(errs)) if len(errs) else None,
                 analytic_mse=analytic, emcb=None, mean_runtime_us=None,
                 degenerate_count=spec.trials - len(errs)))
 

@@ -440,63 +440,83 @@ def test_estimator_bit_pin(campaign_frames, ref_cfg_b):
     assert digest.hexdigest() == ESTIMATOR_BITS_SHA256
 
 
+def int_path_values(frames, indices, cfg):
+    """The int call's value per frame and index, NaN where it raises."""
+    values = np.full((len(frames), len(indices)), np.nan)
+    for t, sf in enumerate(frames):
+        for j, i in enumerate(indices):
+            try:
+                values[t, j] = estimate_simplified(sf, i, cfg).value
+            except DegenerateDiagonalError:
+                pass
+    return values
+
+
 class TestSimplifiedIndices:
-    """A sequence of indices gives, row for row, the int call's estimate."""
+    """(T, Q) lag sums and a sequence of indices give, entry for entry, the
+    int call's value on that frame and index, in chunks of any size."""
 
     @staticmethod
-    def assert_same_bits(many, one):
-        assert np.float64(many.value).tobytes() == np.float64(one.value).tobytes()
-        assert (np.complex128(many.diag_ratio).tobytes()
-                == np.complex128(one.diag_ratio).tobytes())
-        assert many.candidates.tobytes() == one.candidates.tobytes()
-        assert many.scores.tobytes() == one.scores.tobytes()
+    def assert_chunks_give(frames, indices, cfg, expected):
+        for chunk in (1, 7, 64, len(frames)):
+            got = np.concatenate([estimate_simplified(frames[t:t + chunk], indices, cfg)
+                                  for t in range(0, len(frames), chunk)])
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_index_path_bits_match_int_path(self, campaign_frames, ref_cfg_b):
+        frames = np.array(campaign_frames)
         indices = list(range(1, ref_cfg_b.n_periods))
-        for sf in campaign_frames:
-            singles = [estimate_simplified(sf, i, ref_cfg_b) for i in indices]
-            for order in (indices, indices[::-1]):
-                got = estimate_simplified(sf, order, ref_cfg_b)
-                assert len(got) == len(order)
-                for i, est in zip(order, got):
-                    self.assert_same_bits(est, singles[i - 1])
+        expected = int_path_values(frames, indices, ref_cfg_b)
+        assert not np.isnan(expected).any()
+        for order in (indices, indices[::-1], [7], [9, 5, 7]):
+            columns = [indices.index(i) for i in order]
+            self.assert_chunks_give(frames, order, ref_cfg_b, expected[:, columns])
 
-    def test_degenerate_indices_are_none(self, campaign_frames, ref_cfg_b):
-        # the bit pin's cut frames: index 7 loses its mirror, 9 its ratio
+    def test_index_path_bits_degenerate_frames_nan(self, campaign_frames, ref_cfg_b):
+        # frames scaled by 1e-12 to 1e12, each judged by its own c_0: the bit
+        # pin's cut in every third frame (index 7 loses its mirror, 9 its
+        # ratio), a lag-9 sum just below the mirror threshold in the next and
+        # just above it in the third, so chunks mix all three
+        scales = 1e6 ** (np.arange(len(campaign_frames)) % 5 - 2)
+        frames = np.array(campaign_frames) * scales[:, None]
+        frames[::3, 9] = 0.0
+        frames[1::3, 9] = 0.5e-12 * frames[1::3, 0]
+        frames[2::3, 9] = 2e-12 * frames[2::3, 0]
         indices = list(range(1, ref_cfg_b.n_periods))
-        for sf in campaign_frames[:2]:
-            sums = sf.copy()
-            sums[9] = 0.0
-            for i, est in zip(indices, estimate_simplified(sums, indices, ref_cfg_b)):
-                if i in (7, 9):
-                    assert est is None
-                    with pytest.raises(DegenerateDiagonalError):
-                        estimate_simplified(sums, i, ref_cfg_b)
-                else:
-                    self.assert_same_bits(est, estimate_simplified(sums, i, ref_cfg_b))
+        expected = int_path_values(frames, indices, ref_cfg_b)
+        cut = np.zeros_like(expected, dtype=bool)
+        cut[::3, [6, 8]] = cut[1::3, 6] = True
+        assert np.array_equal(np.isnan(expected), cut)
+        self.assert_chunks_give(frames, indices, ref_cfg_b, expected)
 
     @pytest.mark.parametrize("indices", [[0, 3], [3, 16], [2.0, 3], [[3]]])
     def test_index_range_checked(self, campaign_frames, ref_cfg_b, indices):
         with pytest.raises(ValueError, match="diag_index"):
-            estimate_simplified(campaign_frames[0], indices, ref_cfg_b)
+            estimate_simplified(np.array(campaign_frames[:2]), indices, ref_cfg_b)
 
-    def test_tie_break_row_by_row(self, campaign_frames, ref_cfg_b, monkeypatch):
+    def test_index_path_needs_frames_of_lag_sums(self, campaign_frames, ref_cfg_b):
+        with pytest.raises(ValueError, match=r"\(T, Q\) lag sums"):
+            estimate_simplified(campaign_frames[0], [3, 5], ref_cfg_b)
+
+    def test_index_path_bits_tie_break_row_by_row(self, campaign_frames, ref_cfg_b,
+                                                  monkeypatch):
         # scores from {0, 1, 2} tie in almost every row; each row must pick
         # what the int call picks on that row's scores
         from cfolab import estimator
 
-        sf = campaign_frames[0]
+        frames = np.array(campaign_frames[:5])
         q = ref_cfg_b.n_periods
         indices = list(range(1, q))
         gen = np.random.default_rng(19)
-        for _ in range(100):
-            scores = gen.integers(0, 3, (len(indices), q)).astype(float)
+        for _ in range(20):
+            scores = gen.integers(0, 3, (len(frames), len(indices), q)).astype(float)
             monkeypatch.setattr(estimator, "likelihood", lambda sf, c, cfg, **kw: scores)
-            got = estimate_simplified(sf, indices, ref_cfg_b)
-            for row, (i, est) in enumerate(zip(indices, got)):
+            got = estimate_simplified(frames, indices, ref_cfg_b)
+            for (t, j), value in np.ndenumerate(got):
                 monkeypatch.setattr(estimator, "likelihood",
-                                    lambda sf, c, cfg, **kw: scores[row])
-                assert est.value == estimate_simplified(sf, i, ref_cfg_b).value
+                                    lambda sf, c, cfg, **kw: scores[t, j])
+                assert value == estimate_simplified(frames[t], indices[j], ref_cfg_b).value
 
 
 def edge_fine_grids(cfg, profile):

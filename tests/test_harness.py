@@ -36,6 +36,8 @@ MALFORMED_SPEC_VALUES = [
     ("snr_points_db", [-3100]),
 ]
 MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
+# the digits of an integer longer than Python's int() converts (4300 digits)
+OVERSIZED_INT = "9" * 4501
 
 # Full CSV of a small campaign covering both training kinds, ml_grid and the
 # bound.  A change that moves any byte updates this text and says so.
@@ -134,6 +136,14 @@ MALFORMED_CLI_CASES = {
        for text in spellings},
     "seed-5000-digits": (["mse-vs-snr", "--seed", "9" * 5000], {}),
 }
+
+
+def golden_toy_spec(toy_cfg, toy_profile) -> ExperimentSpec:
+    """The campaign whose CSV is GOLDEN_TOY_CSV."""
+    return ExperimentSpec(
+        config=toy_cfg, profile=toy_profile,
+        estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
+        snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
 
 
 @pytest.fixture()
@@ -265,10 +275,7 @@ class TestRunMseVsSnr:
         assert peak(400) - peak(100) < 1_000_000
 
     def test_golden_bytes(self, toy_cfg, toy_profile):
-        spec = ExperimentSpec(
-            config=toy_cfg, profile=toy_profile,
-            estimators=("simplified:3", "simplified_rs:3", "ml_grid", "emcb"),
-            snr_points_db=(10.0, 20.0), trials=20, seed=7, emcb_draws=10)
+        spec = golden_toy_spec(toy_cfg, toy_profile)
         assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
 
     def test_golden_reference_bytes(self, ref_cfg_b, ref_profile):
@@ -371,7 +378,8 @@ class TestRunMseVsIota:
 
 
 class TestIndexGrouping:
-    """One estimate_simplified call per frame and kind moves no CSV byte."""
+    """A group of simplified indices, estimated a chunk of frames per call,
+    writes the bytes of one campaign per estimator."""
 
     @pytest.fixture()
     def spec(self, ref_cfg_b, ref_profile):
@@ -396,6 +404,18 @@ class TestIndexGrouping:
         # the acceptance layout: three grouped cbts indices and lone rs and ML
         spec = replace(spec, estimators=("simplified:5", "simplified:7", "simplified:9",
                                          "simplified_rs:7", "ml_grid"))
+        assert rows_to_csv(run_mse_vs_snr(spec)) == self.one_estimator_csv(spec)
+
+    @pytest.mark.parametrize("chunk", [1, 7, harness.CHUNK_FRAMES])
+    def test_chunk_size_moves_no_byte(self, spec, toy_cfg, toy_profile, chunk, monkeypatch):
+        # 20 trials leave a partial last chunk at 7; two groups of indices,
+        # one per training kind, beside the frame-by-frame ML baseline
+        monkeypatch.setattr(harness, "CHUNK_FRAMES", chunk)
+        golden = golden_toy_spec(toy_cfg, toy_profile)
+        assert rows_to_csv(run_mse_vs_snr(golden)) == GOLDEN_TOY_CSV
+        spec = replace(spec, trials=20, estimators=(
+            "simplified:5", "simplified:7", "simplified:9", "simplified_rs:3",
+            "simplified_rs:7", "ml_grid"))
         assert rows_to_csv(run_mse_vs_snr(spec)) == self.one_estimator_csv(spec)
 
     def test_degenerate_rows_counted(self, spec, monkeypatch):
@@ -626,14 +646,18 @@ class TestCli:
         assert np.isfinite(float(cells["empirical_mse"]))
         assert np.isfinite(float(cells["analytic_mse"]))
 
-    @pytest.mark.parametrize("field,value", MALFORMED_SPEC_VALUES,
-                             ids=MALFORMED_SPEC_IDS)
+    @pytest.mark.parametrize("field,value", [*MALFORMED_SPEC_VALUES, ("trials", OVERSIZED_INT)],
+                             ids=[*MALFORMED_SPEC_IDS, "trials=4501 digits"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, field, value):
         # with emcb requested; the spec still refuses emcb_draws=0, which the
         # exact bound never reads
         cfg_file = tmp_path / "bad.json"
         self._write_toy_json(cfg_file, **{"estimators": ["simplified:3", "emcb"],
                                           field: value})
+        if value is OVERSIZED_INT:
+            # a JSON number, which the parser refuses before any key is read
+            cfg_file.write_text(cfg_file.read_text().replace(f'"{value}"', value))
+            field = "4501 digits"
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
@@ -675,11 +699,14 @@ class TestCli:
         cfg_file = tmp_path / "toy.json"
         self._write_toy_json(cfg_file)
         texts = []
-        for flags in (["--cfo=-1.5", "--snr-db", "15", "--seed", "0", "--diag-index", "3"],
-                      ["--cfo=-15e-1", "--snr-db", "1.5E1", "--seed", "0", "--diag-index", "3"]):
-            assert cli_main(["estimate", "--config", str(cfg_file), *flags]) == 0
+        for flags in (["--cfo=-1.5", "--snr-db", "15"], ["--cfo=-15e-1", "--snr-db", "1.5E1"],
+                      ["--cfo", "-15e-1", "--snr-db", "15"],
+                      ["--cfo=-1.5", "--snr-db=-10"], ["--cfo", "-1.5", "--snr-db", "-1e1"]):
+            assert cli_main(["estimate", "--config", str(cfg_file), *flags, "--seed", "0",
+                             "--diag-index", "3"]) == 0
             texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1] and "true_cfo            -1.500000" in texts[0]
+        assert texts[0] == texts[1] == texts[2] and texts[3] == texts[4]
+        assert "true_cfo            -1.500000" in texts[0] and texts[0] != texts[3]
 
     @pytest.mark.parametrize("argv,overrides", MALFORMED_CLI_CASES.values(),
                              ids=MALFORMED_CLI_CASES)
