@@ -43,7 +43,7 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
             raise ConfigError(f"{args.config} must hold a JSON object, "
                               f"got {type(raw).__name__}")
     if args.preset:
-        raw.setdefault("preset", args.preset)
+        raw["preset"] = args.preset
     if args.seed is not None:
         raw["seed"] = _flag("--seed", args.seed)
     if not raw:

@@ -14,17 +14,17 @@ mean signal power over every trial of the campaign.  The (1, t) keys, and the
 (2, s, t) keys of each point s, are hashed in one `RandomSource.generators`
 pass per campaign: the same keys and bits as one set-up per key.
 
-`_stacked_frames` is the one path from (spec, trial, SNR point) to a noisy
-stacked frame, the (Q,) array of its lag sums.  A campaign holds each trial's
-taps and offset, about 0.6 KB per trial at the reference dimensions, and its
-squared errors, 8 B per trial, point and estimator, never all its frames.
-The frames that `bench` and `cfolab estimate` run on are trial 0 at the first
-SNR point (`one_frame`).
+`_stacked_frames` is the one path from (spec, trial, SNR point) to noisy
+stacked frames: per point, a chunk of CHUNK_FRAMES trials as a (T, Q) array of
+lag sums per training kind.  A campaign holds each trial's taps and offset
+(0.6 KB per trial at the reference dimensions), one chunk per point and kind,
+and its squared errors (8 B per trial, point and estimator), never all its
+frames.  `bench` and `cfolab estimate` run on row 0 of the first chunk.
 
 Campaigns estimate with the `estimate_*` functions that `bench` and `cfolab
-estimate` run.  A lone simplified index and the ML baseline take one call per
-frame; a training kind's group of simplified indices takes one call per chunk
-of CHUNK_FRAMES frames of an SNR point.  No byte depends on the chunk size.
+estimate` run: a group of simplified indices one call per chunk, a lone index
+and the ML baseline one call per row, which the benchmark pins.  Their errors
+take one path, and no byte depends on the chunk size.
 
 Runtime measurements are confined to the bench command; the campaign CSVs
 leave the runtime column empty to keep their bytes reproducible.
@@ -55,9 +55,9 @@ SNR_RANGE_DB = (-300.0, 300.0)
 CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
               "emcb,mean_runtime_us,degenerate_count")
 
-# frames of one SNR point and training kind that a group of simplified
-# indices estimates per call: a chunk's score products stay small, and no
-# byte depends on the chunk size
+# trials per chunk of the frame stream: a group of simplified indices
+# estimates a chunk of one SNR point and training kind per call, its score
+# products stay small, and no byte depends on the chunk size
 CHUNK_FRAMES = 64
 
 
@@ -151,7 +151,7 @@ def parse_estimator_id(est_id: str, cfg: SystemConfig):
     raise ConfigError(f"unknown estimator id {est_id!r}")
 
 
-def _wrap_error(err: float, n_periods: int) -> float:
+def _wrap_error(err: np.ndarray, n_periods: int) -> np.ndarray:
     """Circular difference: the CFO is only identifiable modulo Q."""
     half = n_periods / 2.0
     return (err + half) % n_periods - half
@@ -170,7 +170,8 @@ def _trainings_for(spec: ExperimentSpec) -> dict[str, TrainingSet]:
 
 
 def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
-    """Yield (snr_index, cfo, {kind: lag sums of the noisy frame}), trial-major.
+    """Yield (snr_index, trials, cfos, {kind: (T, Q) lag sums}) per chunk of
+    CHUNK_FRAMES trials and SNR point; row t is trial trials.start + t.
 
     Pass 1 draws each trial's taps on the profile's delays, then its offset,
     on key (1, trial) into one (trials, n_rx, n_tx, D) array: a point's noise
@@ -194,21 +195,38 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
                   for kind, ts in trainings.items()}
     noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
                   for k in trainings} for db in spec.snr_points_db]
-    noise = [RandomSource(spec.seed, (2, s)).generators(spec.trials)
-             for s in range(len(noise_var))]
-    for trial, (cfo, gens) in enumerate(zip(cfos.tolist(), zip(*noise))):
-        frames = {kind: transmit_receive(ts, spec.profile, taps[trial], cfo, cfg)
-                  for kind, ts in trainings.items()}
-        for s_idx, (var, gen) in enumerate(zip(noise_var, gens)):
-            yield s_idx, cfo, {kind: estimator.stack(frame, cfg)
-                               for kind, frame in add_noise(frames, var, gen).items()}
+    noise = zip(*(RandomSource(spec.seed, (2, s)).generators(spec.trials)
+                  for s in range(len(noise_var))))
+    for start in range(0, spec.trials, CHUNK_FRAMES):
+        trials = slice(start, min(start + CHUNK_FRAMES, spec.trials))
+        sums = [{kind: np.empty((trials.stop - start, cfg.n_periods), dtype=complex)
+                 for kind in trainings} for _ in noise_var]
+        # zip reads the range first, so it takes no noise past the chunk
+        for row, (trial, gens) in enumerate(zip(range(start, trials.stop), noise)):
+            frames = {kind: transmit_receive(ts, spec.profile, taps[trial], cfos[trial], cfg)
+                      for kind, ts in trainings.items()}
+            for at_point, var, gen in zip(sums, noise_var, gens):
+                for kind, frame in add_noise(frames, var, gen).items():
+                    at_point[kind][row] = estimator.stack(frame, cfg)
+        for s_idx, at_point in enumerate(sums):
+            yield s_idx, trials, cfos[trials], at_point
 
 
 def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, np.ndarray]:
     """Trial 0 of the campaign layout at the first SNR point, offset fixed at `cfo`:
     the lag sums of one frame per training kind of the spec's estimators."""
     spec = replace(spec, trials=1, epsilon_mode="fixed", epsilon_value=cfo)
-    return next(_stacked_frames(spec, _trainings_for(spec)))[2]
+    sums = next(_stacked_frames(spec, _trainings_for(spec)))[3]
+    return {kind: c[0] for kind, c in sums.items()}
+
+
+def _lone_value(method: str, idx, c: np.ndarray, cfg: SystemConfig, tables) -> float:
+    """One frame's estimate by a lone estimator; NaN on a degenerate diagonal."""
+    try:
+        return (estimator.estimate_ml_grid(c, cfg, tables) if method == "ml_grid"
+                else estimator.estimate_simplified(c, idx, cfg)).value
+    except estimator.DegenerateDiagonalError:
+        return np.nan
 
 
 def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
@@ -231,52 +249,30 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
     bound_rows = run_emcb(spec) if any(p[1] == "emcb" for p in parsed) else []
 
     # the noiseless bias floor depends on the index alone, not on the SNR;
-    # indices whose diagonal sum can vanish get no prediction
-    floors: dict[int, float] = {}
-    for _, method, kind, idx in mc_ids:
-        if method == "simplified" and kind == "cbts" and not spec.noiseless:
-            try:
-                if not analysis.comb_sum_can_vanish(idx, cfg):
-                    floors[idx] = analysis.bias_floor(idx, cfg, spec.profile)
-            except estimator.DegenerateDiagonalError:
-                pass
+    # indices whose diagonal sum can vanish (blind ones too) get no prediction
+    floors = {idx: analysis.bias_floor(idx, cfg, spec.profile)
+              for _, method, kind, idx in mc_ids
+              if method == "simplified" and kind == "cbts" and not spec.noiseless
+              and not analysis.comb_sum_can_vanish(idx, cfg)}
 
-    # a lone simplified index and the ML baseline keep one call per frame, which
-    # perfbench's traced call counts pin; a group of simplified indices takes
-    # one call per chunk of one point's frames
+    # a group of simplified indices takes one call per chunk; a lone index and
+    # the ML baseline one call per row, which perfbench's traced counts pin
     groups: dict[tuple[str, str], list] = {}
     for col, (_, method, kind, idx) in enumerate(mc_ids):
         groups.setdefault((method, kind), []).append((col, idx))
-    n_points, q, chunk = len(spec.snr_points_db), cfg.n_periods, min(CHUNK_FRAMES, spec.trials)
-    blocks = {(s, kind): np.empty((chunk, q), dtype=complex) for s in range(n_points)
-              for (method, kind), members in groups.items() if len(members) > 1}
-    cfos = np.empty(spec.trials)
     # squared errors by point, estimator and trial; NaN where a diagonal was degenerate
-    sq_errors = np.full((n_points, len(mc_ids), spec.trials), np.nan)
+    sq_errors = np.full((len(spec.snr_points_db), len(mc_ids), spec.trials), np.nan)
     tables = estimator.ml_tables(cfg) if ("ml_grid", "cbts") in groups else None
-    for n, (s_idx, cfo, stacked) in enumerate(_stacked_frames(spec, _trainings_for(spec))):
-        trial = n // n_points
-        cfos[trial] = cfo
+    for s_idx, trials, cfos, sums in _stacked_frames(spec, _trainings_for(spec)):
         for (method, kind), members in groups.items():
             cols, idxs = zip(*members)
-            if len(members) > 1:
-                block = blocks[s_idx, kind]
-                block[trial % chunk] = stacked[kind]
-                if trial % chunk == chunk - 1 or trial == spec.trials - 1:
-                    done = slice(trial - trial % chunk, trial + 1)
-                    values = estimator.estimate_simplified(block[:trial % chunk + 1], idxs, cfg)
-                    errors = _wrap_error(values - cfos[done, None], q).T.tolist()
-                    # Python's float power, as for a lone value: numpy's x * x
-                    # differs from it in the last bit about once in 1000
-                    sq_errors[s_idx, list(cols), done] = [[e ** 2 for e in r] for r in errors]
-                continue
-            try:
-                value = (estimator.estimate_ml_grid(stacked[kind], cfg, tables)
-                         if method == "ml_grid"
-                         else estimator.estimate_simplified(stacked[kind], idxs[0], cfg)).value
-            except estimator.DegenerateDiagonalError:
-                continue
-            sq_errors[s_idx, cols[0], trial] = _wrap_error(value - cfo, q) ** 2
+            values = (estimator.estimate_simplified(sums[kind], idxs, cfg) if len(idxs) > 1
+                      else np.array([[_lone_value(method, idxs[0], c, cfg, tables)]
+                                     for c in sums[kind]]))
+            errors = _wrap_error(values - cfos[:, None], cfg.n_periods).T.tolist()
+            # Python's float power: numpy's x * x differs from it in the last
+            # bit about once in 1000
+            sq_errors[s_idx, list(cols), trials] = [[e ** 2 for e in r] for r in errors]
 
     rows: list[ResultRow] = []
     for snr_db, errors_at in zip(spec.snr_points_db, sq_errors):
@@ -412,10 +408,11 @@ def _from_section(cls, name: str, section):
 
 def spec_from_json(data: dict) -> ExperimentSpec:
     """Build a spec from a JSON-shaped dict; `preset` expands first, every
-    other key overrides the expanded values."""
+    other key overrides the expanded values.  A `preset` key of any value
+    names a preset, so one that names none is refused, never ignored."""
     data = dict(data)
-    preset = data.pop("preset", None)
-    base = preset_spec(preset, seed=data.get("seed", 42)) if preset else None
+    base = (preset_spec(data.pop("preset"), seed=data.get("seed", 42))
+            if "preset" in data else None)
 
     if "config" in data:
         config = _from_section(SystemConfig, "config", data.pop("config"))

@@ -10,7 +10,7 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
                     draw_channel, emcb, estimate_simplified, model_matrix,
                     optimal_diag_indices, predicted_mse, reference_config,
                     reference_profile, stack, transmit_receive)
-from cfolab.analysis import _bound_core, mean_inverse
+from cfolab.analysis import _bound_core, _check_index, mean_inverse
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (bound_core_full, emcb_monte_carlo, full_taps, kron_model_matrix,
                      projection_complement)
@@ -153,6 +153,28 @@ class TestCombSumCanVanish:
         assert not flagged((0, 1, 5))      # gap 4, the third point to one side
         assert flagged((0, 2, 4), idx=2)   # positions 0, 4, 0: antipodal pair
         assert not flagged((0, 1, 2))      # all in an open half-circle
+
+    def test_flags_every_blind_index(self):
+        # a comb phase sum of exactly zero puts 0 inside the phasors' hull, so
+        # every index `_check_index` refuses is flagged, and a campaign never
+        # asks `bias_floor` for one: every valid offset set at Q <= 12
+        from itertools import combinations
+
+        blind = 0
+        for q in range(2, 13, 2):
+            for n_tx in range(1, q):
+                for offsets in combinations(range(q), n_tx):
+                    try:
+                        cfg = SystemConfig(2 * q, 2, n_tx, 1, 1, 1, offsets)
+                    except ConfigError:  # a cyclic shift maps the set onto itself
+                        continue
+                    for idx in range(1, q):
+                        try:
+                            _check_index(idx, cfg)
+                        except DegenerateDiagonalError:
+                            blind += 1
+                            assert comb_sum_can_vanish(idx, cfg), (offsets, idx)
+        assert blind > 0
 
     def test_floor_falls_short_where_flagged(self, ref_cfg_b, ref_profile):
         # index 8 of {3,7,14}: phasors -1, -1, +1.  Noiseless frames there

@@ -316,8 +316,11 @@ def campaign_frames(ref_cfg_b, ref_profile):
     spec = ExperimentSpec(config=ref_cfg_b, profile=ref_profile,
                           estimators=("simplified:7", "simplified_rs:7"),
                           snr_points_db=(0.0, 10.0, 25.0), trials=30, seed=9)
-    frames = [st for _, _, st in _stacked_frames(spec, _trainings_for(spec))]
-    return [st[kind] for st in frames for kind in ("cbts", "rs")]
+    frames = {(trials.start + row, s_idx): {kind: c[row] for kind, c in sums.items()}
+              for s_idx, trials, _, sums in _stacked_frames(spec, _trainings_for(spec))
+              for row in range(trials.stop - trials.start)}
+    # in (trial, SNR point, kind) order
+    return [frames[key][kind] for key in sorted(frames) for kind in ("cbts", "rs")]
 
 
 class TestMlTables:

@@ -71,6 +71,11 @@ scores              1.157321e+04 2.274731e+04 1.150042e+04 4.425635e+04 1.158009
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
               "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
+# the toy config file of TestCli
+TOY_JSON = {"config": TOY_SYSTEM,
+            "profile": {"delays": [0, 2, 7], "powers_db": [0, -3, -6]},
+            "estimators": ["simplified:3"], "snr_points_db": [10],
+            "trials": 5, "seed": 2}
 # one transmit antenna, one receive antenna and one tap: the bound's mean over
 # channels is infinite
 DIVERGENT_BOUND = {"config": {"n_subcarriers": 64, "pilot_len": 16, "n_tx": 1, "n_rx": 1,
@@ -135,6 +140,10 @@ MALFORMED_CLI_CASES = {
            ("bench", "--repetitions", ("1_0", "010", "+10", "1e1")))
        for text in spellings},
     "seed-5000-digits": (["mse-vs-snr", "--seed", "9" * 5000], {}),
+    # a preset key names a preset whatever its value, beside a full config
+    # too; written whole, since a None override drops its key
+    **{f"preset={value!r}": (["mse-vs-snr"], json.dumps({**TOY_JSON, "preset": value}).encode())
+       for value in ("", None, 0, False, [])},
 }
 
 
@@ -202,14 +211,17 @@ class TestRunMseVsSnr:
         second = rows_to_csv(run_mse_vs_snr(toy_spec))
         assert first == second
 
-    def test_draws_are_prefix_stable(self, toy_spec, monkeypatch):
+    @pytest.mark.parametrize("chunk", [3, harness.CHUNK_FRAMES])
+    def test_draws_are_prefix_stable(self, toy_spec, chunk, monkeypatch):
         # trials 0..T-1 draw the same channel, offset and unit noise in a
         # T-trial and a 2T-trial campaign at every SNR point; the noise scale
         # follows the whole campaign's mean power, so the draws are compared,
-        # not the CSVs
+        # not the CSVs.  Chunks of 3 trials split both campaigns
         from dataclasses import replace
 
+        monkeypatch.setattr(harness, "CHUNK_FRAMES", chunk)
         shape = (toy_spec.config.n_rx, toy_spec.config.n_subcarriers)
+        m = len(toy_spec.snr_points_db)
 
         def draws(spec):
             taps, units = [], []
@@ -224,14 +236,18 @@ class TestRunMseVsSnr:
 
             monkeypatch.setattr(harness, "draw_channel", spy_channel)
             monkeypatch.setattr(harness, "add_noise", spy_noise)
-            cfos = [cfo for _, cfo, _ in _stacked_frames(spec, _trainings_for(spec))]
-            # campaign order: trial, then SNR point
-            m = len(spec.snr_points_db)
-            return taps, cfos[::m], {(i % m, i // m): u for i, u in enumerate(units)}
+            chunks = list(_stacked_frames(spec, _trainings_for(spec)))
+            # one yield per chunk and SNR point, chunk-major
+            assert [(s, t) for s, t, _, _ in chunks] == [
+                (s, slice(t, min(t + chunk, spec.trials)))
+                for t in range(0, spec.trials, chunk) for s in range(m)]
+            cfos = [cfo for s, _, at, _ in chunks if s == 0 for cfo in at.tolist()]
+            # noise in campaign order: trial, then SNR point
+            return taps, cfos, {(i % m, i // m): u for i, u in enumerate(units)}
 
         taps, cfos, units = draws(replace(toy_spec, trials=5))
         taps2, cfos2, units2 = draws(replace(toy_spec, trials=10))
-        assert len(taps) == 5 and len(units) == 5 * len(toy_spec.snr_points_db)
+        assert len(taps) == 5 and len(units) == 5 * m
         assert all(np.array_equal(a, b) for a, b in zip(taps, taps2[:5]))
         assert cfos == cfos2[:5]
         assert all(np.array_equal(u, units2[key]) for key, u in units.items())
@@ -311,12 +327,13 @@ class TestRunMseVsSnr:
 
         both = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"))
         spec = replace(both, trials=1, epsilon_mode="fixed", epsilon_value=-1.3)
-        s_idx, cfo, first = next(_stacked_frames(spec, _trainings_for(spec)))
-        assert (s_idx, cfo) == (0, -1.3)
+        s_idx, trials, cfos, first = next(_stacked_frames(spec, _trainings_for(spec)))
+        assert (s_idx, trials, cfos.tolist()) == (0, slice(0, 1), [-1.3])
         single = one_frame(both, -1.3)
         assert set(single) == set(first) == {"cbts", "rs"}
-        for kind, sf in first.items():
-            assert np.array_equal(single[kind], sf)
+        for kind, sums in first.items():
+            assert sums.shape == (1, spec.config.n_periods)
+            assert np.array_equal(single[kind], sums[0])
 
     def test_seed_changes_output(self, toy_spec):
         from dataclasses import replace
@@ -578,14 +595,7 @@ class TestSpecPlumbing:
 
 class TestCli:
     def _write_toy_json(self, path, **overrides):
-        data = {
-            "config": {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2,
-                       "n_rx": 2, "cp_len": 10, "chan_len": 8, "offsets": [1, 6]},
-            "profile": {"delays": [0, 2, 7], "powers_db": [0, -3, -6]},
-            "estimators": ["simplified:3"], "snr_points_db": [10],
-            "trials": 5, "seed": 2,
-        }
-        data.update(overrides)
+        data = {**TOY_JSON, **overrides}
         path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
 
     def test_estimate_runs(self, tmp_path, capsys):
@@ -604,6 +614,22 @@ class TestCli:
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(out_a)]) == 0
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_preset_flag_overrides_file_key(self, tmp_path):
+        # --preset replaces the file's preset, as --seed replaces its seed;
+        # the file's other keys still override the preset's values
+        def run(preset, *flags):
+            cfg_file, out = tmp_path / f"{preset}.json", tmp_path / f"{preset}{len(flags)}.csv"
+            cfg_file.write_text(json.dumps({"preset": preset, "trials": 2,
+                                            "snr_points_db": [10],
+                                            "estimators": ["simplified:7"]}))
+            assert cli_main(["mse-vs-snr", "--config", str(cfg_file), *flags,
+                             "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        flagged = run("paper-fig1", "--preset", "paper-fig3")
+        assert flagged == run("paper-fig3")
+        assert flagged != run("paper-fig1")
 
     def test_mse_vs_iota_flag(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
