@@ -211,12 +211,19 @@ class TestRunMseVsSnr:
         second = rows_to_csv(run_mse_vs_snr(toy_spec))
         assert first == second
 
-    @pytest.mark.parametrize("chunk", [3, harness.CHUNK_FRAMES])
-    def test_draws_are_prefix_stable(self, toy_spec, chunk, monkeypatch):
+    def test_draws_are_prefix_stable(self, toy_spec, monkeypatch):
+        self._check_prefix_stable(toy_spec, harness.CHUNK_FRAMES, monkeypatch)
+
+    def test_draws_are_prefix_stable_across_chunks(self, toy_spec, monkeypatch):
+        # chunks of 3 trials split both campaigns
+        self._check_prefix_stable(toy_spec, 3, monkeypatch)
+
+    @staticmethod
+    def _check_prefix_stable(toy_spec, chunk, monkeypatch):
         # trials 0..T-1 draw the same channel, offset and unit noise in a
         # T-trial and a 2T-trial campaign at every SNR point; the noise scale
         # follows the whole campaign's mean power, so the draws are compared,
-        # not the CSVs.  Chunks of 3 trials split both campaigns
+        # not the CSVs
         from dataclasses import replace
 
         monkeypatch.setattr(harness, "CHUNK_FRAMES", chunk)
