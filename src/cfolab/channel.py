@@ -37,7 +37,7 @@ import numpy as np
 
 from .numerics import complex_normal, phase_ramp
 from .training import (ConfigError, SystemConfig, TrainingSet, is_finite_number,
-                       is_integer)
+                       is_integer, json_text)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ class ChannelProfile:
                                  ("powers_db", is_finite_number, "finite numbers")):
             value = getattr(self, key)
             if not isinstance(value, (tuple, list)) or not all(map(valid, value)):
-                raise ConfigError(f"profile {key} must be a list of {what}, got {value!r}")
+                raise ConfigError(f"profile {key} must be a list of {what}, "
+                                  f"got {json_text(value)}")
             object.__setattr__(self, key, tuple(value))
         if len(self.delays) != len(self.powers_db) or not self.delays:
             raise ConfigError("profile needs equal-length, non-empty delay and power lists")

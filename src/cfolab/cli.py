@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import analysis, estimator, harness
-from .training import ConfigError, export_training_csv
+from .training import ConfigError, export_training_csv, is_integer, json_text
 
 
 def _flag(name: str, text: str):
@@ -27,11 +27,11 @@ def _flag(name: str, text: str):
             return json.loads(text)
     except ValueError:  # an integer longer than Python converts
         pass
-    raise ConfigError(f"{name} must be a JSON number, got {text!r}")
+    raise ConfigError(f"{name} must be a JSON number, got {json_text(text)}")
 
 
-def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
-    """Resolve --config / --preset / --seed into a spec plus raw JSON extras."""
+def _spec_from_args(args) -> tuple[harness.ExperimentSpec, list | None]:
+    """Resolve --config / --preset / --seed into a spec and the file's iotas or None."""
     raw: dict = {}
     if args.config:
         try:
@@ -48,12 +48,14 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, dict]:
         raw["seed"] = _flag("--seed", args.seed)
     if not raw:
         raise ConfigError("provide --config FILE and/or --preset NAME")
-    extras = {"iotas": raw.pop("iotas")} if "iotas" in raw else {}
-    if extras and args.command != "mse-vs-iota":
+    iotas = raw.get("iotas")
+    if "iotas" in raw and args.command != "mse-vs-iota":
         raise ConfigError(f"iotas applies to mse-vs-iota only, not to {args.command}")
+    if "iotas" in raw and not (isinstance(iotas, list) and iotas and all(map(is_integer, iotas))):
+        raise ConfigError(f"iotas must be a non-empty list of JSON integers: {json_text(iotas)}")
     if "estimators" in raw and args.command == "mse-vs-iota":
         raise ConfigError("mse-vs-iota sweeps its iotas and takes no estimators key")
-    return harness.spec_from_json(raw), extras
+    return harness.spec_from_json(raw), iotas
 
 
 def _emit(rows, out_path: str | None) -> None:
@@ -94,16 +96,10 @@ def _cmd_mse_vs_snr(args) -> int:
 
 
 def _cmd_mse_vs_iota(args) -> int:
-    spec, extras = _spec_from_args(args)
-    # raw items go into the estimator ids, where the spec rejects non-integers
-    if args.iotas is not None:
-        iotas = args.iotas.split(",") if args.iotas else []
-    else:
-        iotas = extras.get("iotas", list(range(1, spec.config.n_periods)))
-    if not isinstance(iotas, list) or not iotas:
-        raise ConfigError(f"iotas must be a non-empty list of diagonal indices, "
-                          f"got {iotas!r}")
-    _emit(harness.run_mse_vs_iota(spec, iotas), args.out)
+    spec, iotas = _spec_from_args(args)
+    if args.iotas is not None:  # text items: the estimator ids take only plain decimal
+        iotas = args.iotas.split(",")
+    _emit(harness.run_mse_vs_iota(spec, iotas or range(1, spec.config.n_periods)), args.out)
     return 0
 
 

@@ -33,7 +33,7 @@ leave the runtime column empty to keep their bytes reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Iterable
 
 import numpy as np
@@ -44,7 +44,7 @@ from .channel import (ChannelProfile, add_noise, draw_channel, reference_profile
 from .numerics import RandomSource
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, is_finite_number, is_integer,
-                       reference_config)
+                       json_text, reference_config)
 
 # SNR points a campaign accepts, in dB.  Within it every CSV field stays
 # finite with a wide margin: 10**(snr/10) neither overflows nor underflows,
@@ -63,14 +63,14 @@ CHUNK_FRAMES = 64
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a campaign needs; serialisable to/from JSON."""
+    """Everything a campaign needs; its field defaults are a JSON spec's only ones."""
 
     config: SystemConfig
     profile: ChannelProfile
-    estimators: tuple[str, ...]
-    snr_points_db: tuple[float, ...]
-    trials: int
-    seed: int
+    estimators: tuple[str, ...] = ("simplified:1",)
+    snr_points_db: tuple[float, ...] = (15.0,)
+    trials: int = 1000
+    seed: int = 42
     epsilon_mode: str = "uniform"   # "uniform" | "fixed"
     epsilon_value: float = 0.0
     noiseless: bool = False
@@ -81,28 +81,28 @@ class ExperimentSpec:
         for key, least in (("trials", 1), ("seed", 0), ("emcb_draws", 1)):
             value = getattr(self, key)
             if not is_integer(value) or value < least:
-                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+                raise ConfigError(f"{key} must be an integer >= {least}, got {json_text(value)}")
         if not isinstance(self.noiseless, bool):
-            raise ConfigError(f"noiseless must be true or false, got {self.noiseless!r}")
+            raise ConfigError(f"noiseless must be true or false, got {json_text(self.noiseless)}")
         if self.epsilon_mode not in ("uniform", "fixed"):
-            raise ConfigError(f"unknown epsilon_mode {self.epsilon_mode!r}")
+            raise ConfigError(f"unknown epsilon_mode {json_text(self.epsilon_mode)}")
         half = self.config.cfo_half_range
         if not is_finite_number(self.epsilon_value) or (
                 self.epsilon_mode == "fixed" and not -half < self.epsilon_value < half):
             raise ConfigError(f"epsilon_value must be a number in (-{half}, {half}), "
-                              f"got {self.epsilon_value!r}")
+                              f"got {json_text(self.epsilon_value)}")
         low, high = SNR_RANGE_DB
         if (not isinstance(self.snr_points_db, (tuple, list)) or not self.snr_points_db
                 or not all(is_finite_number(v) and low <= v <= high
                            for v in self.snr_points_db)):
             raise ConfigError(f"snr_points_db must be a non-empty list of numbers in "
-                              f"[{low:g}, {high:g}] dB, got {self.snr_points_db!r}")
+                              f"[{low:g}, {high:g}] dB, got {json_text(self.snr_points_db)}")
         if (not isinstance(self.estimators, (tuple, list)) or not self.estimators
                 or not all(isinstance(e, str) for e in self.estimators)):
             raise ConfigError("estimators must be a non-empty list of estimator "
-                              f"ids, got {self.estimators!r}")
+                              f"ids, got {json_text(self.estimators)}")
         if len(set(self.estimators)) < len(self.estimators):
-            raise ConfigError(f"estimators must not repeat an id, got {self.estimators!r}")
+            raise ConfigError(f"estimators repeat an id: {json_text(self.estimators)}")
         for est_id in self.estimators:
             parse_estimator_id(est_id, self.config)
         if self.noiseless and "emcb" in self.estimators:
@@ -142,13 +142,13 @@ def parse_estimator_id(est_id: str, cfg: SystemConfig):
         return ("emcb", "cbts", None)
     if name in ("simplified", "simplified_rs"):
         if not arg:
-            raise ConfigError(f"{name} needs a diagonal index, e.g. '{name}:7'")
+            raise ConfigError(f'{name} needs a diagonal index, e.g. "{name}:7"')
         # one spelling per index, so no two ids of one index pass the repeat check
         if arg not in map(str, range(1, cfg.n_periods)):
             raise ConfigError(f"diagonal index must be an integer in [1, {cfg.n_periods - 1}] "
-                              f"in plain decimal, got {arg!r}")
+                              f"in plain decimal, got {json_text(arg)}")
         return ("simplified", "cbts" if name == "simplified" else "rs", int(arg))
-    raise ConfigError(f"unknown estimator id {est_id!r}")
+    raise ConfigError(f"unknown estimator id {json_text(est_id)}")
 
 
 def _wrap_error(err: np.ndarray, n_periods: int) -> np.ndarray:
@@ -310,10 +310,10 @@ def run_emcb(spec: ExperimentSpec) -> list[ResultRow]:
             for db, val in zip(spec.snr_points_db, values)]
 
 
-def run_bench(spec: ExperimentSpec, repetitions: int = 200) -> list[BenchRow]:
+def run_bench(spec: ExperimentSpec, repetitions: int) -> list[BenchRow]:
     """Wall-clock comparison of the estimators on one shared noisy frame."""
     if not is_integer(repetitions) or repetitions < 1:
-        raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+        raise ConfigError(f"repetitions must be an integer >= 1, got {json_text(repetitions)}")
     if set(spec.estimators) == {"emcb"}:
         raise ConfigError("bench times Monte Carlo estimators (simplified:<i>, "
                           "simplified_rs:<i>, ml_grid); emcb alone has none")
@@ -368,33 +368,27 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 # ---------------------------------------------------------------------------
 # Preset and JSON plumbing
 
-PRESET_NAMES = ("paper-fig1", "paper-fig2", "paper-fig3")
+# Shipped reference campaigns at the reference config and profile, 2000 trials:
+# name -> (comb offsets, estimators, SNR points in dB).  paper-fig1 / paper-fig2
+# sweep the diagonal index at 10/15/20 dB for the two reference offset sets;
+# paper-fig3 is MSE vs SNR of both designs, the grid-search baseline and the bound.
+PRESETS = {
+    "paper-fig1": (OFFSETS_A, ("simplified:8",), (10.0, 15.0, 20.0)),
+    "paper-fig2": (OFFSETS_B, ("simplified:7",), (10.0, 15.0, 20.0)),
+    "paper-fig3": (OFFSETS_B, ("simplified:7", "simplified_rs:7", "ml_grid", "emcb"),
+                   (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
-def preset_spec(name: str, seed: int = 42) -> ExperimentSpec:
-    """Shipped reference campaigns.
-
-    paper-fig1 / paper-fig2: diagonal-index sweeps at 10/15/20 dB for the two
-    reference offset sets.  paper-fig3: MSE vs SNR for the structured and
-    random designs plus the grid-search baseline and the bound.
-    """
-    if name == "paper-fig1":
-        return ExperimentSpec(
-            config=reference_config(OFFSETS_A), profile=reference_profile(),
-            estimators=("simplified:8",), snr_points_db=(10.0, 15.0, 20.0),
-            trials=2000, seed=seed)
-    if name == "paper-fig2":
-        return ExperimentSpec(
-            config=reference_config(OFFSETS_B), profile=reference_profile(),
-            estimators=("simplified:7",), snr_points_db=(10.0, 15.0, 20.0),
-            trials=2000, seed=seed)
-    if name == "paper-fig3":
-        return ExperimentSpec(
-            config=reference_config(OFFSETS_B), profile=reference_profile(),
-            estimators=("simplified:7", "simplified_rs:7", "ml_grid", "emcb"),
-            snr_points_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0),
-            trials=2000, seed=seed)
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+def preset_spec(name: str) -> ExperimentSpec:
+    """The spec of the shipped reference campaign `name` (see PRESETS)."""
+    # a tuple compares by ==, so a name of any type, unhashable too, is refused here
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {json_text(name)}; presets: {json_text(PRESET_NAMES)}")
+    offsets, estimators, snr_points_db = PRESETS[name]
+    return ExperimentSpec(config=reference_config(offsets), profile=reference_profile(),
+                          estimators=estimators, snr_points_db=snr_points_db, trials=2000)
 
 
 def _from_section(cls, name: str, section):
@@ -407,45 +401,18 @@ def _from_section(cls, name: str, section):
 
 
 def spec_from_json(data: dict) -> ExperimentSpec:
-    """Build a spec from a JSON-shaped dict; `preset` expands first, every
-    other key overrides the expanded values.  A `preset` key of any value
-    names a preset, so one that names none is refused, never ignored."""
-    data = dict(data)
-    base = (preset_spec(data.pop("preset"), seed=data.get("seed", 42))
-            if "preset" in data else None)
-
-    if "config" in data:
-        config = _from_section(SystemConfig, "config", data.pop("config"))
-    elif base:
-        config = base.config
-    else:
-        raise ConfigError("config section (or preset) is required")
-
-    if "profile" in data:
-        profile = _from_section(ChannelProfile, "profile", data.pop("profile"))
-    elif base:
-        profile = base.profile
-    else:
-        raise ConfigError("profile section (or preset) is required")
-
-    def pick(key, default):
-        if key in data:
-            return data.pop(key)
-        return getattr(base, key) if base else default
-
+    """A spec from a JSON-shaped dict: `preset` expands first, and a value of it
+    that names no preset is refused, never ignored; other keys override it and
+    absent ones take ExperimentSpec's defaults.  The CLI's `iotas` is dropped."""
+    data = {key: value for key, value in data.items() if key != "iotas"}
+    base = preset_spec(data.pop("preset")) if "preset" in data else None
+    for name, cls in (("config", SystemConfig), ("profile", ChannelProfile)):
+        if name in data:
+            data[name] = _from_section(cls, name, data[name])
+        elif base is None:
+            raise ConfigError(f"{name} section (or preset) is required")
+    unknown = sorted(set(data) - {f.name for f in fields(ExperimentSpec)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {json_text(unknown)}")
     # values pass through uncoerced: ExperimentSpec rejects malformed ones
-    spec = ExperimentSpec(
-        config=config, profile=profile,
-        estimators=pick("estimators", ("simplified:1",)),
-        snr_points_db=pick("snr_points_db", (15.0,)),
-        trials=pick("trials", 1000),
-        seed=pick("seed", 42),
-        epsilon_mode=pick("epsilon_mode", "uniform"),
-        epsilon_value=pick("epsilon_value", 0.0),
-        noiseless=pick("noiseless", False),
-        emcb_draws=pick("emcb_draws", 500),
-    )
-    data.pop("iotas", None)  # consumed by the CLI, not the spec
-    if data:
-        raise ConfigError(f"unknown config keys: {sorted(data)}")
-    return spec
+    return replace(base, **data) if base else ExperimentSpec(**data)

@@ -19,6 +19,7 @@ Two kinds are shipped:
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +33,14 @@ from .numerics import RandomSource, cyclic_shift, dft, phase_ramp
 
 class ConfigError(ValueError):
     """Raised for dimension or parameter combinations the model cannot support."""
+
+
+def json_text(value) -> str:
+    """`value` as JSON spells it (null, true, "text"), or its repr if JSON cannot."""
+    try:
+        return json.dumps(value)
+    except TypeError:
+        return repr(value)
 
 
 def is_integer(value) -> bool:
@@ -82,10 +91,10 @@ class SystemConfig:
         for key in ("n_subcarriers", "pilot_len", "n_tx", "n_rx", "cp_len", "chan_len",
                     "chu_root"):
             if not is_integer(getattr(self, key)):
-                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
+                raise ConfigError(f"{key} must be an integer, got {json_text(getattr(self, key))}")
         offsets = self.offsets
         if not isinstance(offsets, (tuple, list)) or not all(map(is_integer, offsets)):
-            raise ConfigError(f"offsets must be a list of integers, got {offsets!r}")
+            raise ConfigError(f"offsets must be a list of integers, got {json_text(offsets)}")
         object.__setattr__(self, "offsets", tuple(offsets))
         n, p = self.n_subcarriers, self.pilot_len
         if p < 2 or n < p:
@@ -100,11 +109,11 @@ class SystemConfig:
         if len(self.offsets) != self.n_tx:
             raise ConfigError("need exactly one comb offset per transmit antenna")
         if len(set(self.offsets)) != self.n_tx:
-            raise ConfigError(f"comb offsets must be distinct, got {self.offsets}")
+            raise ConfigError(f"comb offsets must be distinct, got {json_text(offsets)}")
         if any(not (0 <= i <= q - 1) for i in self.offsets):
-            raise ConfigError(f"comb offsets must lie in [0, {q - 1}], got {self.offsets}")
+            raise ConfigError(f"comb offsets must lie in [0, {q - 1}], got {json_text(offsets)}")
         if any({(i + d) % q for i in self.offsets} == set(self.offsets) for d in range(1, q)):
-            raise ConfigError(f"comb offsets {self.offsets} repeat under a nonzero cyclic "
+            raise ConfigError(f"comb offsets {json_text(offsets)} repeat under a nonzero cyclic "
                               f"shift mod Q={q}, which aliases every estimator's score")
         if math.gcd(self.chu_root, p) != 1:
             raise ConfigError(f"chu_root={self.chu_root} must be coprime with pilot_len={p}")
@@ -238,7 +247,7 @@ def build_training(cfg: SystemConfig, kind: str = "cbts",
             grid[mu] = np.exp(1j * gen.uniform(0.0, 2 * np.pi, n)) / np.sqrt(cfg.n_tx)
             pilots[mu] = grid[mu, cfg.lattice(mu)]
     else:
-        raise ConfigError(f"unknown training kind {kind!r}")
+        raise ConfigError(f"unknown training kind {json_text(kind)}")
     time = np.vstack([np.sqrt(n) * dft(grid[mu], inverse=True) for mu in range(cfg.n_tx)])
     return TrainingSet(kind=kind, freq_pilots=pilots, grid_vectors=grid, time_sequences=time)
 

@@ -9,7 +9,7 @@ import pytest
 from cfolab import (ChannelProfile, ConfigError, RandomSource, add_noise, bias_floor,
                     draw_channel, harness, predicted_mse)
 from cfolab.cli import main as cli_main
-from cfolab.harness import (CSV_HEADER, ExperimentSpec, _stacked_frames,
+from cfolab.harness import (CSV_HEADER, PRESET_NAMES, ExperimentSpec, _stacked_frames,
                             _trainings_for, one_frame, parse_estimator_id,
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
@@ -115,6 +115,13 @@ MALFORMED_CLI_CASES = {
     "emcb-snr-underflows": (["emcb"], {"snr_points_db": [-3100], "emcb_draws": 10}),
     "iotas-empty-list": (["mse-vs-iota"], {"iotas": [], "estimators": None}),
     "iotas-empty-flag": (["mse-vs-iota", "--iotas", ""], {"estimators": None}),
+    # a file's iotas are JSON integers: no string or boolean stands for an
+    # index, and null is no list (written whole, since a None override drops
+    # its key)
+    "iotas-strings": (["mse-vs-iota"], {"iotas": ["3", "5"], "estimators": None}),
+    "iotas-boolean": (["mse-vs-iota"], {"iotas": [True, 5], "estimators": None}),
+    "iotas-null": (["mse-vs-iota"], json.dumps({
+        **{k: v for k, v in TOY_JSON.items() if k != "estimators"}, "iotas": None}).encode()),
     "iotas-on-mse-vs-snr": (["mse-vs-snr"], {"iotas": [3]}),
     "iotas-on-emcb": (["emcb"], {"iotas": [3], "emcb_draws": 10}),
     "noiseless-with-emcb": (["mse-vs-snr"], {"noiseless": True,
@@ -538,6 +545,29 @@ class TestSpecPlumbing:
         with pytest.raises(ConfigError):
             preset_spec("paper-fig9")
 
+    @pytest.mark.parametrize("name", [None, []], ids=repr)
+    def test_non_string_preset(self, name):
+        # an unhashable name too is a config error, not a lookup's TypeError
+        with pytest.raises(ConfigError, match="unknown preset"):
+            preset_spec(name)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_json_preset_is_preset_spec(self, name):
+        # the file's keys replace the preset's fields and nothing else; the
+        # command line's iotas key changes no field
+        assert preset_spec(name).seed == 42
+        assert spec_from_json({"preset": name}) == preset_spec(name)
+        assert spec_from_json({"preset": name, "iotas": [3]}) == preset_spec(name)
+        assert spec_from_json({"preset": name, "seed": 5}) == replace(preset_spec(name), seed=5)
+
+    def test_json_without_preset_takes_spec_defaults(self, toy_cfg, toy_profile):
+        spec = spec_from_json({"config": TOY_SYSTEM, "profile": TOY_JSON["profile"]})
+        assert (spec.config, spec.profile) == (toy_cfg, toy_profile)
+        assert (spec.estimators, spec.snr_points_db, spec.trials, spec.seed) == (
+            ("simplified:1",), (15.0,), 1000, 42)
+        assert (spec.epsilon_mode, spec.epsilon_value, spec.noiseless, spec.emcb_draws) == (
+            "uniform", 0.0, False, 500)
+
     def test_json_preset_with_overrides(self):
         spec = spec_from_json({"preset": "paper-fig3", "trials": 10, "seed": 5})
         assert spec.trials == 10
@@ -694,6 +724,16 @@ class TestCli:
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
+
+    @pytest.mark.parametrize("key,value,text", [
+        ("preset", None, "unknown preset null;"), ("trials", True, "got true"),
+        ("noiseless", "false", 'got "false"')], ids=["null", "true", "string"])
+    def test_config_errors_spell_json(self, tmp_path, capsys, key, value, text):
+        # a file's value is quoted as JSON spells it, not as Python does
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({**TOY_JSON, key: value}))
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
+        assert text in capsys.readouterr().err
 
     def test_bench_prints_table(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
