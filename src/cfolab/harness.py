@@ -4,7 +4,8 @@ Randomness is laid out here, and only here, as `SeedSequence` spawn keys
 under the campaign seed, so a campaign is a pure function of (spec, seed):
 
 * ``(0,)``: the random-training draw;
-* ``(1, t)``: trial t's channel taps, then its offset;
+* ``(1, t)``: trial t's channel taps, then its offset, unless the spec's
+  ``cfo`` fixes every trial's offset;
 * ``(2, s, t)``: the unit noise of SNR point s and trial t.
 
 No key depends on the trial count or the number of SNR points, so the draws
@@ -33,7 +34,7 @@ leave the runtime column empty to keep their bytes reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import IO, Iterable
 
 import numpy as np
@@ -52,9 +53,6 @@ from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
 # bound's noise term.
 SNR_RANGE_DB = (-300.0, 300.0)
 
-CSV_HEADER = ("estimator,snr_db,iota,trials,empirical_mse,analytic_mse,"
-              "emcb,mean_runtime_us,degenerate_count")
-
 # trials per chunk of the frame stream: a group of simplified indices
 # estimates a chunk of one SNR point and training kind per call, its score
 # products stay small, and no byte depends on the chunk size
@@ -63,7 +61,8 @@ CHUNK_FRAMES = 64
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a campaign needs; its field defaults are a JSON spec's only ones."""
+    """Everything a campaign needs; its field defaults are a JSON spec's only ones.
+    A null `cfo` draws each trial's offset on (-Q/2, Q/2); a number fixes them all."""
 
     config: SystemConfig
     profile: ChannelProfile
@@ -71,8 +70,7 @@ class ExperimentSpec:
     snr_points_db: tuple[float, ...] = (15.0,)
     trials: int = 1000
     seed: int = 42
-    epsilon_mode: str = "uniform"   # "uniform" | "fixed"
-    epsilon_value: float = 0.0
+    cfo: float | None = None
     noiseless: bool = False
     emcb_draws: int = 500  # echoed in the emcb rows' trials column, changes no value
 
@@ -84,13 +82,10 @@ class ExperimentSpec:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {json_text(value)}")
         if not isinstance(self.noiseless, bool):
             raise ConfigError(f"noiseless must be true or false, got {json_text(self.noiseless)}")
-        if self.epsilon_mode not in ("uniform", "fixed"):
-            raise ConfigError(f"unknown epsilon_mode {json_text(self.epsilon_mode)}")
         half = self.config.cfo_half_range
-        if not is_finite_number(self.epsilon_value) or (
-                self.epsilon_mode == "fixed" and not -half < self.epsilon_value < half):
-            raise ConfigError(f"epsilon_value must be a number in (-{half}, {half}), "
-                              f"got {json_text(self.epsilon_value)}")
+        if self.cfo is not None and not (is_finite_number(self.cfo) and -half < self.cfo < half):
+            raise ConfigError(f"cfo must be null or a number in (-{half}, {half}), "
+                              f"got {json_text(self.cfo)}")
         low, high = SNR_RANGE_DB
         if (not isinstance(self.snr_points_db, (tuple, list)) or not self.snr_points_db
                 or not all(is_finite_number(v) and low <= v <= high
@@ -123,6 +118,11 @@ class ResultRow:
     emcb: float | None
     mean_runtime_us: float | None
     degenerate_count: int
+
+
+# the campaign CSV's columns, in ResultRow's field order
+CSV_FIELDS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     for t, gen in enumerate(RandomSource(spec.seed, (1,)).generators(spec.trials)):
         taps[t] = draw_channel(spec.profile, cfg, gen)
         # uniform() is closed at the lower end; nudge the endpoint inward
-        cfos[t] = (spec.epsilon_value if spec.epsilon_mode == "fixed"
-                   else np.nextafter(gen.uniform(-half, half), 0.0))
+        cfos[t] = (np.nextafter(gen.uniform(-half, half), 0.0) if spec.cfo is None
+                   else spec.cfo)
     mean_power = {kind: float(np.mean(signal_power(ts, spec.profile, taps)))
                   for kind, ts in trainings.items()}
     noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
@@ -215,7 +215,7 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
 def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, np.ndarray]:
     """Trial 0 of the campaign layout at the first SNR point, offset fixed at `cfo`:
     the lag sums of one frame per training kind of the spec's estimators."""
-    spec = replace(spec, trials=1, epsilon_mode="fixed", epsilon_value=cfo)
+    spec = replace(spec, trials=1, cfo=cfo)
     sums = next(_stacked_frames(spec, _trainings_for(spec)))[3]
     return {kind: c[0] for kind, c in sums.items()}
 
@@ -352,9 +352,7 @@ def _fmt(value) -> str:
 def write_csv(rows: list[ResultRow], fh: IO[str]) -> None:
     fh.write(CSV_HEADER + "\n")
     for r in rows:
-        fh.write(",".join(_fmt(v) for v in (
-            r.estimator, r.snr_db, r.iota, r.trials, r.empirical_mse,
-            r.analytic_mse, r.emcb, r.mean_runtime_us, r.degenerate_count)) + "\n")
+        fh.write(",".join(_fmt(getattr(r, name)) for name in CSV_FIELDS) + "\n")
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -366,7 +364,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Preset and JSON plumbing
+# Preset and JSON plumbing: `_from_object` reads the spec and its sections
 
 # Shipped reference campaigns at the reference config and profile, 2000 trials:
 # name -> (comb offsets, estimators, SNR points in dB).  paper-fig1 / paper-fig2
@@ -391,28 +389,29 @@ def preset_spec(name: str) -> ExperimentSpec:
                           estimators=estimators, snr_points_db=snr_points_db, trials=2000)
 
 
-def _from_section(cls, name: str, section):
-    """Build `cls` from a JSON object of its fields.  A non-object, an unknown or
-    a missing key is the call's TypeError; the constructors check value types."""
-    try:
-        return cls(**section)
-    except TypeError as exc:
-        raise ConfigError(f"{name} section: {exc}") from None
+def _from_object(cls, name: str, obj, base=None):
+    """Build `cls` from a JSON object of its fields, or replace them in `base`.
+    A non-object, an unknown key and, without `base`, a missing required key
+    are refused here in JSON terms; the constructor checks the values."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {json_text(obj)}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {json_text(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if base is None and missing:
+        raise ConfigError(f"{name} is missing keys: {json_text(missing)}")
+    return replace(base, **obj) if base else cls(**obj)
 
 
 def spec_from_json(data: dict) -> ExperimentSpec:
     """A spec from a JSON-shaped dict: `preset` expands first, and a value of it
     that names no preset is refused, never ignored; other keys override it and
-    absent ones take ExperimentSpec's defaults.  The CLI's `iotas` is dropped."""
+    absent ones take ExperimentSpec's defaults.  The CLI's `iotas` is dropped.
+    Values pass through uncoerced: the constructors refuse malformed ones."""
     data = {key: value for key, value in data.items() if key != "iotas"}
     base = preset_spec(data.pop("preset")) if "preset" in data else None
     for name, cls in (("config", SystemConfig), ("profile", ChannelProfile)):
         if name in data:
-            data[name] = _from_section(cls, name, data[name])
-        elif base is None:
-            raise ConfigError(f"{name} section (or preset) is required")
-    unknown = sorted(set(data) - {f.name for f in fields(ExperimentSpec)})
-    if unknown:
-        raise ConfigError(f"unknown config keys: {json_text(unknown)}")
-    # values pass through uncoerced: ExperimentSpec rejects malformed ones
-    return replace(base, **data) if base else ExperimentSpec(**data)
+            data[name] = _from_object(cls, f"{name} section", data[name])
+    return _from_object(ExperimentSpec, "config", data, base)

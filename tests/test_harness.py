@@ -29,7 +29,9 @@ MALFORMED_SPEC_VALUES = [
     ("snr_points_db", ["10"]),
     ("seed", 1.5),
     ("seed", -1),
-    ("epsilon_value", "0.5"),
+    ("cfo", "0.5"),
+    ("cfo", True),
+    ("cfo", float("inf")),
     ("estimators", ["simplified:3", "simplified:3"]),
     ("snr_points_db", 15),
     ("snr_points_db", [3100]),
@@ -153,6 +155,25 @@ MALFORMED_CLI_CASES = {
        for value in ("", None, 0, False, [])},
 }
 
+# Command lines (given `--config FILE` after them), overrides of the toy config
+# file and the text its config error must hold: values as JSON spells them,
+# and the sections' keys as the file names them, never a Python call's words.
+JSON_SPELLED_ERRORS = {
+    "null": (["mse-vs-snr"], {"preset": None}, "unknown preset null;"),
+    "true": (["mse-vs-snr"], {"trials": True}, "got true"),
+    "string": (["mse-vs-snr"], {"noiseless": "false"}, 'got "false"'),
+    "config-not-object": (["mse-vs-snr"], {"config": [1]},
+                          "config section must be a JSON object, got [1]"),
+    "profile-unknown-key": (["mse-vs-snr"], {"profile": {**TOY_JSON["profile"], "bogus": 1}},
+                            'unknown profile section keys: ["bogus"]'),
+    "config-missing-keys": (["mse-vs-snr"], {"config": {"n_subcarriers": 64}},
+                            'config section is missing keys: ["pilot_len", "n_tx", "n_rx", '
+                            '"cp_len", "chan_len", "offsets"]'),
+    # Q = 4, so the offset 2.3 lies outside (-2, 2)
+    "estimate-cfo-past-half-range": (["estimate", "--cfo", "2.3"], DIVERGENT_BOUND,
+                                     "cfo must be null or a number in (-2.0, 2.0), got 2.3"),
+}
+
 
 def golden_toy_spec(toy_cfg, toy_profile) -> ExperimentSpec:
     """The campaign whose CSV is GOLDEN_TOY_CSV."""
@@ -197,8 +218,7 @@ class TestRunMseVsSnr:
         spec = ExperimentSpec(
             config=ref_cfg_b, profile=ref_profile,
             estimators=("simplified:7",), snr_points_db=(15.0,),
-            trials=1, seed=3, epsilon_mode="fixed", epsilon_value=2.3,
-            noiseless=True)
+            trials=1, seed=3, cfo=2.3, noiseless=True)
         rows = run_mse_vs_snr(spec)
         assert len(rows) == 1
         assert rows[0].empirical_mse < 1e-4
@@ -340,7 +360,7 @@ class TestRunMseVsSnr:
         from dataclasses import replace
 
         both = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"))
-        spec = replace(both, trials=1, epsilon_mode="fixed", epsilon_value=-1.3)
+        spec = replace(both, trials=1, cfo=-1.3)
         s_idx, trials, cfos, first = next(_stacked_frames(spec, _trainings_for(spec)))
         assert (s_idx, trials, cfos.tolist()) == (0, slice(0, 1), [-1.3])
         single = one_frame(both, -1.3)
@@ -561,12 +581,14 @@ class TestSpecPlumbing:
         assert spec_from_json({"preset": name, "seed": 5}) == replace(preset_spec(name), seed=5)
 
     def test_json_without_preset_takes_spec_defaults(self, toy_cfg, toy_profile):
-        spec = spec_from_json({"config": TOY_SYSTEM, "profile": TOY_JSON["profile"]})
+        sections = {"config": TOY_SYSTEM, "profile": TOY_JSON["profile"]}
+        spec = spec_from_json(sections)
         assert (spec.config, spec.profile) == (toy_cfg, toy_profile)
         assert (spec.estimators, spec.snr_points_db, spec.trials, spec.seed) == (
             ("simplified:1",), (15.0,), 1000, 42)
-        assert (spec.epsilon_mode, spec.epsilon_value, spec.noiseless, spec.emcb_draws) == (
-            "uniform", 0.0, False, 500)
+        assert (spec.cfo, spec.noiseless, spec.emcb_draws) == (None, False, 500)
+        # a null cfo is the default: each trial draws its offset
+        assert spec_from_json({**sections, "cfo": None}) == spec
 
     def test_json_preset_with_overrides(self):
         spec = spec_from_json({"preset": "paper-fig3", "trials": 10, "seed": 5})
@@ -594,24 +616,25 @@ class TestSpecPlumbing:
         with pytest.raises(ConfigError):
             spec_from_json({"trials": 5})
 
-    def test_bad_epsilon_mode(self, toy_cfg, toy_profile):
-        with pytest.raises(ConfigError):
-            ExperimentSpec(config=toy_cfg, profile=toy_profile,
-                           estimators=("simplified:3",), snr_points_db=(10.0,),
-                           trials=1, seed=1, epsilon_mode="gaussian")
+    def test_bad_epsilon_mode(self, tmp_path, capsys):
+        # the offset's old two keys are unknown keys: a file that still names
+        # either fails loudly, never runs with the key dropped
+        cfg_file = tmp_path / "old.json"
+        for key, value in (("epsilon_mode", "fixed"), ("epsilon_value", 100.0),
+                           ("epsilon_value", 0)):
+            cfg_file.write_text(json.dumps({"preset": "paper-fig2", "trials": 3, key: value}))
+            assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
+            assert f'config error: unknown config keys: ["{key}"]' in capsys.readouterr().err
 
     def test_fixed_epsilon_outside_range_rejected(self, toy_spec, tmp_path, capsys):
-        from dataclasses import replace
-
         half = toy_spec.config.cfo_half_range
-        with pytest.raises(ConfigError, match="epsilon_value"):
-            replace(toy_spec, epsilon_mode="fixed", epsilon_value=half)
+        for cfo in (half, -half):
+            with pytest.raises(ConfigError, match="cfo"):
+                replace(toy_spec, cfo=cfo)
         cfg_file = tmp_path / "bad.json"
-        cfg_file.write_text(json.dumps({"preset": "paper-fig2", "trials": 1,
-                                        "epsilon_mode": "fixed",
-                                        "epsilon_value": 9.0}))
+        cfg_file.write_text(json.dumps({"preset": "paper-fig2", "trials": 1, "cfo": 9.0}))
         assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
-        assert "epsilon_value" in capsys.readouterr().err
+        assert "cfo must be null or a number in (-8.0, 8.0), got 9.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delays", UNFIT_DELAYS, ids=lambda d: str(d[-1]))
     def test_profile_past_chan_len_rejected(self, toy_spec, delays):
@@ -725,14 +748,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
 
-    @pytest.mark.parametrize("key,value,text", [
-        ("preset", None, "unknown preset null;"), ("trials", True, "got true"),
-        ("noiseless", "false", 'got "false"')], ids=["null", "true", "string"])
-    def test_config_errors_spell_json(self, tmp_path, capsys, key, value, text):
-        # a file's value is quoted as JSON spells it, not as Python does
+    @pytest.mark.parametrize("argv,overrides,text", JSON_SPELLED_ERRORS.values(),
+                             ids=JSON_SPELLED_ERRORS)
+    def test_config_errors_spell_json(self, tmp_path, capsys, argv, overrides, text):
+        # a file's value is quoted as JSON spells it, and its keys are named
+        # as the file names them, not as Python does
         cfg_file = tmp_path / "bad.json"
-        cfg_file.write_text(json.dumps({**TOY_JSON, key: value}))
-        assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
+        cfg_file.write_text(json.dumps({**TOY_JSON, **overrides}))
+        assert cli_main([*argv, "--config", str(cfg_file)]) == 2
         assert text in capsys.readouterr().err
 
     def test_bench_prints_table(self, tmp_path, capsys):
@@ -792,7 +815,9 @@ class TestCli:
         else:
             self._write_toy_json(cfg_file, **overrides)
         assert cli_main([*argv, "--config", str(cfg_file)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "__init__()" not in err and "mapping" not in err
 
     def test_estimate_noiseless_recovers_offset(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
