@@ -2,8 +2,8 @@
 
 from .analysis import (bias_floor, comb_sum_can_vanish, cross_term, emcb,
                        optimal_diag_indices, predicted_mse)
-from .channel import (ChannelProfile, add_noise, draw_channel, model_matrix,
-                      model_receive, reference_profile, transmit_receive)
+from .channel import (ChannelProfile, draw_channel, model_matrix, model_receive,
+                      reference_profile, transmit_receive)
 from .estimator import (CfoEstimate, DegenerateDiagonalError, candidate_grid,
                         diag_ratio, estimate_ml_grid, estimate_simplified,
                         likelihood, stack)

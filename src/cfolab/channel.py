@@ -14,13 +14,13 @@ oracle of the repository, so keep the paths independent.
 
 A frame is a plain (n_rx, N) complex array, and a channel realization a
 plain (n_rx, n_tx, D) array of taps on the profile's D delays
-(`draw_channel`).  ``add_noise`` is the one place noise enters a frame; the
-caller supplies the generators and the variance.
-In a campaign (``harness``) trial t's channel and offset come from spawn key
-(1, t) and its unit noise at SNR point s from (2, s, t), so a trial's draws
-do not depend on the trial count; the noise variance does, because it is the
-mean signal power over every trial of the campaign divided by the SNR, taken
-from each trial's taps (`signal_power`) before any frame is simulated.
+(`draw_channel`).  Frames here are noiseless; ``harness`` adds the noise.
+In a campaign trial t's channel and offset come from spawn key (1, t) and its
+unit noise from (2, t), shared by every SNR point as the channel and offset
+are (common random numbers), so a trial's draws do not depend on the trial
+count; the noise variance does, because it is the mean signal power over
+every trial of the campaign divided by the SNR, taken from each trial's taps
+(`signal_power`) before any frame is simulated.
 
 Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
 rotation's phase reference is the start of the cyclic prefix, i.e. the kept
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import complex_normal, phase_ramp
+from .numerics import phase_ramp
 from .training import (ConfigError, SystemConfig, TrainingSet, is_finite_number,
                        is_integer, json_text)
 
@@ -152,18 +152,6 @@ def signal_power(ts: TrainingSet, profile: ChannelProfile,
     h = taps.reshape(*taps.shape[:-2], -1)
     quad = np.einsum("...ri,ij,...rj->...", h.conj(), np.einsum("in,jn->ij", cols.conj(), cols), h)
     return quad.real / (h.shape[-2] * cols.shape[-1])
-
-
-def add_noise(frames: dict[str, np.ndarray], noise_var: dict[str, float],
-              gen: np.random.Generator) -> dict[str, np.ndarray]:
-    """Add one CN(0, 1) draw to every frame, scaled by sqrt(noise_var[key]).
-
-    The draw is `complex_normal` on `gen`: all real parts, then all imaginary
-    parts.  The frames share it, so frames of different trainings see the
-    same noise up to scale.  A zero variance leaves the samples unchanged.
-    """
-    unit = complex_normal(gen, next(iter(frames.values())).shape)
-    return {key: frame + np.sqrt(noise_var[key]) * unit for key, frame in frames.items()}
 
 
 def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:

@@ -30,6 +30,11 @@ def _flag(name: str, text: str):
     raise ConfigError(f"{name} must be a JSON number, got {json_text(text)}")
 
 
+# spec keys a command sets from its own flags, which its config file may not name
+FLAG_KEYS = {"estimate": {"cfo": "--cfo", "snr_points_db": "--snr-db", "noiseless": "--noiseless"},
+             "mse-vs-iota": {"estimators": "iotas or --iotas"}}
+
+
 def _spec_from_args(args) -> tuple[harness.ExperimentSpec, list | None]:
     """Resolve --config / --preset / --seed into a spec and the file's iotas or None."""
     raw: dict = {}
@@ -40,8 +45,7 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, list | None]:
         except ValueError as exc:  # not UTF-8, not JSON, or an integer past int()'s limit
             raise ConfigError(f"{args.config} is not a JSON config: {exc}") from None
         if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config} must hold a JSON object, "
-                              f"got {type(raw).__name__}")
+            raise ConfigError(f"{args.config} must hold a JSON object, got {json_text(raw)}")
     if args.preset:
         raw["preset"] = args.preset
     if args.seed is not None:
@@ -53,8 +57,9 @@ def _spec_from_args(args) -> tuple[harness.ExperimentSpec, list | None]:
         raise ConfigError(f"iotas applies to mse-vs-iota only, not to {args.command}")
     if "iotas" in raw and not (isinstance(iotas, list) and iotas and all(map(is_integer, iotas))):
         raise ConfigError(f"iotas must be a non-empty list of JSON integers: {json_text(iotas)}")
-    if "estimators" in raw and args.command == "mse-vs-iota":
-        raise ConfigError("mse-vs-iota sweeps its iotas and takes no estimators key")
+    for key, flag in FLAG_KEYS.get(args.command, {}).items():
+        if key in raw:  # the command's flag sets it, so the file's value would be ignored
+            raise ConfigError(f"{args.command} takes no {key} key; give {flag}")
     return harness.spec_from_json(raw), iotas
 
 

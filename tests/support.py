@@ -265,6 +265,14 @@ def complex_normal_two_calls(rng: np.random.Generator, shape,
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def add_noise(frame: np.ndarray, noise_var: float, gen: np.random.Generator) -> np.ndarray:
+    """`frame` plus a CN(0, 1) draw scaled by sqrt(noise_var): the unit draw is
+    `complex_normal` on `gen`, all real parts, then all imaginary parts, as a
+    campaign draws each trial's noise.  A zero variance leaves the samples as
+    they are."""
+    return frame + np.sqrt(noise_var) * complex_normal(gen, frame.shape)
+
+
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
                       gen: np.random.Generator) -> np.ndarray:
     """The channel draw tap by tap in delay order, one `complex_normal` call per

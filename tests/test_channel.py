@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
-                    add_noise, build_training, draw_channel, model_matrix,
+                    build_training, draw_channel, model_matrix,
                     model_receive, reference_config, reference_profile,
                     transmit_receive)
 from cfolab.channel import signal_power
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
-from support import (circular_convolve, draw_channel_loop, edge_offsets,
+from support import (add_noise, circular_convolve, draw_channel_loop, edge_offsets,
                      frame_to_csv, full_taps, period_matrix, stacked_signal_matrix,
                      steering_matrix, transmit_receive_direct,
                      transmit_receive_fft)
@@ -328,8 +328,7 @@ class TestNoise:
         acc = 0.0
         count = 0
         for k in range(800):  # 800 * 128 samples > 1e5
-            noisy = add_noise({"cbts": clean}, {"cbts": target},
-                              RandomSource(8, (100 + k,)).generator())["cbts"]
+            noisy = add_noise(clean, target, RandomSource(8, (100 + k,)).generator())
             acc += np.sum(np.abs(noisy - clean) ** 2)
             count += noisy.size
         assert 0.97 <= (acc / count) / target <= 1.03

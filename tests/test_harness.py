@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 from dataclasses import replace
@@ -6,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfolab import (ChannelProfile, ConfigError, RandomSource, add_noise, bias_floor,
-                    draw_channel, harness, predicted_mse)
+from cfolab import (ChannelProfile, ConfigError, RandomSource, bias_floor, draw_channel,
+                    estimator, harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, PRESET_NAMES, ExperimentSpec, _stacked_frames,
                             _trainings_for, one_frame, parse_estimator_id,
@@ -45,39 +44,51 @@ OVERSIZED_INT = "9" * 4501
 # bound.  A change that moves any byte updates this text and says so.
 GOLDEN_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
-simplified:3,10,3,20,7.98701170257e-05,0.000156327767164,,,0
-simplified_rs:3,10,3,20,5.72384283374,,,,0
-ml_grid,10,,20,8.25548081285e-05,,,,0
-simplified:3,20,3,20,1.88930527835e-05,1.51876324022e-05,,,0
-simplified_rs:3,20,3,20,6.36821886688,,,,0
-ml_grid,20,,20,2.00366164185e-05,,,,0
+simplified:3,10,3,20,0.00016977351474,0.000156327767164,,,0
+simplified_rs:3,10,3,20,5.21595794824,,,,0
+ml_grid,10,,20,0.000141945133911,,,,0
+simplified:3,20,3,20,1.64351467574e-05,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,6.06202751381,,,,0
+ml_grid,20,,20,1.31371151274e-05,,,,0
 emcb,10,,10,,,0.000142507071733,,0
 emcb,20,,10,,,1.42507071733e-05,,0
+"""
+
+# CSV of the GOLDEN_TOY_CSV campaign without noise and the bound, recorded when
+# each SNR point drew its own unit noise: a noiseless campaign scales its unit
+# noise by zero, so no noise layout moves these bytes.
+GOLDEN_NOISELESS_TOY_CSV = """\
+estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
+simplified:3,10,3,20,2.46841542361e-07,,,,0
+simplified_rs:3,10,3,20,6.12329500718,,,,0
+ml_grid,10,,20,4.87404908326e-10,,,,0
+simplified:3,20,3,20,2.46841542361e-07,,,,0
+simplified_rs:3,20,3,20,6.12329500718,,,,0
+ml_grid,20,,20,4.87404908326e-10,,,,0
 """
 
 # sha256 of the CSV of a 30-trial reference-dimension campaign with both
 # training kinds, ml_grid and the bound; the same rule as GOLDEN_TOY_CSV.
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "f13d5a7ea644452d29cf4dac0c565cd5d6802a9bcb02691f65fac0c137fd996e")
+    "4e48be53d57a820538ff79cc5a95460ed20b0365276fdb2e332dc6181613ab72")
 
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
 GOLDEN_ESTIMATE_TEXT = """\
 true_cfo            +2.300000
-estimated_cfo       +2.287645
+estimated_cfo       +2.300776
 diag_index          3
-diag_ratio          -2.303380e-01+9.555828e-01j
-candidates          -3.7124 -2.7124 -1.7124 -0.7124 +0.2876 +1.2876 +2.2876 +3.2876
-scores              1.157321e+04 2.274731e+04 1.150042e+04 4.425635e+04 1.158009e+04 1.156661e+04 5.545595e+04 1.153941e+04
+diag_ratio          -3.044336e-01+9.216272e-01j
+candidates          -3.6992 -2.6992 -1.6992 -0.6992 +0.3008 +1.3008 +2.3008 +3.3008
+scores              1.194798e+04 2.380042e+04 1.194691e+04 4.568501e+04 1.203565e+04 1.193471e+04 5.746141e+04 1.197180e+04
 """
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
               "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
-# the toy config file of TestCli
+# the toy config file of TestCli, which names no key that `estimate` refuses
 TOY_JSON = {"config": TOY_SYSTEM,
             "profile": {"delays": [0, 2, 7], "powers_db": [0, -3, -6]},
-            "estimators": ["simplified:3"], "snr_points_db": [10],
-            "trials": 5, "seed": 2}
+            "estimators": ["simplified:3"], "trials": 5, "seed": 2}
 # one transmit antenna, one receive antenna and one tap: the bound's mean over
 # channels is infinite
 DIVERGENT_BOUND = {"config": {"n_subcarriers": 64, "pilot_len": 16, "n_tx": 1, "n_rx": 1,
@@ -172,6 +183,13 @@ JSON_SPELLED_ERRORS = {
     # Q = 4, so the offset 2.3 lies outside (-2, 2)
     "estimate-cfo-past-half-range": (["estimate", "--cfo", "2.3"], DIVERGENT_BOUND,
                                      "cfo must be null or a number in (-2.0, 2.0), got 2.3"),
+    # estimate's flags set these keys, so a file's values would be ignored
+    "estimate-cfo-key": (["estimate"], {"noiseless": True, "cfo": 1.25},
+                         "estimate takes no cfo key; give --cfo"),
+    "estimate-snr-key": (["estimate"], {"snr_points_db": [10]},
+                         "estimate takes no snr_points_db key; give --snr-db"),
+    "estimate-noiseless-key": (["estimate"], {"noiseless": True},
+                               "estimate takes no noiseless key; give --noiseless"),
 }
 
 
@@ -248,13 +266,10 @@ class TestRunMseVsSnr:
     @staticmethod
     def _check_prefix_stable(toy_spec, chunk, monkeypatch):
         # trials 0..T-1 draw the same channel, offset and unit noise in a
-        # T-trial and a 2T-trial campaign at every SNR point; the noise scale
-        # follows the whole campaign's mean power, so the draws are compared,
-        # not the CSVs
-        from dataclasses import replace
-
+        # T-trial and a 2T-trial campaign, one unit draw per trial for every
+        # SNR point; the noise scale follows the whole campaign's mean power,
+        # so the draws are compared, not the CSVs
         monkeypatch.setattr(harness, "CHUNK_FRAMES", chunk)
-        shape = (toy_spec.config.n_rx, toy_spec.config.n_subcarriers)
         m = len(toy_spec.snr_points_db)
 
         def draws(spec):
@@ -264,31 +279,30 @@ class TestRunMseVsSnr:
                 taps.append(draw_channel(profile, cfg, gen))
                 return taps[-1]
 
-            def spy_noise(frames, noise_var, gen):
-                units.append(complex_normal(copy.deepcopy(gen), shape))
-                return add_noise(frames, noise_var, gen)
+            def spy_noise(gen, shape):
+                units.append(complex_normal(gen, shape))
+                return units[-1]
 
             monkeypatch.setattr(harness, "draw_channel", spy_channel)
-            monkeypatch.setattr(harness, "add_noise", spy_noise)
+            monkeypatch.setattr(harness, "complex_normal", spy_noise)
             chunks = list(_stacked_frames(spec, _trainings_for(spec)))
             # one yield per chunk and SNR point, chunk-major
             assert [(s, t) for s, t, _, _ in chunks] == [
                 (s, slice(t, min(t + chunk, spec.trials)))
                 for t in range(0, spec.trials, chunk) for s in range(m)]
             cfos = [cfo for s, _, at, _ in chunks if s == 0 for cfo in at.tolist()]
-            # noise in campaign order: trial, then SNR point
-            return taps, cfos, {(i % m, i // m): u for i, u in enumerate(units)}
+            return taps, cfos, units
 
         taps, cfos, units = draws(replace(toy_spec, trials=5))
         taps2, cfos2, units2 = draws(replace(toy_spec, trials=10))
-        assert len(taps) == 5 and len(units) == 5 * m
+        assert len(taps) == len(units) == 5 and len(units2) == 10
         assert all(np.array_equal(a, b) for a, b in zip(taps, taps2[:5]))
         assert cfos == cfos2[:5]
-        assert all(np.array_equal(u, units2[key]) for key, u in units.items())
+        assert all(np.array_equal(a, b) for a, b in zip(units, units2[:5]))
 
     def test_streams_seeded_one_pass_per_key_prefix(self, toy_spec, monkeypatch):
         # the campaign hashes its (1, t) keys in one `generators` call and its
-        # (2, s, t) keys in one per SNR point, and seeds no stream key by key
+        # (2, t) keys in one more, and seeds no stream key by key
         calls = []
         generators = RandomSource.generators
 
@@ -303,7 +317,36 @@ class TestRunMseVsSnr:
         monkeypatch.setattr(RandomSource, "generator", per_key)
         spec = replace(toy_spec, trials=6)
         run_mse_vs_snr(spec)
-        assert calls == [(7, (1,), 6), (7, (2, 0), 6), (7, (2, 1), 6)]
+        assert calls == [(7, (1,), 6), (7, (2,), 6)]
+
+    def test_points_and_kinds_share_each_trial_unit_noise(self, toy_spec, monkeypatch):
+        # each frame `stack` takes, less the noiseless campaign's frame, over
+        # its point's and kind's noise standard deviation, is the unit draw of
+        # key (2, t): one array for every SNR point and both training kinds
+        lag_sums = estimator.stack
+        spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"), trials=5)
+        cfg, snrs = spec.config, np.array(spec.snr_points_db)
+
+        def frames(spec):
+            seen = []
+
+            def spy(frame, cfg):
+                seen.append(frame)
+                return lag_sums(frame, cfg)
+
+            monkeypatch.setattr(estimator, "stack", spy)
+            list(_stacked_frames(spec, _trainings_for(spec)))
+            # one call per trial, training kind (cbts, rs) and SNR point, in that order
+            return np.array(seen).reshape(spec.trials, 2, len(snrs), *seen[0].shape)
+
+        noisy, clean = frames(spec), frames(replace(spec, noiseless=True))
+        # the mean signal power per kind, of which the noise variance is a fraction
+        power = np.mean(np.abs(clean[:, :, 0]) ** 2, axis=(0, 2, 3))
+        scale = np.sqrt(power[:, None] / 10.0 ** (snrs / 10.0))[:, :, None, None]
+        for t in range(spec.trials):
+            unit = complex_normal(RandomSource(spec.seed, (2, t)).generator(),
+                                  (cfg.n_rx, cfg.n_subcarriers))
+            assert np.allclose((noisy[t] - clean[t]) / scale, unit, rtol=0, atol=1e-9)
 
     def test_memory_flat_in_trials(self, ref_cfg_b, ref_profile):
         # trials stream through the campaign: it holds each trial's taps and
@@ -327,6 +370,11 @@ class TestRunMseVsSnr:
     def test_golden_bytes(self, toy_cfg, toy_profile):
         spec = golden_toy_spec(toy_cfg, toy_profile)
         assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_TOY_CSV
+
+    def test_golden_noiseless_bytes(self, toy_cfg, toy_profile):
+        spec = replace(golden_toy_spec(toy_cfg, toy_profile), noiseless=True,
+                       estimators=("simplified:3", "simplified_rs:3", "ml_grid"))
+        assert rows_to_csv(run_mse_vs_snr(spec)) == GOLDEN_NOISELESS_TOY_CSV
 
     def test_golden_reference_bytes(self, ref_cfg_b, ref_profile):
         spec = ExperimentSpec(
@@ -818,6 +866,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "__init__()" not in err and "mapping" not in err
+
+    def test_top_level_array_spelled_as_json(self, tmp_path, capsys):
+        cfg_file = tmp_path / "array.json"
+        cfg_file.write_text(json.dumps([{"preset": "paper-fig2"}]))
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert 'must hold a JSON object, got [{"preset": "paper-fig2"}]' in err
+        assert "got list" not in err
 
     def test_estimate_noiseless_recovers_offset(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"

@@ -120,8 +120,8 @@ class TestRandomSource:
 # seeds of 1 to 5 words: numpy pads a seed under 4 words when the key is not
 # empty, so 2**130 + 5 is the case without padding
 ORACLE_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
-# the empty key, the training key, the campaign's (1, t) and (2, s, t), and a
-# key element of two words
+# the empty key, the training key, the campaign's (1, t), a three-element key
+# and a key element of two words
 ORACLE_KEYS = [(), (0,), (1, 17), (2, 3, 17), (5, 2**32 + 7)]
 
 
