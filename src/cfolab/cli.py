@@ -31,7 +31,8 @@ def _flag(name: str, text: str):
 
 
 # spec keys a command sets from its own flags, which its config file may not name
-FLAG_KEYS = {"estimate": {"cfo": "--cfo", "snr_points_db": "--snr-db", "noiseless": "--noiseless"},
+FLAG_KEYS = {"estimate": {"cfo": "--cfo", "snr_points_db": "--snr-db", "noiseless": "--noiseless",
+                          "estimators": "--diag-index"},
              "mse-vs-iota": {"estimators": "iotas or --iotas"}}
 
 

@@ -11,8 +11,8 @@ score evaluations - no line search, no polynomial rooting.
 
 A stacked frame is the plain length-Q array of its lag sums (`stack`); the
 estimators read nothing else.  A mirror sum counts as zero at 1e-12 of c_0.
-The ML baseline maximises the same score by brute force on a two-stage grid
-and serves as the accuracy/runtime reference.
+The ML baseline, the accuracy/runtime reference, maximises the same score by
+brute force on a two-stage grid over the circle [-Q/2, Q/2) (`wrap_offset`).
 
 Both estimators score on cached read-only phase tables from a moving origin
 (`likelihood`'s `origin`): the simplified estimator its candidates as integer
@@ -257,7 +257,7 @@ def ml_tables(cfg: SystemConfig) -> tuple[np.ndarray, ...]:
 
     The fine offsets cover every grid `estimate_ml_grid` can scan: an arange
     over 2*COARSE_STEP has 2*COARSE_STEP/FINE_STEP points, or one more after
-    rounding.
+    rounding.  A fine grid may cross +-Q/2; its pick is wrapped into [-Q/2, Q/2).
     """
     half = cfg.cfo_half_range
     coarse = np.arange(-half, half, COARSE_STEP)
@@ -269,23 +269,26 @@ def ml_tables(cfg: SystemConfig) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def wrap_offset(x, n_periods: int):
+    """x modulo Q in [-Q/2, Q/2): an ML pick, or a campaign's error, on the circle."""
+    return (x + n_periods / 2.0) % n_periods - n_periods / 2.0
+
+
 def estimate_ml_grid(c: np.ndarray, cfg: SystemConfig,
                      tables: tuple[np.ndarray, ...] | None = None) -> CfoEstimate:
-    """Two-stage grid maximisation of the likelihood over (-Q/2, Q/2).
+    """Two-stage grid maximisation of the likelihood over the circle [-Q/2, Q/2).
 
     Coarse scan at COARSE_STEP, then a fine scan at FINE_STEP of
-    +-COARSE_STEP around the best coarse point: about 1300 points at the
-    reference Q = 16, against the simplified estimator's Q.  The fine grid is
-    scored as offsets from its first point, so its scores differ from a fresh
-    evaluation on the grid by rounding only.  `tables` is `ml_tables(cfg)`:
-    without it the call builds its own, so one estimate pays for every phase
-    of its grids; a campaign builds it once and passes it to every frame.
+    +-COARSE_STEP around the best coarse point, whole even across +-Q/2, its
+    pick wrapped (`wrap_offset`): about 1300 points at the reference Q = 16,
+    against the simplified estimator's Q.  Fine scores are taken as offsets
+    from the grid's first point: a fresh evaluation differs by rounding only.
+    `tables` is `ml_tables(cfg)`: without it the call builds its own, so one
+    estimate pays for every phase of its grids; a campaign builds it once.
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
-    half = cfg.cfo_half_range
     best = coarse[int(np.argmax(likelihood(c, coarse, cfg, phases=coarse_phases)))]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
-    fine = fine[(fine >= -half) & (fine < half)]
     n = len(fine)
     scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
-    return CfoEstimate(value=float(fine[int(np.argmax(scores))]))
+    return CfoEstimate(value=float(wrap_offset(fine[int(np.argmax(scores))], cfg.n_periods)))

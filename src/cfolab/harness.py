@@ -153,12 +153,6 @@ def parse_estimator_id(est_id: str, cfg: SystemConfig):
     raise ConfigError(f"unknown estimator id {json_text(est_id)}")
 
 
-def _wrap_error(err: np.ndarray, n_periods: int) -> np.ndarray:
-    """Circular difference: the CFO is only identifiable modulo Q."""
-    half = n_periods / 2.0
-    return (err + half) % n_periods - half
-
-
 def campaign_training(spec: ExperimentSpec, kind: str) -> TrainingSet:
     """The campaign's training of one kind; rs draws on key (0,)."""
     rng = RandomSource(spec.seed, (0,)) if kind == "rs" else None
@@ -272,7 +266,7 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
             values = (estimator.estimate_simplified(sums[kind], idxs, cfg) if len(idxs) > 1
                       else np.array([[_lone_value(method, idxs[0], c, cfg, tables)]
                                      for c in sums[kind]]))
-            errors = _wrap_error(values - cfos[:, None], cfg.n_periods).T.tolist()
+            errors = estimator.wrap_offset(values - cfos[:, None], cfg.n_periods).T.tolist()
             # Python's float power: numpy's x * x differs from it in the last
             # bit about once in 1000
             sq_errors[s_idx, list(cols), trials] = [[e ** 2 for e in r] for r in errors]

@@ -228,7 +228,9 @@ def derivative_factor_residual(c: np.ndarray, diag_index: int, cfg: SystemConfig
 def ml_grid_fresh(c: np.ndarray, cfg: SystemConfig) -> float:
     """The two-stage ML grid search with every grid point's phases computed
     afresh: no cached table, no shift to the fine grid's first point, and
-    each grid scored by one product over the whole grid, not in row blocks."""
+    each grid scored by one product over the whole grid, not in row blocks.
+    The score is Q-periodic, so the fine grid is scored whole, across +-Q/2
+    if it reaches that far, and its pick taken modulo Q into [-Q/2, Q/2)."""
     half = cfg.cfo_half_range
     q = np.arange(len(c))
     weights = c * cfg.comb_phase_sums
@@ -239,8 +241,7 @@ def ml_grid_fresh(c: np.ndarray, cfg: SystemConfig) -> float:
     coarse = np.arange(-half, half, COARSE_STEP)
     best = coarse[int(np.argmax(scores(coarse)))]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
-    fine = fine[(fine >= -half) & (fine < half)]
-    return float(fine[int(np.argmax(scores(fine)))])
+    return float((fine[int(np.argmax(scores(fine)))] + half) % len(c) - half)
 
 
 def simplified_fresh(c: np.ndarray, diag_index: int, cfg: SystemConfig) -> CfoEstimate:

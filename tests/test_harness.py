@@ -54,17 +54,16 @@ emcb,10,,10,,,0.000142507071733,,0
 emcb,20,,10,,,1.42507071733e-05,,0
 """
 
-# CSV of the GOLDEN_TOY_CSV campaign without noise and the bound, recorded when
-# each SNR point drew its own unit noise: a noiseless campaign scales its unit
-# noise by zero, so no noise layout moves these bytes.
+# CSV of the GOLDEN_TOY_CSV campaign without noise and the bound: a noiseless
+# campaign scales its unit noise by zero, so no noise layout moves these bytes.
 GOLDEN_NOISELESS_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
 simplified:3,10,3,20,2.46841542361e-07,,,,0
 simplified_rs:3,10,3,20,6.12329500718,,,,0
-ml_grid,10,,20,4.87404908326e-10,,,,0
+ml_grid,10,,20,4.87404908321e-10,,,,0
 simplified:3,20,3,20,2.46841542361e-07,,,,0
 simplified_rs:3,20,3,20,6.12329500718,,,,0
-ml_grid,20,,20,4.87404908326e-10,,,,0
+ml_grid,20,,20,4.87404908321e-10,,,,0
 """
 
 # sha256 of the CSV of a 30-trial reference-dimension campaign with both
@@ -85,7 +84,8 @@ scores              1.194798e+04 2.380042e+04 1.194691e+04 4.568501e+04 1.203565
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
               "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
-# the toy config file of TestCli, which names no key that `estimate` refuses
+# the toy config file of TestCli; `estimate` refuses its estimators key, so the
+# estimate tests drop it (estimators=None)
 TOY_JSON = {"config": TOY_SYSTEM,
             "profile": {"delays": [0, 2, 7], "powers_db": [0, -3, -6]},
             "estimators": ["simplified:3"], "trials": 5, "seed": 2}
@@ -113,9 +113,9 @@ MALFORMED_CLI_CASES = {
     "profile-fractional-delay": (["mse-vs-snr"], {"profile": {
         "delays": [0, 0.5, 7], "powers_db": [0, -3, -6]}}),
     "top-level-list": (["mse-vs-snr"], None),
-    "estimate-diag-index": (["estimate", "--diag-index", "99"], {}),
-    "estimate-cfo-out-of-range": (["estimate", "--cfo", "100"], {}),
-    "estimate-snr-nan": (["estimate", "--snr-db", "nan"], {}),
+    "estimate-diag-index": (["estimate", "--diag-index", "99"], {"estimators": None}),
+    "estimate-cfo-out-of-range": (["estimate", "--cfo", "100"], {"estimators": None}),
+    "estimate-snr-nan": (["estimate", "--snr-db", "nan"], {"estimators": None}),
     "bench-zero-repetitions": (["bench", "--repetitions", "0"], {}),
     "bench-without-monte-carlo": (["bench"], {"estimators": ["emcb"]}),
     "iota-not-integer": (["mse-vs-iota", "--iotas", "a"], {"estimators": None}),
@@ -123,7 +123,7 @@ MALFORMED_CLI_CASES = {
     "iotas-repeated": (["mse-vs-iota", "--iotas", "3,3"], {"estimators": None}),
     "config-not-utf8": (["mse-vs-snr"], b"\xff\xfe{}"),
     "snr-overflows": (["mse-vs-snr"], {"snr_points_db": [3100]}),
-    "estimate-snr-overflows": (["estimate", "--snr-db", "3100"], {}),
+    "estimate-snr-overflows": (["estimate", "--snr-db", "3100"], {"estimators": None}),
     "emcb-snr-overflows": (["emcb"], {"snr_points_db": [3100], "emcb_draws": 10}),
     "emcb-snr-underflows": (["emcb"], {"snr_points_db": [-3100], "emcb_draws": 10}),
     "iotas-empty-list": (["mse-vs-iota"], {"iotas": [], "estimators": None}),
@@ -151,7 +151,8 @@ MALFORMED_CLI_CASES = {
        for d in UNFIT_DELAYS},
     # numeric flags take a JSON spec's spellings, none that Python's int() or
     # float() adds; the diagonal index takes the estimator ids' plain decimal
-    **{f"{command}{flag}={text!r}": ([command, flag, text], {})
+    **{f"{command}{flag}={text!r}": ([command, flag, text],
+                                     {"estimators": None} if command == "estimate" else {})
        for command, flag, spellings in (
            ("estimate", "--diag-index", ("07", "+7", " 7", "0_5")),
            ("estimate", "--cfo", ("0_3", "+0.5", "00.5", " 0.5", ".5", "1.")),
@@ -167,10 +168,12 @@ MALFORMED_CLI_CASES = {
 }
 
 # Command lines (given `--config FILE` after them), overrides of the toy config
-# file and the text its config error must hold: values as JSON spells them,
-# and the sections' keys as the file names them, never a Python call's words.
+# file as MALFORMED_CLI_CASES gives them and the text its config error must
+# hold: values as JSON spells them, and the sections' keys as the file names
+# them, never a Python call's words.
 JSON_SPELLED_ERRORS = {
-    "null": (["mse-vs-snr"], {"preset": None}, "unknown preset null;"),
+    "null": (["mse-vs-snr"], json.dumps({**TOY_JSON, "preset": None}).encode(),
+             "unknown preset null;"),
     "true": (["mse-vs-snr"], {"trials": True}, "got true"),
     "string": (["mse-vs-snr"], {"noiseless": "false"}, 'got "false"'),
     "config-not-object": (["mse-vs-snr"], {"config": [1]},
@@ -181,15 +184,18 @@ JSON_SPELLED_ERRORS = {
                             'config section is missing keys: ["pilot_len", "n_tx", "n_rx", '
                             '"cp_len", "chan_len", "offsets"]'),
     # Q = 4, so the offset 2.3 lies outside (-2, 2)
-    "estimate-cfo-past-half-range": (["estimate", "--cfo", "2.3"], DIVERGENT_BOUND,
+    "estimate-cfo-past-half-range": (["estimate", "--cfo", "2.3"],
+                                     {**DIVERGENT_BOUND, "estimators": None},
                                      "cfo must be null or a number in (-2.0, 2.0), got 2.3"),
     # estimate's flags set these keys, so a file's values would be ignored
-    "estimate-cfo-key": (["estimate"], {"noiseless": True, "cfo": 1.25},
+    "estimate-cfo-key": (["estimate"], {"noiseless": True, "cfo": 1.25, "estimators": None},
                          "estimate takes no cfo key; give --cfo"),
-    "estimate-snr-key": (["estimate"], {"snr_points_db": [10]},
+    "estimate-snr-key": (["estimate"], {"snr_points_db": [10], "estimators": None},
                          "estimate takes no snr_points_db key; give --snr-db"),
-    "estimate-noiseless-key": (["estimate"], {"noiseless": True},
+    "estimate-noiseless-key": (["estimate"], {"noiseless": True, "estimators": None},
                                "estimate takes no noiseless key; give --noiseless"),
+    "estimate-estimators-key": (["estimate"], {"estimators": ["simplified:5"]},
+                                "estimate takes no estimators key; give --diag-index"),
 }
 
 
@@ -706,9 +712,19 @@ class TestCli:
         data = {**TOY_JSON, **overrides}
         path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
 
+    def _write_case(self, path, overrides):
+        """A case's config file: None is a top-level list, bytes the whole file,
+        and a dict overrides of the toy config file."""
+        if overrides is None:
+            path.write_text("[1, 2]")
+        elif isinstance(overrides, bytes):
+            path.write_bytes(overrides)
+        else:
+            self._write_toy_json(path, **overrides)
+
     def test_estimate_runs(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
-        self._write_toy_json(cfg_file)
+        self._write_toy_json(cfg_file, estimators=None)
         rc = cli_main(["estimate", "--config", str(cfg_file), "--cfo", "1.2"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -802,7 +818,7 @@ class TestCli:
         # a file's value is quoted as JSON spells it, and its keys are named
         # as the file names them, not as Python does
         cfg_file = tmp_path / "bad.json"
-        cfg_file.write_text(json.dumps({**TOY_JSON, **overrides}))
+        self._write_case(cfg_file, overrides)
         assert cli_main([*argv, "--config", str(cfg_file)]) == 2
         assert text in capsys.readouterr().err
 
@@ -825,7 +841,7 @@ class TestCli:
     def test_estimate_has_no_out_flag(self, tmp_path):
         # estimate prints its text; an --out it never wrote is a usage error
         cfg_file = tmp_path / "toy.json"
-        self._write_toy_json(cfg_file)
+        self._write_toy_json(cfg_file, estimators=None)
         out = tmp_path / "est.txt"
         with pytest.raises(SystemExit) as exc:
             cli_main(["estimate", "--config", str(cfg_file), "--out", str(out)])
@@ -834,14 +850,14 @@ class TestCli:
 
     def test_estimate_golden_text(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
-        self._write_toy_json(cfg_file)
+        self._write_toy_json(cfg_file, estimators=None)
         assert cli_main(["estimate", "--config", str(cfg_file)]) == 0
         assert capsys.readouterr().out == GOLDEN_ESTIMATE_TEXT
 
     def test_numeric_flags_take_json_spellings(self, tmp_path, capsys):
         # a JSON number's other spellings of one value print the same estimate
         cfg_file = tmp_path / "toy.json"
-        self._write_toy_json(cfg_file)
+        self._write_toy_json(cfg_file, estimators=None)
         texts = []
         for flags in (["--cfo=-1.5", "--snr-db", "15"], ["--cfo=-15e-1", "--snr-db", "1.5E1"],
                       ["--cfo", "-15e-1", "--snr-db", "15"],
@@ -856,12 +872,7 @@ class TestCli:
                              ids=MALFORMED_CLI_CASES)
     def test_malformed_input_exit_code(self, tmp_path, capsys, argv, overrides):
         cfg_file = tmp_path / "bad.json"
-        if overrides is None:
-            cfg_file.write_text("[1, 2]")
-        elif isinstance(overrides, bytes):
-            cfg_file.write_bytes(overrides)
-        else:
-            self._write_toy_json(cfg_file, **overrides)
+        self._write_case(cfg_file, overrides)
         assert cli_main([*argv, "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -877,7 +888,7 @@ class TestCli:
 
     def test_estimate_noiseless_recovers_offset(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"
-        self._write_toy_json(cfg_file)
+        self._write_toy_json(cfg_file, estimators=None)
         rc = cli_main(["estimate", "--config", str(cfg_file), "--cfo", "1.2",
                        "--noiseless"])
         out = capsys.readouterr().out
