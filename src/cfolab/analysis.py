@@ -256,12 +256,12 @@ def emcb(cfg: SystemConfig, profile: ChannelProfile, snr_db) -> tuple[float, ...
     sum of Gamma(n_rx) variables weighted by the eigenvalues of
     Sigma^(1/2) C Sigma^(1/2), C the `_bound_core` and Sigma the profile's
     powers tiled over transmit antennas; N * sigma^2 is the expected frame
-    energy sum_mu ||s_mu||^2 (the powers sum to 1) over the SNR.
+    energy `TrainingSet.energy` over the SNR, as in a campaign's noise.
     """
     ts = build_training(cfg, "cbts")
     sd = np.sqrt(np.tile(profile.powers_linear, cfg.n_tx))
     inv = mean_inverse(np.linalg.eigvalsh(sd[:, None] * _bound_core(cfg, profile, ts) * sd),
                        cfg.n_rx)
-    energy = np.vdot(ts.time_sequences, ts.time_sequences).real
+    energy = ts.energy
     return tuple(float(energy * inv / (8.0 * np.pi ** 2 * 10.0 ** (db / 10.0)))
                  for db in map(float, np.atleast_1d(snr_db)))

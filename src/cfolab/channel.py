@@ -17,10 +17,9 @@ plain (n_rx, n_tx, D) array of taps on the profile's D delays
 (`draw_channel`).  Frames here are noiseless; ``harness`` adds the noise.
 In a campaign trial t's channel and offset come from spawn key (1, t) and its
 unit noise from (2, t), shared by every SNR point as the channel and offset
-are (common random numbers), so a trial's draws do not depend on the trial
-count; the noise variance does, because it is the mean signal power over
-every trial of the campaign divided by the SNR, taken from each trial's taps
-(`signal_power`) before any frame is simulated.
+are (common random numbers).  The noise variance is the expected frame power
+per sample, `TrainingSet.energy` / N (the taps' powers sum to 1), over the
+SNR, so no trial's frame depends on the trial count.
 
 Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
 rotation's phase reference is the start of the cyclic prefix, i.e. the kept
@@ -139,19 +138,6 @@ def transmit_receive(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
     ramps = np.exp(2j * np.pi * cfo / n * cfg.ramp_samples)
     frame *= (ramps[:q, None] * ramps[q:]).reshape(n)
     return frame
-
-
-def signal_power(ts: TrainingSet, profile: ChannelProfile,
-                 taps: np.ndarray) -> np.ndarray:
-    """Mean power per sample of the noiseless frames of taps (..., n_rx, n_tx, D)
-    on the profile's delays, without simulating them: sum over r of
-    h_r^H G h_r / (n_rx N), with G the Gram matrix of `ts.delayed(delays)`.
-    Both products are einsums, which never wake the BLAS worker threads.
-    """
-    cols = ts.delayed(profile.delays)
-    h = taps.reshape(*taps.shape[:-2], -1)
-    quad = np.einsum("...ri,ij,...rj->...", h.conj(), np.einsum("in,jn->ij", cols.conj(), cols), h)
-    return quad.real / (h.shape[-2] * cols.shape[-1])
 
 
 def model_matrix(ts: TrainingSet, cfg: SystemConfig) -> np.ndarray:

@@ -8,21 +8,21 @@ under the campaign seed, so a campaign is a pure function of (spec, seed):
   ``cfo`` fixes every trial's offset;
 * ``(2, t)``: trial t's unit noise, scaled per SNR point and training kind.
 
-No key depends on the trial count or the number of SNR points, so the draws
-are prefix-stable: trials 0..T-1 of a longer campaign draw what a T-trial
-campaign draws.  The noise scale is not: a point's noise variance follows the
-mean signal power over every trial of the campaign.  Rows at different SNR
-points share each trial's noise, as they share its channel and offset (common
-random numbers), so each row keeps its law.  The (1, t) and the (2, t) keys
-are each hashed in one `RandomSource.generators` pass: the same keys and bits
-as one set-up per key.
+No key depends on the trial count or the number of SNR points, and a point's
+noise variance is the training's expected frame power per sample over the
+SNR, as the bound takes it, so trials are prefix-stable: trials 0..T-1 of a
+longer campaign give the lag sums of a T-trial campaign.  Rows at different
+SNR points share each trial's noise, as they share its channel and offset
+(common random numbers), so each row keeps its law.  The (1, t) and the
+(2, t) keys are each hashed in one `RandomSource.generators` pass: the same
+keys and bits as one set-up per key.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to noisy
 stacked frames: per point, a chunk of CHUNK_FRAMES trials as a (T, Q) array of
-lag sums per training kind.  A campaign holds each trial's taps and offset
-(0.6 KB per trial at the reference dimensions), one chunk per point and kind,
-and its squared errors (8 B per trial, point and estimator), never all its
-frames.  `bench` and `cfolab estimate` run on row 0 of the first chunk.
+lag sums per training kind.  A campaign holds one chunk per point and kind,
+its squared errors (8 B per trial, point and estimator) and its streams' seed
+words, never all its frames.  `bench` and `cfolab estimate` run on row 0 of
+the first chunk.
 
 Campaigns estimate with the `estimate_*` functions that `bench` and `cfolab
 estimate` run: a group of simplified indices one call per chunk, a lone index
@@ -42,8 +42,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import analysis, estimator
-from .channel import (ChannelProfile, draw_channel, reference_profile, signal_power,
-                      transmit_receive)
+from .channel import ChannelProfile, draw_channel, reference_profile, transmit_receive
 from .numerics import RandomSource, complex_normal
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, is_finite_number, is_integer,
@@ -82,6 +81,8 @@ class ExperimentSpec:
             value = getattr(self, key)
             if not is_integer(value) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {json_text(value)}")
+        if self.trials > 2**32:  # keys (1, t) and (2, t) hold t in one uint32 word
+            raise ConfigError(f"trials must be at most 2**32, got {json_text(self.trials)}")
         if not isinstance(self.noiseless, bool):
             raise ConfigError(f"noiseless must be true or false, got {json_text(self.noiseless)}")
         half = self.config.cfo_half_range
@@ -169,44 +170,43 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     """Yield (snr_index, trials, cfos, {kind: (T, Q) lag sums}) per chunk of
     CHUNK_FRAMES trials and SNR point; row t is trial trials.start + t.
 
-    Pass 1 draws each trial's taps on the profile's delays, then its offset,
-    on key (1, trial) into one (trials, n_rx, n_tx, D) array: a point's noise
-    variance per training kind is the mean `signal_power` of every trial over
-    the SNR.  Pass 2 simulates each trial's noiseless frames once from its
-    slice of that array and adds its unit noise of key (2, trial), scaled per
-    point and kind: the one place noise enters a frame.  Each pass seeds its
-    streams from one `generators` call.  Yields nothing without a training.
+    Trial t draws its taps on the profile's delays, then its offset, on key
+    (1, t), simulates each training kind's noiseless frame once and adds its
+    unit noise of key (2, t), scaled per point and kind: the one place noise
+    enters a frame.  A point's and kind's noise variance is the expected
+    noiseless power per sample, `TrainingSet.energy` over N, over the linear
+    SNR, as the bound takes it, so no trial's frames depend on another's.
+    Each key prefix seeds its streams from one `generators` call.  Yields
+    nothing without a training.
     """
     if not trainings:
         return
-    cfg, delays, half = spec.config, spec.profile.delays, spec.config.cfo_half_range
-    cfos = np.empty(spec.trials)
-    taps = np.empty((spec.trials, cfg.n_rx, cfg.n_tx, len(delays)), dtype=complex)
-    for t, gen in enumerate(RandomSource(spec.seed, (1,)).generators(spec.trials)):
-        taps[t] = draw_channel(spec.profile, cfg, gen)
-        # uniform() is closed at the lower end; nudge the endpoint inward
-        cfos[t] = (np.nextafter(gen.uniform(-half, half), 0.0) if spec.cfo is None
-                   else spec.cfo)
-    mean_power = {kind: float(np.mean(signal_power(ts, spec.profile, taps)))
-                  for kind, ts in trainings.items()}
-    noise_var = [{k: (0.0 if spec.noiseless else mean_power[k] / 10.0 ** (db / 10.0))
-                  for k in trainings} for db in spec.snr_points_db]
+    cfg, half = spec.config, spec.config.cfo_half_range
+    noise_var = [{kind: (0.0 if spec.noiseless
+                         else ts.energy / cfg.n_subcarriers / 10.0 ** (db / 10.0))
+                  for kind, ts in trainings.items()} for db in spec.snr_points_db]
+    channels = RandomSource(spec.seed, (1,)).generators(spec.trials)
     noise = RandomSource(spec.seed, (2,)).generators(spec.trials)
     for start in range(0, spec.trials, CHUNK_FRAMES):
         trials = slice(start, min(start + CHUNK_FRAMES, spec.trials))
-        sums = [{kind: np.empty((trials.stop - start, cfg.n_periods), dtype=complex)
+        cfos = np.empty(trials.stop - start)
+        sums = [{kind: np.empty((len(cfos), cfg.n_periods), dtype=complex)
                  for kind in trainings} for _ in noise_var]
-        # zip reads the range first, so it takes no noise past the chunk
-        for row, (trial, gen) in enumerate(zip(range(start, trials.stop), noise)):
-            frames = {kind: transmit_receive(ts, spec.profile, taps[trial], cfos[trial], cfg)
+        # zip reads the range first, so it takes no stream past the chunk
+        for row, gen, noise_gen in zip(range(len(cfos)), channels, noise):
+            taps = draw_channel(spec.profile, cfg, gen)
+            # uniform() is closed at the lower end; nudge the endpoint inward
+            cfos[row] = (np.nextafter(gen.uniform(-half, half), 0.0) if spec.cfo is None
+                         else spec.cfo)
+            frames = {kind: transmit_receive(ts, spec.profile, taps, cfos[row], cfg)
                       for kind, ts in trainings.items()}
             # after the frames: drawn before them, single-point campaigns ran about 5% slower
-            unit = complex_normal(gen, (cfg.n_rx, cfg.n_subcarriers))
+            unit = complex_normal(noise_gen, (cfg.n_rx, cfg.n_subcarriers))
             for kind, frame in frames.items():
                 for at_point, var in zip(sums, noise_var):
                     at_point[kind][row] = estimator.stack(frame + np.sqrt(var[kind]) * unit, cfg)
         for s_idx, at_point in enumerate(sums):
-            yield s_idx, trials, cfos[trials], at_point
+            yield s_idx, trials, cfos, at_point
 
 
 def one_frame(spec: ExperimentSpec, cfo: float) -> dict[str, np.ndarray]:

@@ -208,6 +208,12 @@ class TrainingSet:
     time_sequences: np.ndarray = field(repr=False)
     _delayed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @property
+    def energy(self) -> float:
+        """Expected noiseless frame energy per receive antenna, sum_mu ||s_mu||^2:
+        a cyclic delay keeps a sequence's energy and the taps' powers sum to 1."""
+        return float(np.vdot(self.time_sequences, self.time_sequences).real)
+
     def delayed(self, delays: tuple[int, ...]) -> np.ndarray:
         """(n_tx * D, N) matrix, row mu * D + k time sequence mu cyclically
         delayed by delays[k]; the last delays' matrix is held (read-only)."""

@@ -5,7 +5,6 @@ from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
                     build_training, draw_channel, model_matrix,
                     model_receive, reference_config, reference_profile,
                     transmit_receive)
-from cfolab.channel import signal_power
 from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (add_noise, circular_convolve, draw_channel_loop, edge_offsets,
@@ -229,32 +228,6 @@ class TestFftSimulation:
             assert got.tobytes() == want.tobytes()
             # the stream is left where the loop leaves it
             assert gen.uniform() == loop_gen.uniform()
-
-
-class TestSignalPower:
-    """The frame power a campaign takes from the taps, against the power of
-    the simulated frame."""
-
-    @pytest.mark.parametrize("kind", ["cbts", "rs"])
-    @pytest.mark.parametrize("which", ["toy", "reference"])
-    def test_matches_simulated_frame(self, which, kind, toy_cfg, toy_profile,
-                                     ref_cfg_b, ref_profile):
-        cfg, profile = ((toy_cfg, toy_profile) if which == "toy"
-                        else (ref_cfg_b, ref_profile))
-        ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
-        taps, want = [], []
-        for t in range(200):
-            gen = RandomSource(11, (1, t)).generator()
-            ch = draw_channel(profile, cfg, gen)
-            frame = transmit_receive(ts, profile, ch,
-                                     gen.uniform(-1.0, 1.0) * cfg.cfo_half_range, cfg)
-            taps.append(ch)
-            want.append(np.mean(np.abs(frame) ** 2))
-        got = signal_power(ts, profile, np.array(taps))
-        assert got.shape == (200,)
-        assert np.max(np.abs(got - want) / want) <= 1e-14
-        # a trial's power does not depend on the trials batched with it
-        assert all(signal_power(ts, profile, h) == p for h, p in zip(taps, got))
 
 
 class TestStackedSignalModel:

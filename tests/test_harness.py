@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfolab import (ChannelProfile, ConfigError, RandomSource, bias_floor, draw_channel,
-                    estimator, harness, predicted_mse)
+from cfolab import (ChannelProfile, ConfigError, RandomSource, TrainingSet, analysis,
+                    bias_floor, draw_channel, estimator, harness, predicted_mse)
 from cfolab.cli import main as cli_main
 from cfolab.harness import (CSV_HEADER, PRESET_NAMES, ExperimentSpec, _stacked_frames,
                             _trainings_for, one_frame, parse_estimator_id,
@@ -35,6 +35,7 @@ MALFORMED_SPEC_VALUES = [
     ("snr_points_db", 15),
     ("snr_points_db", [3100]),
     ("snr_points_db", [-3100]),
+    ("trials", 5_000_000_000),
 ]
 MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
 # the digits of an integer longer than Python's int() converts (4300 digits)
@@ -44,12 +45,12 @@ OVERSIZED_INT = "9" * 4501
 # bound.  A change that moves any byte updates this text and says so.
 GOLDEN_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
-simplified:3,10,3,20,0.00016977351474,0.000156327767164,,,0
-simplified_rs:3,10,3,20,5.21595794824,,,,0
-ml_grid,10,,20,0.000141945133911,,,,0
-simplified:3,20,3,20,1.64351467574e-05,1.51876324022e-05,,,0
-simplified_rs:3,20,3,20,6.06202751381,,,,0
-ml_grid,20,,20,1.31371151274e-05,,,,0
+simplified:3,10,3,20,0.000178811064452,0.000156327767164,,,0
+simplified_rs:3,10,3,20,5.21601567119,,,,0
+ml_grid,10,,20,0.000149909463316,,,,0
+simplified:3,20,3,20,1.72461673419e-05,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,6.05479352892,,,,0
+ml_grid,20,,20,1.37509187847e-05,,,,0
 emcb,10,,10,,,0.000142507071733,,0
 emcb,20,,10,,,1.42507071733e-05,,0
 """
@@ -69,17 +70,17 @@ ml_grid,20,,20,4.87404908321e-10,,,,0
 # sha256 of the CSV of a 30-trial reference-dimension campaign with both
 # training kinds, ml_grid and the bound; the same rule as GOLDEN_TOY_CSV.
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "4e48be53d57a820538ff79cc5a95460ed20b0365276fdb2e332dc6181613ab72")
+    "1046de0d9ea11b91cde38b976145f8da9bbfb5ac1939476fa89408942ffeca1b")
 
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
 GOLDEN_ESTIMATE_TEXT = """\
 true_cfo            +2.300000
-estimated_cfo       +2.300776
+estimated_cfo       +2.300915
 diag_index          3
-diag_ratio          -3.044336e-01+9.216272e-01j
-candidates          -3.6992 -2.6992 -1.6992 -0.6992 +0.3008 +1.3008 +2.3008 +3.3008
-scores              1.194798e+04 2.380042e+04 1.194691e+04 4.568501e+04 1.203565e+04 1.193471e+04 5.746141e+04 1.197180e+04
+diag_ratio          -3.045069e-01+9.191564e-01j
+candidates          -3.6991 -2.6991 -1.6991 -0.6991 +0.3009 +1.3009 +2.3009 +3.3009
+scores              1.229453e+04 2.421783e+04 1.229299e+04 4.628914e+04 1.242440e+04 1.227492e+04 5.809986e+04 1.232990e+04
 """
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
@@ -273,9 +274,10 @@ class TestRunMseVsSnr:
     def _check_prefix_stable(toy_spec, chunk, monkeypatch):
         # trials 0..T-1 draw the same channel, offset and unit noise in a
         # T-trial and a 2T-trial campaign, one unit draw per trial for every
-        # SNR point; the noise scale follows the whole campaign's mean power,
-        # so the draws are compared, not the CSVs
+        # SNR point, and the noise scale is the training's expected power, so
+        # their lag sums are bit-identical at every point and training kind
         monkeypatch.setattr(harness, "CHUNK_FRAMES", chunk)
+        toy_spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3", "ml_grid"))
         m = len(toy_spec.snr_points_db)
 
         def draws(spec):
@@ -297,14 +299,18 @@ class TestRunMseVsSnr:
                 (s, slice(t, min(t + chunk, spec.trials)))
                 for t in range(0, spec.trials, chunk) for s in range(m)]
             cfos = [cfo for s, _, at, _ in chunks if s == 0 for cfo in at.tolist()]
-            return taps, cfos, units
+            # trial-major lag sums per (point, kind)
+            sums = {(s, kind): np.concatenate([at[kind] for p, _, _, at in chunks if p == s])
+                    for s in range(m) for kind in ("cbts", "rs")}
+            return taps, cfos, units, sums
 
-        taps, cfos, units = draws(replace(toy_spec, trials=5))
-        taps2, cfos2, units2 = draws(replace(toy_spec, trials=10))
+        taps, cfos, units, sums = draws(replace(toy_spec, trials=5))
+        taps2, cfos2, units2, sums2 = draws(replace(toy_spec, trials=10))
         assert len(taps) == len(units) == 5 and len(units2) == 10
         assert all(np.array_equal(a, b) for a, b in zip(taps, taps2[:5]))
         assert cfos == cfos2[:5]
         assert all(np.array_equal(a, b) for a, b in zip(units, units2[:5]))
+        assert all(sums[key].tobytes() == sums2[key][:5].tobytes() for key in sums)
 
     def test_streams_seeded_one_pass_per_key_prefix(self, toy_spec, monkeypatch):
         # the campaign hashes its (1, t) keys in one `generators` call and its
@@ -325,38 +331,59 @@ class TestRunMseVsSnr:
         run_mse_vs_snr(spec)
         assert calls == [(7, (1,), 6), (7, (2,), 6)]
 
-    def test_points_and_kinds_share_each_trial_unit_noise(self, toy_spec, monkeypatch):
-        # each frame `stack` takes, less the noiseless campaign's frame, over
-        # its point's and kind's noise standard deviation, is the unit draw of
-        # key (2, t): one array for every SNR point and both training kinds
+    @staticmethod
+    def _added_noise(spec, monkeypatch):
+        """Each frame `stack` takes less the noiseless campaign's frame, as
+        (trials, training kind (cbts, rs), SNR point, n_rx, N)."""
         lag_sums = estimator.stack
-        spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"), trials=5)
-        cfg, snrs = spec.config, np.array(spec.snr_points_db)
 
         def frames(spec):
             seen = []
-
-            def spy(frame, cfg):
-                seen.append(frame)
-                return lag_sums(frame, cfg)
-
-            monkeypatch.setattr(estimator, "stack", spy)
+            monkeypatch.setattr(estimator, "stack",
+                                lambda frame, cfg: seen.append(frame) or lag_sums(frame, cfg))
             list(_stacked_frames(spec, _trainings_for(spec)))
-            # one call per trial, training kind (cbts, rs) and SNR point, in that order
-            return np.array(seen).reshape(spec.trials, 2, len(snrs), *seen[0].shape)
+            # one call per trial, training kind and SNR point, in that order
+            return np.array(seen).reshape(spec.trials, 2, len(spec.snr_points_db),
+                                          *seen[0].shape)
 
-        noisy, clean = frames(spec), frames(replace(spec, noiseless=True))
-        # the mean signal power per kind, of which the noise variance is a fraction
-        power = np.mean(np.abs(clean[:, :, 0]) ** 2, axis=(0, 2, 3))
+        return frames(spec) - frames(replace(spec, noiseless=True))
+
+    def test_points_and_kinds_share_each_trial_unit_noise(self, toy_spec, monkeypatch):
+        # each frame's added noise over its point's and kind's noise standard
+        # deviation is the unit draw of key (2, t): one array for every SNR
+        # point and both training kinds
+        spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"), trials=5)
+        cfg, snrs = spec.config, np.array(spec.snr_points_db)
+        noise = self._added_noise(spec, monkeypatch)
+        # the expected frame power per sample of each kind, of which the noise
+        # variance is a fraction
+        power = np.array([ts.energy for ts in _trainings_for(spec).values()]) / cfg.n_subcarriers
         scale = np.sqrt(power[:, None] / 10.0 ** (snrs / 10.0))[:, :, None, None]
         for t in range(spec.trials):
             unit = complex_normal(RandomSource(spec.seed, (2, t)).generator(),
                                   (cfg.n_rx, cfg.n_subcarriers))
-            assert np.allclose((noisy[t] - clean[t]) / scale, unit, rtol=0, atol=1e-9)
+            assert np.allclose(noise[t] / scale, unit, rtol=0, atol=1e-9)
+
+    def test_noise_variance_is_the_bound_energy(self, toy_spec, monkeypatch):
+        # for both training kinds, each point's noise variance times N and the
+        # linear SNR is the expected frame energy that emcb reads
+        energy, read = TrainingSet.energy, []
+        monkeypatch.setattr(TrainingSet, "energy",
+                            property(lambda ts: read.append(energy.fget(ts)) or read[-1]))
+        analysis.emcb(toy_spec.config, toy_spec.profile, toy_spec.snr_points_db)
+        bound_energy = read[0]
+        spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"), trials=1)
+        cfg, snrs = spec.config, 10.0 ** (np.array(spec.snr_points_db) / 10.0)
+        noise = self._added_noise(spec, monkeypatch)[0].reshape(2, len(snrs), -1)
+        unit = complex_normal(RandomSource(spec.seed, (2, 0)).generator(),
+                              cfg.n_rx * cfg.n_subcarriers)
+        std = (noise @ unit.conj()).real / np.vdot(unit, unit).real
+        assert np.allclose(std ** 2 * cfg.n_subcarriers * snrs, bound_energy, rtol=1e-12, atol=0)
 
     def test_memory_flat_in_trials(self, ref_cfg_b, ref_profile):
-        # trials stream through the campaign: it holds each trial's taps and
-        # offset, never all the frames (32 KB per trial and training kind here)
+        # trials stream through the campaign: it holds one chunk of lag sums
+        # and grows only by the squared errors and the streams' seed words,
+        # never all the frames (32 KB per trial and training kind here)
         import tracemalloc
 
         def peak(trials):
@@ -371,7 +398,7 @@ class TestRunMseVsSnr:
                 tracemalloc.stop()
 
         peak(1)  # the training and the estimator's tables are built once
-        assert peak(400) - peak(100) < 1_000_000
+        assert peak(400) - peak(100) < 100_000
 
     def test_golden_bytes(self, toy_cfg, toy_profile):
         spec = golden_toy_spec(toy_cfg, toy_profile)
@@ -705,6 +732,14 @@ class TestSpecPlumbing:
 
         with pytest.raises(ConfigError, match=field):
             replace(toy_spec, **{field: value})
+
+
+    def test_trials_up_to_the_key_limit(self, toy_spec):
+        # keys (1, t) and (2, t) hold t in one uint32 word; only the spec is
+        # built, so no campaign of that size runs
+        assert replace(toy_spec, trials=2**32).trials == 2**32
+        with pytest.raises(ConfigError, match=r"trials must be at most 2\*\*32, got 4294967297"):
+            replace(toy_spec, trials=2**32 + 1)
 
 
 class TestCli:

@@ -125,6 +125,16 @@ class TestBuildTraining:
             assert np.linalg.norm(rs.grid_vectors[mu]) ** 2 == pytest.approx(
                 np.linalg.norm(cb.grid_vectors[mu]) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["cbts", "rs"])
+    def test_energy_is_the_delayed_frame_energy(self, toy_cfg, toy_profile, kind):
+        # N^2 by Parseval (grid energy N/n_tx per antenna), and every cyclic
+        # delay of the sequences keeps it
+        ts = build_training(toy_cfg, kind, RandomSource(3, (0,)))
+        n, d = toy_cfg.n_subcarriers, len(toy_profile.delays)
+        assert ts.energy == pytest.approx(n * n, rel=1e-12)
+        rows = np.abs(ts.delayed(toy_profile.delays)) ** 2
+        assert rows.sum() / d == pytest.approx(ts.energy, rel=1e-12)
+
     def test_rs_reproducible_and_seed_sensitive(self, toy_cfg):
         a = build_training(toy_cfg, "rs", RandomSource(3, (1,)))
         b = build_training(toy_cfg, "rs", RandomSource(3, (1,)))
