@@ -22,12 +22,12 @@ a dozen numpy calls on Q-element arrays (15-19 us at the reference dimensions
 on a 2-core VM); (T, Q) lag sums and a sequence of indices share them, so 15
 indices of a 64-frame chunk cost about 25 us a frame.
 
-The score products stay on the calling thread: `likelihood` splits a table
-too large for OpenBLAS's single-thread path into row blocks below
-SERIAL_BLAS_ELEMENTS, and scores a chunk of frames row by row.  At the
-reference dimensions so do the gemms of `channel.transmit_receive` (2 x 18 by
-18 x 1024) and `stack` (16 x 128 by 128 x 16), and the FFTs, einsums and
-18 x 18 eigenvalues of `analysis.emcb`.
+The score products stay on the calling thread: `likelihood` scores a table
+too large for OpenBLAS's single-thread path in one stacked product over equal
+row blocks below SERIAL_BLAS_ELEMENTS and one over the rows left, and a chunk
+of frames row by row.  At the reference dimensions so do the gemms of
+`channel.transmit_receive` (2 x 18 by 18 x 1024) and `stack` (16 x 128 by
+128 x 16), and the FFTs, einsums and 18 x 18 eigenvalues of `analysis.emcb`.
 """
 
 from __future__ import annotations
@@ -139,23 +139,22 @@ def _phases(eps: np.ndarray, n_periods: int) -> np.ndarray:
 
 
 def _serial_product(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """phases @ weights for an (n, Q) table, in row blocks small enough for
-    OpenBLAS to keep on the calling thread.
-
-    The n rows split into ceil(n / max_rows) near-equal blocks, so none has
-    one row: a one-row product takes another numpy path with other rounding,
-    while a block of two or more rows gives each row the bits of the full
-    product.  A table too wide for blocks of three rows stays one product.
+    """phases @ weights for an (n, Q) table, on the calling thread: one stacked
+    product over k equal blocks of r <= max_rows rows, and one more over the
+    n - k*r rows left, widened to the last two rows when one is left.  A
+    one-row product takes another numpy path with other rounding; a block of
+    two or more rows gives each row the bits of the full product.  A table
+    too wide for blocks of two rows stays one product.
     """
     n, q = phases.shape
     max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
-    if n <= max_rows or max_rows < 3:
+    if n <= max_rows or max_rows < 2:
         return phases @ weights
-    blocks = -(-n // max_rows)
-    edges = [i * n // blocks for i in range(blocks + 1)]
-    out = np.empty(n, dtype=np.result_type(phases, weights))
-    for lo, hi in zip(edges, edges[1:]):
-        np.matmul(phases[lo:hi], weights, out=out[lo:hi])
+    rows = -(-n // -(-n // max_rows))  # ceil(n / blocks) for ceil(n / max_rows) blocks
+    head = n - n % rows
+    out = np.matmul(phases[:head].reshape(-1, rows, q), weights).ravel()
+    if head < n:
+        out = np.concatenate((out, np.matmul(phases[min(head, n - 2):], weights)[head - n:]))
     return out
 
 
@@ -287,8 +286,8 @@ def estimate_ml_grid(c: np.ndarray, cfg: SystemConfig,
     estimate pays for every phase of its grids; a campaign builds it once.
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
-    best = coarse[int(np.argmax(likelihood(c, coarse, cfg, phases=coarse_phases)))]
+    best = coarse[likelihood(c, coarse, cfg, phases=coarse_phases).argmax()]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     n = len(fine)
     scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
-    return CfoEstimate(value=float(wrap_offset(fine[int(np.argmax(scores))], cfg.n_periods)))
+    return CfoEstimate(value=float(wrap_offset(fine[scores.argmax()], cfg.n_periods)))

@@ -542,7 +542,7 @@ class TestSerialScoring:
         q = ref_cfg_b.n_periods
         max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
         counts = [2, max_rows - 1, max_rows, max_rows + 1, 2 * max_rows + 1,
-                  320, 1000, 1001]
+                  3 * max_rows + 1, 320, 1000, 1001]
         _, coarse_phases, steps, step_phases = ml_tables(ref_cfg_b)
         tables = [step_phases[:n] for n in counts] + [coarse_phases]
         assert max(counts) <= len(steps) and len(coarse_phases) == 320
@@ -552,6 +552,40 @@ class TestSerialScoring:
             for weights in (plain, shifted):
                 for table in tables:
                     assert np.array_equal(_serial_product(table, weights), table @ weights)
+
+    @pytest.mark.parametrize("q", [16, 1024])
+    def test_each_product_keeps_two_to_max_rows(self, q, campaign_frames, ref_cfg_b,
+                                                 monkeypatch):
+        """One stacked product over equal blocks, then at most one more over
+        the rows left, each block of 2 to max_rows rows, and every score the
+        bits of table @ weights.  At Q = 16 (max_rows 255) the fine tables of
+        1000 and 1001 rows leave 0 and 248 rows; at Q = 1024 (max_rows 3) 7
+        and 10 rows leave one row, scored in a product of the last two, and
+        8 rows leave blocks - 1 = 2 (ceil(8 / 3) = 3 blocks)."""
+        max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
+        if q == ref_cfg_b.n_periods:
+            counts = [320, 1000, 1001, 2 * max_rows + 1, 3 * max_rows + 1]
+            weights = campaign_frames[0] * ref_cfg_b.comb_phase_sums
+            table = ml_tables(ref_cfg_b)[3]
+        else:
+            counts = [4, 5, 7, 8, 10]
+            rng = np.random.default_rng(7)
+            weights = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+            table = _phases(np.linspace(-3.0, 3.0, max(counts)), q)
+        matmul, shapes = np.matmul, []
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for n in counts:
+            shapes.clear()
+            scores = _serial_product(table[:n], weights)
+            assert np.array_equal(scores, table[:n] @ weights)
+            assert len(shapes[0]) == 3 and len(shapes) <= 2, (n, shapes)
+            for shape in shapes:
+                assert shape[-1] == q and 2 <= shape[-2] <= max_rows, (n, shapes)
 
 
 class TestDerivativeFactorisation:
