@@ -15,12 +15,13 @@ The ML baseline, the accuracy/runtime reference, maximises the same score by
 brute force on a two-stage grid over the circle [-Q/2, Q/2) (`wrap_offset`).
 
 Both estimators score on cached read-only phase tables from a moving origin
-(`likelihood`'s `origin`): the simplified estimator its candidates as integer
-offsets from their fractional part (`integer_offsets`), the ML baseline its
-grids on `ml_tables`, which a campaign builds once.  A simplified estimate is
-a dozen numpy calls on Q-element arrays (15-19 us at the reference dimensions
-on a 2-core VM); (T, Q) lag sums and a sequence of indices share them, so 15
-indices of a 64-frame chunk cost about 25 us a frame.
+(`likelihood`'s `origin`, which rotates the weights by the running powers of
+one complex exp per origin): the simplified estimator its candidates as
+integer offsets from their fractional part (`integer_offsets`), the ML
+baseline its grids on `ml_tables`, which a campaign builds once.  A
+simplified estimate is a dozen numpy calls on Q-element arrays (12-20 us at
+the reference dimensions on a 2-core VM); (T, Q) lag sums and a sequence of
+indices share them, so 15 indices of a 64-frame chunk cost 7-10 us a frame.
 
 The score products stay on the calling thread: `likelihood` scores a table
 too large for OpenBLAS's single-thread path in one stacked product over equal
@@ -32,6 +33,8 @@ of frames row by row.  At the reference dimensions so do the gemms of
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -166,7 +169,10 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     z = exp(j*2*pi*eps/Q) and B_q the comb phase sums; equal to the trace form
     up to the constant n_tx * c_0, so both have identical maximisers.  A
     nonzero `origin` rotates the weights c_q * B_q by its own z^q, so a grid
-    that moves with the frame is scored on one fixed table of offsets.
+    that moves with the frame is scored on one fixed table of offsets: one
+    complex exp per origin, z, and its powers as a running product along q,
+    each within about q roundings of exp(j*2*pi*origin*q/Q).  A scalar origin
+    takes z from `cmath.exp`, which rounds as numpy's exp does.
     `phases`, when given, is that table, `_phases(cfo, Q)`, held by a caller
     that reuses it.  The product with the table runs on the calling thread
     (`_serial_product`), so scoring one frame never wakes the BLAS threads.
@@ -178,8 +184,11 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     rows = isinstance(origin, np.ndarray)
     weights = (c[..., None, :] if rows else c) * cfg.comb_phase_sums
     if rows or origin:
-        rotation = 2j * np.pi * ((origin[..., None] if rows else origin) * _lags(q))
-        np.exp(np.divide(rotation, q, out=rotation), out=rotation)
+        rotation = np.empty(np.shape(origin) + (q,), dtype=complex)
+        rotation[..., 0] = 1.0
+        rotation[..., 1:] = (np.exp(2j * np.pi * origin / q)[..., None] if rows
+                             else cmath.exp(2j * math.pi * float(origin) / q))
+        np.multiply.accumulate(rotation, axis=-1, out=rotation)
         weights = np.multiply(weights, rotation, out=rotation)
     if phases is None:
         phases = _phases(np.atleast_1d(np.asarray(cfo, dtype=float)), q)
@@ -225,8 +234,8 @@ def estimate_simplified(c: np.ndarray, diag_index,
 
 
 def _estimate_batch(c: np.ndarray, indices, cfg: SystemConfig) -> np.ndarray:
-    """`diag_ratio` and `candidate_grid` as (T, n) arrays, one `likelihood`
-    call, and the int call's rules row by row."""
+    """`diag_ratio` and the candidates' fractional part as (T, n) arrays, one
+    `likelihood` call, and the int call's rules row by row."""
     q = np.shape(c)[-1]
     if np.ndim(c) != 2 or not all(isinstance(i, (int, np.integer)) and 0 < i < q for i in indices):
         raise ValueError(f"need (T, Q) lag sums and diag_index integers in [1, {q - 1}], "
@@ -238,14 +247,14 @@ def _estimate_batch(c: np.ndarray, indices, cfg: SystemConfig) -> np.ndarray:
     ratio = idx * c[:, idx].conj() / ((q - idx) * np.where(usable, mirror, 1.0))
     usable &= ratio != 0
     frac = np.arctan2(ratio.imag, ratio.real) / (2 * np.pi) % 1.0
-    cand = frac[..., None] + _lags(q) - q / 2.0
     offsets, phases = integer_offsets(q)
-    scores = likelihood(c, offsets, cfg, origin=cand[..., 0] - offsets[0], phases=phases)
+    scores = likelihood(c, offsets, cfg, origin=(frac - q / 2.0) - offsets[0], phases=phases)
     best = scores.argmax(axis=-1)
     # a row's maximum is tied when its first and last occurrences differ
     for row in zip(*np.nonzero(best != q - 1 - scores[..., ::-1].argmax(axis=-1))):
-        best[row] = np.lexsort((np.arange(q), np.abs(cand[row]), -scores[row]))[0]
-    values = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
+        cand = frac[row] + _lags(q) - q / 2.0
+        best[row] = np.lexsort((np.arange(q), np.abs(cand), -scores[row]))[0]
+    values = (frac + best) - q / 2.0  # candidate `best`, as `candidate_grid` adds it
     values[~usable] = np.nan
     return values
 
@@ -287,7 +296,19 @@ def estimate_ml_grid(c: np.ndarray, cfg: SystemConfig,
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
     best = coarse[likelihood(c, coarse, cfg, phases=coarse_phases).argmax()]
-    fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
-    n = len(fine)
-    scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
-    return CfoEstimate(value=float(wrap_offset(fine[scores.argmax()], cfg.n_periods)))
+    start = best - COARSE_STEP
+    n = _arange_length(start, best + COARSE_STEP, FINE_STEP)
+    scores = likelihood(c, steps[:n], cfg, origin=start, phases=step_phases[:n])
+    pick = _arange_point(start, FINE_STEP, scores.argmax())
+    return CfoEstimate(value=float(wrap_offset(pick, cfg.n_periods)))
+
+
+def _arange_length(start: float, stop: float, step: float) -> int:
+    """len(np.arange(start, stop, step)) for step > 0, by arange's own rule."""
+    return math.ceil((stop - start) / step)
+
+
+def _arange_point(start: float, step: float, k: int) -> float:
+    """np.arange(start, stop, step)[k] without the array, filled as arange fills it."""
+    second = start + step
+    return start if k == 0 else second if k == 1 else start + k * (second - start)

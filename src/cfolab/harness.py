@@ -182,8 +182,8 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     if not trainings:
         return
     cfg, half = spec.config, spec.config.cfo_half_range
-    noise_var = [{kind: (0.0 if spec.noiseless
-                         else ts.energy / cfg.n_subcarriers / 10.0 ** (db / 10.0))
+    noise_std = [{kind: np.sqrt(0.0 if spec.noiseless
+                                else ts.energy / cfg.n_subcarriers / 10.0 ** (db / 10.0))
                   for kind, ts in trainings.items()} for db in spec.snr_points_db]
     channels = RandomSource(spec.seed, (1,)).generators(spec.trials)
     noise = RandomSource(spec.seed, (2,)).generators(spec.trials)
@@ -191,7 +191,7 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
         trials = slice(start, min(start + CHUNK_FRAMES, spec.trials))
         cfos = np.empty(trials.stop - start)
         sums = [{kind: np.empty((len(cfos), cfg.n_periods), dtype=complex)
-                 for kind in trainings} for _ in noise_var]
+                 for kind in trainings} for _ in noise_std]
         # zip reads the range first, so it takes no stream past the chunk
         for row, gen, noise_gen in zip(range(len(cfos)), channels, noise):
             taps = draw_channel(spec.profile, cfg, gen)
@@ -203,8 +203,8 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
             # after the frames: drawn before them, single-point campaigns ran about 5% slower
             unit = complex_normal(noise_gen, (cfg.n_rx, cfg.n_subcarriers))
             for kind, frame in frames.items():
-                for at_point, var in zip(sums, noise_var):
-                    at_point[kind][row] = estimator.stack(frame + np.sqrt(var[kind]) * unit, cfg)
+                for at_point, std in zip(sums, noise_std):
+                    at_point[kind][row] = estimator.stack(frame + std[kind] * unit, cfg)
         for s_idx, at_point in enumerate(sums):
             yield s_idx, trials, cfos, at_point
 

@@ -244,6 +244,16 @@ def ml_grid_fresh(c: np.ndarray, cfg: SystemConfig) -> float:
     return float((fine[int(np.argmax(scores(fine)))] + half) % len(c) - half)
 
 
+def likelihood_exp_rotation(c: np.ndarray, phases: np.ndarray, cfg: SystemConfig,
+                            origin: float) -> np.ndarray:
+    """Scores of the offsets origin + cfo of a phase table 2*exp(j*2*pi*cfo*q/Q),
+    with the weights c_q * B_q rotated by exp(j*2*pi*origin*q/Q): one complex
+    exp per lag, each within a rounding or two of the exact phase."""
+    q = np.arange(len(c))
+    rotation = np.exp(2j * np.pi * (origin * q) / len(c))
+    return (phases @ (c * cfg.comb_phase_sums * rotation)).real
+
+
 def simplified_fresh(c: np.ndarray, diag_index: int, cfg: SystemConfig) -> CfoEstimate:
     """The simplified estimator with every candidate's phases computed afresh
     (a Q x Q table per call, no origin shift) and the pick made by a full

@@ -8,13 +8,14 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     estimate_ml_grid, estimate_simplified,
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
-from cfolab.estimator import (FINE_STEP, SERIAL_BLAS_ELEMENTS,
-                              _phases, _serial_product, candidate_grid,
-                              diag_ratio, integer_offsets, ml_tables)
+from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
+                              _arange_length, _arange_point, _phases, _serial_product,
+                              candidate_grid, diag_ratio, integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (add_noise, curvature_factor, derivative_factor_residual, edge_offsets,
-                     likelihood_trace, ml_grid_fresh, period_matrix, sample_corr,
-                     simplified_fresh, stack_vdot, upper_diagonal_sums)
+                     likelihood_exp_rotation, likelihood_trace, ml_grid_fresh,
+                     period_matrix, sample_corr, simplified_fresh, stack_vdot,
+                     upper_diagonal_sums)
 
 
 def make_frame(cfg, profile, cfo, snr_db=None, seed=5, trial=0):
@@ -345,6 +346,19 @@ class TestMlTables:
         assert own == shared == [ml_grid_fresh(sf, ref_cfg_b) for sf in campaign_frames]
         assert not any(table.flags.writeable for table in tables)
 
+    def test_fine_grid_length_and_points_follow_arange(self, ref_cfg_b):
+        # estimate_ml_grid reads the fine grid's length and its pick without
+        # building the grid: both must be np.arange's, for every coarse pick
+        lengths = set()
+        for best in ml_tables(ref_cfg_b)[0]:
+            start, stop = best - COARSE_STEP, best + COARSE_STEP
+            fine = np.arange(start, stop, FINE_STEP)
+            assert _arange_length(start, stop, FINE_STEP) == len(fine)
+            points = [_arange_point(start, FINE_STEP, k) for k in np.arange(len(fine))]
+            assert np.array(points).tobytes() == fine.tobytes()
+            lengths.add(len(fine))
+        assert lengths == {1000, 1001}
+
     @pytest.mark.parametrize("cfo", [7.9875, -7.9875, 7.96, -7.99])
     def test_offsets_near_the_wrap(self, cfo, ref_cfg_b, ref_profile):
         # the score is Q-periodic: a truth within a coarse step of +-Q/2 is
@@ -409,7 +423,7 @@ class TestOffsetTable:
 # the values; a change that moves any score, candidate, ratio or value updates
 # this digest and says so.
 ESTIMATOR_BITS_SHA256 = (
-    "0c62899f3fe73f129e3f7fc5678b2483f456bf4a5807ec6753be0b94686970bf")
+    "f0a22fe5abb39f574e7ebd6ae01d81bec6a1f0eae8ab225717ad8155e8ec861d")
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +546,61 @@ class TestSimplifiedIndices:
                 monkeypatch.setattr(estimator, "likelihood",
                                     lambda sf, c, cfg, **kw: scores[t, j])
                 assert value == estimate_simplified(frames[t], indices[j], ref_cfg_b).value
+
+
+class TestOriginRotation:
+    """`likelihood` rotates the weights by running powers of one exp per
+    origin: within Q roundings of one exp per lag, and an array of origins
+    scores each row with the bits of its scalar call."""
+
+    @staticmethod
+    def frames_and_origins(which, toy_cfg, toy_profile, ref_cfg_b, ref_profile):
+        """Lag sums of noiseless and noisy frames, and origins sweeping
+        [-Q/2, Q/2), zero and the first point of every fine ML grid."""
+        cfg, profile = {"toy": (toy_cfg, toy_profile), "ref_b": (ref_cfg_b, ref_profile)}[which]
+        half = cfg.cfo_half_range
+        frames = [stack(make_frame(cfg, profile, -half + (trial + 0.37) * half / 2,
+                                   snr_db=snr_db, seed=43, trial=trial)[0], cfg)
+                  for trial, snr_db in enumerate((None, 0.0, 10.0, 25.0))]
+        origins = np.r_[np.linspace(-half, half, 97, endpoint=False), 0.0,
+                        ml_tables(cfg)[0] - COARSE_STEP]
+        return cfg, frames, origins
+
+    @pytest.mark.parametrize("which", ["toy", "ref_b"])
+    def test_running_powers_match_per_lag_exp(self, which, toy_cfg, toy_profile,
+                                              ref_cfg_b, ref_profile):
+        # each score within Q roundings of the score's scale 2 * sum |c_q B_q|,
+        # on the simplified estimator's table and the ML fine-grid table
+        cfg, frames, origins = self.frames_and_origins(which, toy_cfg, toy_profile,
+                                                       ref_cfg_b, ref_profile)
+        q = cfg.n_periods
+        assert (origins < 0).sum() > len(origins) // 3
+        assert origins.min() >= -q / 2 - COARSE_STEP and origins.max() < q / 2
+        offsets, phases = integer_offsets(q)
+        steps, step_phases = ml_tables(cfg)[2:]
+        for sf in frames:
+            bound = q * np.finfo(float).eps * 2.0 * np.sum(np.abs(sf * cfg.comb_phase_sums))
+            for origin in origins:
+                for cfo, table in ((offsets, phases), (steps, step_phases)):
+                    scores = likelihood(sf, cfo, cfg, origin=origin, phases=table)
+                    oracle = likelihood_exp_rotation(sf, table, cfg, origin)
+                    assert np.max(np.abs(scores - oracle)) <= bound, origin
+
+    @pytest.mark.parametrize("which", ["toy", "ref_b"])
+    def test_origin_rows_match_scalar_calls(self, which, toy_cfg, toy_profile,
+                                            ref_cfg_b, ref_profile):
+        cfg, frames, origins = self.frames_and_origins(which, toy_cfg, toy_profile,
+                                                       ref_cfg_b, ref_profile)
+        offsets, phases = integer_offsets(cfg.n_periods)
+        scalar = np.array([[likelihood(sf, offsets, cfg, origin=origin, phases=phases)
+                            for origin in origins] for sf in frames])
+        for t, sf in enumerate(frames):
+            rows = likelihood(sf, offsets, cfg, origin=origins, phases=phases)
+            assert rows.tobytes() == scalar[t].tobytes()
+        # (T, Q) lag sums with (T, n) origins, frame by frame
+        grid = likelihood(np.array(frames), offsets, cfg,
+                          origin=np.tile(origins, (len(frames), 1)), phases=phases)
+        assert grid.tobytes() == scalar.tobytes()
 
 
 class TestSerialScoring:
