@@ -33,8 +33,6 @@ of frames row by row.  At the reference dimensions so do the gemms of
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -172,7 +170,7 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     that moves with the frame is scored on one fixed table of offsets: one
     complex exp per origin, z, and its powers as a running product along q,
     each within about q roundings of exp(j*2*pi*origin*q/Q).  A scalar origin
-    takes z from `cmath.exp`, which rounds as numpy's exp does.
+    and an array take z by one formula, so a row's z is its scalar call's.
     `phases`, when given, is that table, `_phases(cfo, Q)`, held by a caller
     that reuses it.  The product with the table runs on the calling thread
     (`_serial_product`), so scoring one frame never wakes the BLAS threads.
@@ -186,8 +184,10 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     if rows or origin:
         rotation = np.empty(np.shape(origin) + (q,), dtype=complex)
         rotation[..., 0] = 1.0
-        rotation[..., 1:] = (np.exp(2j * np.pi * origin / q)[..., None] if rows
-                             else cmath.exp(2j * math.pi * float(origin) / q))
+        # one formula for a scalar origin and an array: one rounded product
+        # for the angle, an exact 1j * angle and numpy's complex exp
+        z = np.exp(1j * (origin * (2 * np.pi / q)))
+        rotation[..., 1:] = z[..., None] if rows else z
         np.multiply.accumulate(rotation, axis=-1, out=rotation)
         weights = np.multiply(weights, rotation, out=rotation)
     if phases is None:
@@ -296,19 +296,7 @@ def estimate_ml_grid(c: np.ndarray, cfg: SystemConfig,
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
     best = coarse[likelihood(c, coarse, cfg, phases=coarse_phases).argmax()]
-    start = best - COARSE_STEP
-    n = _arange_length(start, best + COARSE_STEP, FINE_STEP)
-    scores = likelihood(c, steps[:n], cfg, origin=start, phases=step_phases[:n])
-    pick = _arange_point(start, FINE_STEP, scores.argmax())
-    return CfoEstimate(value=float(wrap_offset(pick, cfg.n_periods)))
-
-
-def _arange_length(start: float, stop: float, step: float) -> int:
-    """len(np.arange(start, stop, step)) for step > 0, by arange's own rule."""
-    return math.ceil((stop - start) / step)
-
-
-def _arange_point(start: float, step: float, k: int) -> float:
-    """np.arange(start, stop, step)[k] without the array, filled as arange fills it."""
-    second = start + step
-    return start if k == 0 else second if k == 1 else start + k * (second - start)
+    fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
+    n = len(fine)
+    scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
+    return CfoEstimate(value=float(wrap_offset(fine[scores.argmax()], cfg.n_periods)))

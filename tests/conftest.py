@@ -21,6 +21,14 @@ def toy_cfg() -> SystemConfig:
 
 
 @pytest.fixture(scope="session")
+def q12_cfg() -> SystemConfig:
+    """The toy config at N=96: Q=12, an even Q whose 1/Q is not exact in
+    binary, so a division by Q and a product with 1/Q can round apart."""
+    return SystemConfig(n_subcarriers=96, pilot_len=8, n_tx=2, n_rx=2,
+                        cp_len=10, chan_len=8, offsets=(1, 6))
+
+
+@pytest.fixture(scope="session")
 def toy_profile() -> ChannelProfile:
     return ChannelProfile(delays=(0, 2, 7), powers_db=(0.0, -3.0, -6.0))
 

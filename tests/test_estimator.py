@@ -9,8 +9,8 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
 from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
-                              _arange_length, _arange_point, _phases, _serial_product,
-                              candidate_grid, diag_ratio, integer_offsets, ml_tables)
+                              _phases, _serial_product, candidate_grid,
+                              diag_ratio, integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (add_noise, curvature_factor, derivative_factor_residual, edge_offsets,
                      likelihood_exp_rotation, likelihood_trace, ml_grid_fresh,
@@ -346,19 +346,6 @@ class TestMlTables:
         assert own == shared == [ml_grid_fresh(sf, ref_cfg_b) for sf in campaign_frames]
         assert not any(table.flags.writeable for table in tables)
 
-    def test_fine_grid_length_and_points_follow_arange(self, ref_cfg_b):
-        # estimate_ml_grid reads the fine grid's length and its pick without
-        # building the grid: both must be np.arange's, for every coarse pick
-        lengths = set()
-        for best in ml_tables(ref_cfg_b)[0]:
-            start, stop = best - COARSE_STEP, best + COARSE_STEP
-            fine = np.arange(start, stop, FINE_STEP)
-            assert _arange_length(start, stop, FINE_STEP) == len(fine)
-            points = [_arange_point(start, FINE_STEP, k) for k in np.arange(len(fine))]
-            assert np.array(points).tobytes() == fine.tobytes()
-            lengths.add(len(fine))
-        assert lengths == {1000, 1001}
-
     @pytest.mark.parametrize("cfo", [7.9875, -7.9875, 7.96, -7.99])
     def test_offsets_near_the_wrap(self, cfo, ref_cfg_b, ref_profile):
         # the score is Q-periodic: a truth within a coarse step of +-Q/2 is
@@ -519,6 +506,19 @@ class TestSimplifiedIndices:
         assert np.array_equal(np.isnan(expected), cut)
         self.assert_chunks_give(frames, indices, ref_cfg_b, expected)
 
+    def test_index_path_bits_match_int_path_at_q12(self, q12_cfg, toy_profile):
+        # at Q = 12 the origin's step exp(j*2*pi*origin/Q) divides by a Q
+        # whose reciprocal rounds: the batch path must still carry the int
+        # call's bits, degenerate indices included
+        half = q12_cfg.cfo_half_range
+        frames = np.array([stack(make_frame(q12_cfg, toy_profile, -half + (trial + 0.37) * half / 8,
+                                            snr_db=snr_db, seed=47, trial=trial)[0], q12_cfg)
+                           for trial, snr_db in enumerate((None, 0.0, 10.0, 25.0) * 4)])
+        indices = list(range(1, q12_cfg.n_periods))
+        expected = int_path_values(frames, indices, q12_cfg)
+        assert not np.isnan(expected).all(axis=0).any()
+        self.assert_chunks_give(frames, indices, q12_cfg, expected)
+
     @pytest.mark.parametrize("indices", [[0, 3], [3, 16], [2.0, 3], [[3]]])
     def test_index_range_checked(self, campaign_frames, ref_cfg_b, indices):
         with pytest.raises(ValueError, match="diag_index"):
@@ -554,10 +554,11 @@ class TestOriginRotation:
     scores each row with the bits of its scalar call."""
 
     @staticmethod
-    def frames_and_origins(which, toy_cfg, toy_profile, ref_cfg_b, ref_profile):
+    def frames_and_origins(which, toy_cfg, q12_cfg, toy_profile, ref_cfg_b, ref_profile):
         """Lag sums of noiseless and noisy frames, and origins sweeping
         [-Q/2, Q/2), zero and the first point of every fine ML grid."""
-        cfg, profile = {"toy": (toy_cfg, toy_profile), "ref_b": (ref_cfg_b, ref_profile)}[which]
+        cfg, profile = {"toy": (toy_cfg, toy_profile), "q12": (q12_cfg, toy_profile),
+                        "ref_b": (ref_cfg_b, ref_profile)}[which]
         half = cfg.cfo_half_range
         frames = [stack(make_frame(cfg, profile, -half + (trial + 0.37) * half / 2,
                                    snr_db=snr_db, seed=43, trial=trial)[0], cfg)
@@ -566,12 +567,12 @@ class TestOriginRotation:
                         ml_tables(cfg)[0] - COARSE_STEP]
         return cfg, frames, origins
 
-    @pytest.mark.parametrize("which", ["toy", "ref_b"])
-    def test_running_powers_match_per_lag_exp(self, which, toy_cfg, toy_profile,
+    @pytest.mark.parametrize("which", ["toy", "q12", "ref_b"])
+    def test_running_powers_match_per_lag_exp(self, which, toy_cfg, q12_cfg, toy_profile,
                                               ref_cfg_b, ref_profile):
         # each score within Q roundings of the score's scale 2 * sum |c_q B_q|,
         # on the simplified estimator's table and the ML fine-grid table
-        cfg, frames, origins = self.frames_and_origins(which, toy_cfg, toy_profile,
+        cfg, frames, origins = self.frames_and_origins(which, toy_cfg, q12_cfg, toy_profile,
                                                        ref_cfg_b, ref_profile)
         q = cfg.n_periods
         assert (origins < 0).sum() > len(origins) // 3
@@ -586,10 +587,10 @@ class TestOriginRotation:
                     oracle = likelihood_exp_rotation(sf, table, cfg, origin)
                     assert np.max(np.abs(scores - oracle)) <= bound, origin
 
-    @pytest.mark.parametrize("which", ["toy", "ref_b"])
-    def test_origin_rows_match_scalar_calls(self, which, toy_cfg, toy_profile,
+    @pytest.mark.parametrize("which", ["toy", "q12", "ref_b"])
+    def test_origin_rows_match_scalar_calls(self, which, toy_cfg, q12_cfg, toy_profile,
                                             ref_cfg_b, ref_profile):
-        cfg, frames, origins = self.frames_and_origins(which, toy_cfg, toy_profile,
+        cfg, frames, origins = self.frames_and_origins(which, toy_cfg, q12_cfg, toy_profile,
                                                        ref_cfg_b, ref_profile)
         offsets, phases = integer_offsets(cfg.n_periods)
         scalar = np.array([[likelihood(sf, offsets, cfg, origin=origin, phases=phases)
