@@ -23,10 +23,10 @@ simplified estimate is a dozen numpy calls on Q-element arrays (12-20 us at
 the reference dimensions on a 2-core VM); (T, Q) lag sums and a sequence of
 indices share them, so 15 indices of a 64-frame chunk cost 7-10 us a frame.
 
-The score products stay on the calling thread: `likelihood` scores a table
-too large for OpenBLAS's single-thread path in one stacked product over equal
-row blocks below SERIAL_BLAS_ELEMENTS and one over the rows left, and a chunk
-of frames row by row.  At the reference dimensions so do the gemms of
+The score products stay on the calling thread: `ml_tables` holds each ML
+grid's phase table as equal row blocks below SERIAL_BLAS_ELEMENTS
+(`_row_blocks`), so `likelihood` scores every table, and a chunk of frames row
+by row, in one stacked product.  At the reference dimensions so do the gemms of
 `channel.transmit_receive` (2 x 18 by 18 x 1024) and `stack` (16 x 128 by
 128 x 16), and the FFTs, einsums and 18 x 18 eigenvalues of `analysis.emcb`.
 """
@@ -139,29 +139,20 @@ def _phases(eps: np.ndarray, n_periods: int) -> np.ndarray:
     return 2.0 * np.exp(2j * np.pi * (eps[..., None] * _lags(n_periods)) / n_periods)
 
 
-def _serial_product(phases: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """phases @ weights for an (n, Q) table, on the calling thread: one stacked
-    product over k equal blocks of r <= max_rows rows, and one more over the
-    n - k*r rows left, widened to the last two rows when one is left.  A
-    one-row product takes another numpy path with other rounding; a block of
-    two or more rows gives each row the bits of the full product.  A table
-    too wide for blocks of two rows stays one product.
-    """
-    n, q = phases.shape
-    max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
-    if n <= max_rows or max_rows < 2:
-        return phases @ weights
-    rows = -(-n // -(-n // max_rows))  # ceil(n / blocks) for ceil(n / max_rows) blocks
-    head = n - n % rows
-    out = np.matmul(phases[:head].reshape(-1, rows, q), weights).ravel()
-    if head < n:
-        out = np.concatenate((out, np.matmul(phases[min(head, n - 2):], weights)[head - n:]))
-    return out
+def _row_blocks(eps: np.ndarray, n_periods: int) -> np.ndarray:
+    """`_phases(eps, Q)` for n >= 2 offsets as (k, r, Q): k equal blocks of 2 to
+    max((SERIAL_BLAS_ELEMENTS - 1) // Q, 2) rows, with eps[:k*r - n] again at the end
+    (k*r - n < k).  A row's score has the bits of one product over the whole table."""
+    n = len(eps)
+    blocks = -(-n // max((SERIAL_BLAS_ELEMENTS - 1) // n_periods, 2))
+    rows = -(-n // blocks)
+    padded = np.concatenate((eps, eps[:blocks * rows - n]))
+    return _phases(padded, n_periods).reshape(blocks, rows, n_periods)
 
 
 def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
-               phases: np.ndarray | None = None) -> np.ndarray | float:
-    """Likelihood score of candidate offsets origin + cfo (scalar in, scalar out).
+               phases: np.ndarray | None = None) -> np.ndarray:
+    """Likelihood scores of offsets origin + cfo: an array, even for a scalar cfo.
 
     Score(eps) = 2 * Re sum_q c_q * B_q * z^q with c the lag sums (`stack`),
     z = exp(j*2*pi*eps/Q) and B_q the comb phase sums; equal to the trace form
@@ -171,12 +162,11 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
     complex exp per origin, z, and its powers as a running product along q,
     each within about q roundings of exp(j*2*pi*origin*q/Q).  A scalar origin
     and an array take z by one formula, so a row's z is its scalar call's.
-    `phases`, when given, is that table, `_phases(cfo, Q)`, held by a caller
-    that reuses it.  The product with the table runs on the calling thread
-    (`_serial_product`), so scoring one frame never wakes the BLAS threads.
-    An (n,) array of origins gives (n, len(cfo)) scores, row r the bits of the
-    call with origin r, from one stacked product of per-row matrix-vector ones;
-    (T, Q) lag sums with (T, n) origins give (T, n, len(cfo)), frame by frame.
+    `phases`, when given, is that table, `_phases(cfo, Q)` or its row blocks
+    (`_row_blocks`), held by a caller that reuses it; the scores take its shape
+    less the last axis.  An (n,) array of origins gives (n, rows) scores, row r
+    the bits of the call with origin r, and (T, Q) lag sums with (T, n) origins
+    (T, n, rows).  Each shape is one stacked product of matrix-vector ones.
     """
     q = c.shape[-1]
     rows = isinstance(origin, np.ndarray)
@@ -192,10 +182,7 @@ def likelihood(c: np.ndarray, cfo, cfg: SystemConfig, *, origin: float = 0.0,
         weights = np.multiply(weights, rotation, out=rotation)
     if phases is None:
         phases = _phases(np.atleast_1d(np.asarray(cfo, dtype=float)), q)
-    if rows:
-        return np.matmul(phases, weights[..., None])[..., 0].real
-    vals = _serial_product(phases, weights).real
-    return vals if np.ndim(cfo) else float(vals[0])
+    return np.matmul(phases, weights[..., None])[..., 0].real
 
 
 @lru_cache(maxsize=16)
@@ -262,6 +249,8 @@ def _estimate_batch(c: np.ndarray, indices, cfg: SystemConfig) -> np.ndarray:
 def ml_tables(cfg: SystemConfig) -> tuple[np.ndarray, ...]:
     """The grids and phase tables of the ML baseline (read-only): the coarse
     grid, its phase table, the fine offsets k*FINE_STEP and their phase table.
+    Each table is in row blocks (`_row_blocks`): grid point i scores at
+    `.ravel()[i]`.  At Q = 16 the coarse table is 2 x 160 rows, the fine 4 x 251.
 
     The fine offsets cover every grid `estimate_ml_grid` can scan: an arange
     over 2*COARSE_STEP has 2*COARSE_STEP/FINE_STEP points, or one more after
@@ -270,8 +259,8 @@ def ml_tables(cfg: SystemConfig) -> tuple[np.ndarray, ...]:
     half = cfg.cfo_half_range
     coarse = np.arange(-half, half, COARSE_STEP)
     steps = np.arange(round(2 * COARSE_STEP / FINE_STEP) + 1) * FINE_STEP
-    tables = (coarse, _phases(coarse, cfg.n_periods), steps,
-              _phases(steps, cfg.n_periods))
+    tables = (coarse, _row_blocks(coarse, cfg.n_periods), steps,
+              _row_blocks(steps, cfg.n_periods))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -295,8 +284,8 @@ def estimate_ml_grid(c: np.ndarray, cfg: SystemConfig,
     estimate pays for every phase of its grids; a campaign builds it once.
     """
     coarse, coarse_phases, steps, step_phases = ml_tables(cfg) if tables is None else tables
-    best = coarse[likelihood(c, coarse, cfg, phases=coarse_phases).argmax()]
+    best = coarse[likelihood(c, coarse, cfg, phases=coarse_phases).ravel()[:len(coarse)].argmax()]
     fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
     n = len(fine)
-    scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases[:n])
+    scores = likelihood(c, steps[:n], cfg, origin=fine[0], phases=step_phases).ravel()[:n]
     return CfoEstimate(value=float(wrap_offset(fine[scores.argmax()], cfg.n_periods)))

@@ -266,10 +266,9 @@ def run_mse_vs_snr(spec: ExperimentSpec) -> list[ResultRow]:
             values = (estimator.estimate_simplified(sums[kind], idxs, cfg) if len(idxs) > 1
                       else np.array([[_lone_value(method, idxs[0], c, cfg, tables)]
                                      for c in sums[kind]]))
-            errors = estimator.wrap_offset(values - cfos[:, None], cfg.n_periods).T.tolist()
-            # Python's float power: numpy's x * x differs from it in the last
-            # bit about once in 1000
-            sq_errors[s_idx, list(cols), trials] = [[e ** 2 for e in r] for r in errors]
+            errors = estimator.wrap_offset(values - cfos[:, None], cfg.n_periods).T
+            # an IEEE multiply, the same bits everywhere; Python's ** calls libm's pow
+            sq_errors[s_idx, list(cols), trials] = errors * errors
 
     rows: list[ResultRow] = []
     for snr_db, errors_at in zip(spec.snr_points_db, sq_errors):

@@ -99,7 +99,7 @@ class SystemConfig:
         n, p = self.n_subcarriers, self.pilot_len
         if p < 2 or n < p:
             raise ConfigError(f"need n_subcarriers >= pilot_len >= 2, got {n}, {p}")
-        if n % p != 0 or n % (2 * p) != 0:
+        if n % (2 * p) != 0:
             raise ConfigError(f"n_subcarriers must be a multiple of 2*pilot_len ({n} vs {p})")
         q = n // p
         if not (0 < self.n_tx < q):

@@ -9,7 +9,7 @@ from cfolab import (ChannelProfile, DegenerateDiagonalError, RandomSource, Syste
                     likelihood, reference_config, reference_profile, stack,
                     transmit_receive)
 from cfolab.estimator import (COARSE_STEP, FINE_STEP, SERIAL_BLAS_ELEMENTS,
-                              _phases, _serial_product, candidate_grid,
+                              _phases, _row_blocks, candidate_grid,
                               diag_ratio, integer_offsets, ml_tables)
 from cfolab.harness import ExperimentSpec, _stacked_frames, _trainings_for
 from support import (add_noise, curvature_factor, derivative_factor_residual, edge_offsets,
@@ -190,7 +190,7 @@ class TestLikelihood:
             one_sided = np.sum(c * bsum * z ** q)
             two_sided = one_sided + np.conj(one_sided)
             assert abs(two_sided.imag) < 1e-10 * abs(two_sided.real + 1e-30)
-            assert likelihood(c, eps, toy_cfg) == pytest.approx(two_sided.real)
+            assert likelihood(c, np.array([eps]), toy_cfg)[0] == pytest.approx(two_sided.real)
 
     def test_trace_form_same_argmax(self, toy_cfg, rng):
         grid = np.arange(-4, 4, 0.01)
@@ -336,8 +336,8 @@ class TestMlTables:
             shifted = likelihood(sf, steps, ref_cfg_b, origin=origin,
                                  phases=_phases(steps, ref_cfg_b.n_periods))
             assert np.allclose(shifted, fresh, rtol=0, atol=1e-9 * np.max(np.abs(fresh)))
-            assert likelihood(sf, 0.0, ref_cfg_b, origin=origin) == pytest.approx(
-                likelihood(sf, origin, ref_cfg_b), rel=1e-12)
+            assert likelihood(sf, np.array([0.0]), ref_cfg_b, origin=origin)[0] == pytest.approx(
+                likelihood(sf, np.array([origin]), ref_cfg_b)[0], rel=1e-12)
 
     def test_same_points_as_fresh_search(self, campaign_frames, ref_cfg_b):
         tables = ml_tables(ref_cfg_b)
@@ -605,43 +605,74 @@ class TestOriginRotation:
 
 
 class TestSerialScoring:
-    """Scores computed in row blocks on the calling thread carry the bits of
-    one product over the whole table."""
+    """Scores on row blocks (`_row_blocks`) carry the bits of one product over
+    the whole table, in blocks below SERIAL_BLAS_ELEMENTS."""
 
     def test_blocks_match_full_product(self, campaign_frames, ref_cfg_b):
         q = ref_cfg_b.n_periods
         max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
         counts = [2, max_rows - 1, max_rows, max_rows + 1, 2 * max_rows + 1,
                   3 * max_rows + 1, 320, 1000, 1001]
-        _, coarse_phases, steps, step_phases = ml_tables(ref_cfg_b)
-        tables = [step_phases[:n] for n in counts] + [coarse_phases]
-        assert max(counts) <= len(steps) and len(coarse_phases) == 320
+        steps = ml_tables(ref_cfg_b)[2]
+        table = _phases(steps, q)
+        blocks = {n: _row_blocks(steps[:n], q) for n in counts}
+        assert max(counts) <= len(steps)
         for sf in campaign_frames:
-            plain = sf * ref_cfg_b.comb_phase_sums
-            shifted = plain * _phases(np.float64(-3.05), q)
-            for weights in (plain, shifted):
-                for table in tables:
-                    assert np.array_equal(_serial_product(table, weights), table @ weights)
+            weights = sf * ref_cfg_b.comb_phase_sums
+            for n in counts:
+                scores = likelihood(sf, steps[:n], ref_cfg_b, phases=blocks[n])
+                assert np.array_equal(scores.ravel()[:n], (table[:n] @ weights).real)
+                shifted = likelihood(sf, steps[:n], ref_cfg_b, origin=-3.05, phases=blocks[n])
+                whole = likelihood(sf, steps[:n], ref_cfg_b, origin=-3.05, phases=table[:n])
+                assert np.array_equal(shifted.ravel()[:n], whole)
 
-    @pytest.mark.parametrize("q", [16, 1024])
-    def test_each_product_keeps_two_to_max_rows(self, q, campaign_frames, ref_cfg_b,
-                                                 monkeypatch):
-        """One stacked product over equal blocks, then at most one more over
-        the rows left, each block of 2 to max_rows rows, and every score the
-        bits of table @ weights.  At Q = 16 (max_rows 255) the fine tables of
-        1000 and 1001 rows leave 0 and 248 rows; at Q = 1024 (max_rows 3) 7
-        and 10 rows leave one row, scored in a product of the last two, and
-        8 rows leave blocks - 1 = 2 (ceil(8 / 3) = 3 blocks)."""
+    @pytest.mark.parametrize("q", [8, 12, 16, 1024])
+    def test_each_product_keeps_two_to_max_rows(self, q, toy_cfg, q12_cfg, ref_cfg_b):
+        """n offsets as k equal blocks of 2 to max_rows rows, then fewer than k
+        rows of the first offsets again, each score the bits of table @
+        weights.  At Q = 8, 12 and 16 the grids are the ML baseline's, and
+        `ml_tables` holds them so (at Q = 16, 2 x 160 and 4 x 251 rows); at
+        Q = 1024 (max_rows 3) 10 synthetic offsets, where 5, 7, 8 and 10 rows
+        take 1, 2, 1 and 2 more."""
         max_rows = (SERIAL_BLAS_ELEMENTS - 1) // q
-        if q == ref_cfg_b.n_periods:
-            counts = [320, 1000, 1001, 2 * max_rows + 1, 3 * max_rows + 1]
-            weights = campaign_frames[0] * ref_cfg_b.comb_phase_sums
-            table = ml_tables(ref_cfg_b)[3]
+        rng = np.random.default_rng(7)
+        weights = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        if q == 1024:
+            grids = [np.linspace(-3.0, 3.0, 10)]
+            counts = [2, 3, 4, 5, 7, 8, 10]
         else:
-            counts = [4, 5, 7, 8, 10]
-            rng = np.random.default_rng(7)
-            weights = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-            table = _phases(np.linspace(-3.0, 3.0, max(counts)), q)
+            coarse, coarse_blocks, steps, step_blocks = ml_tables(
+                {8: toy_cfg, 12: q12_cfg, 16: ref_cfg_b}[q])
+            grids = [coarse, steps]
+            assert np.array_equal(coarse_blocks, _row_blocks(coarse, q))
+            assert np.array_equal(step_blocks, _row_blocks(steps, q))
+            counts = [2, max_rows, max_rows + 1, 2 * max_rows + 1, 3 * max_rows + 1,
+                      len(coarse), 1000, 1001]
+            if q == 16:
+                assert coarse_blocks.shape == (2, 160, q) and step_blocks.shape == (4, 251, q)
+        for grid in grids:
+            table = _phases(grid, q)
+            for n in [n for n in counts if n <= len(grid)] + [len(grid)]:
+                blocks = _row_blocks(grid[:n], q)
+                k, r, _ = blocks.shape
+                assert 2 <= r <= max_rows and 0 <= k * r - n < k, (n, blocks.shape)
+                flat = blocks.reshape(-1, q)
+                assert np.array_equal(flat, np.concatenate((table[:n], table[:k * r - n])))
+                scores = np.matmul(blocks, weights[..., None])[..., 0].ravel()[:n]
+                assert np.array_equal(scores, table[:n] @ weights), n
+
+    def test_one_product_per_ml_stage(self, campaign_frames, ref_cfg_b, monkeypatch):
+        """An ML estimate on shared tables takes one np.matmul per grid stage,
+        on the whole blocked table, for a fine grid of 1000 points and of 1001."""
+        tables = ml_tables(ref_cfg_b)
+        coarse = tables[0]
+        frames = {}
+        for sf in campaign_frames:
+            best = coarse[likelihood(sf, coarse, ref_cfg_b,
+                                     phases=tables[1]).ravel()[:len(coarse)].argmax()]
+            fine = np.arange(best - COARSE_STEP, best + COARSE_STEP, FINE_STEP)
+            frames.setdefault(len(fine), sf)
+        assert sorted(frames) == [1000, 1001]
         matmul, shapes = np.matmul, []
 
         def spy(a, b, *args, **kwargs):
@@ -649,13 +680,10 @@ class TestSerialScoring:
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        for n in counts:
+        for n, sf in frames.items():
             shapes.clear()
-            scores = _serial_product(table[:n], weights)
-            assert np.array_equal(scores, table[:n] @ weights)
-            assert len(shapes[0]) == 3 and len(shapes) <= 2, (n, shapes)
-            for shape in shapes:
-                assert shape[-1] == q and 2 <= shape[-2] <= max_rows, (n, shapes)
+            estimate_ml_grid(sf, ref_cfg_b, tables)
+            assert shapes == [tables[1].shape, tables[3].shape], (n, shapes)
 
 
 class TestDerivativeFactorisation:

@@ -263,6 +263,20 @@ class TestRunMseVsSnr:
         second = rows_to_csv(run_mse_vs_snr(toy_spec))
         assert first == second
 
+    def test_squared_error_is_an_ieee_product(self, toy_spec, monkeypatch):
+        # Python's e ** 2 calls the platform's libm pow, which may round apart
+        # from the correctly rounded e * e: the campaign must square by the
+        # multiply, so pick an error whose two squares differ where one exists
+        spec = replace(toy_spec, estimators=("simplified:3",), snr_points_db=(10.0,),
+                       trials=1, cfo=0.25)
+        values = np.random.default_rng(11).uniform(-3.0, 3.0, 10000) + spec.cfo
+        errors = estimator.wrap_offset(values - spec.cfo, spec.config.n_periods).tolist()
+        pick = next((i for i, e in enumerate(errors) if e ** 2 != e * e), 0)
+        monkeypatch.setattr(estimator, "estimate_simplified",
+                            lambda c, idx, cfg: estimator.CfoEstimate(value=values[pick]))
+        (row,) = run_mse_vs_snr(spec)
+        assert row.empirical_mse == errors[pick] * errors[pick]
+
     def test_draws_are_prefix_stable(self, toy_spec, monkeypatch):
         self._check_prefix_stable(toy_spec, harness.CHUNK_FRAMES, monkeypatch)
 
