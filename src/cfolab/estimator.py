@@ -23,12 +23,12 @@ simplified estimate is a dozen numpy calls on Q-element arrays (12-20 us at
 the reference dimensions on a 2-core VM); (T, Q) lag sums and a sequence of
 indices share them, so 15 indices of a 64-frame chunk cost 7-10 us a frame.
 
-The score products stay on the calling thread: `ml_tables` holds each ML
-grid's phase table as equal row blocks below SERIAL_BLAS_ELEMENTS
-(`_row_blocks`), so `likelihood` scores every table, and a chunk of frames row
-by row, in one stacked product.  At the reference dimensions so do the gemms of
-`channel.transmit_receive` (2 x 18 by 18 x 1024) and `stack` (16 x 128 by
-128 x 16), and the FFTs, einsums and 18 x 18 eigenvalues of `analysis.emcb`.
+The score products stay on the calling thread, also where numpy loaded before
+`import cfolab` (which loads OpenBLAS with one thread): `ml_tables` holds each ML
+grid's phase table as equal row blocks below SERIAL_BLAS_ELEMENTS (`_row_blocks`),
+so `likelihood` scores every table, and a chunk of frames row by row, in one
+stacked product.  So do the gemms of `transmit_receive` (2 x 18 by 18 x 1024) and
+`stack` (16 x 128 by 128 x 16) at the reference dimensions, and `analysis.emcb`.
 """
 
 from __future__ import annotations

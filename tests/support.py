@@ -393,12 +393,20 @@ def emcb_monte_carlo(cfg: SystemConfig, profile: ChannelProfile, snr_db, n_draws
     return value, rel_se * value
 
 
-def run_cli_one_blas_thread(*argv: str) -> None:
-    """`python -m cfolab.cli *argv` in a child process held to one BLAS thread,
-    importing the package under test."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def package_env(**blas_vars: str) -> dict:
+    """The environment of a child process that imports the package under test:
+    this one's, with OpenBLAS's thread variables set to `blas_vars` alone."""
     src = Path(cfolab.__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                       os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-m", "cfolab.cli", *argv], env=env, check=True,
-                   timeout=300)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**env, **blas_vars}
+
+
+def run_cli(blas_threads: int, *argv: str) -> None:
+    """`python -m cfolab.cli *argv` in a child process whose OpenBLAS loads with
+    `blas_threads` threads (capped at the CPU count), importing the package under test."""
+    subprocess.run([sys.executable, "-m", "cfolab.cli", *argv], check=True, timeout=300,
+                   env=package_env(OPENBLAS_NUM_THREADS=str(blas_threads)))

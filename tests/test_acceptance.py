@@ -20,7 +20,7 @@ from cfolab.harness import (ExperimentSpec, rows_to_csv, run_bench, run_mse_vs_s
                             spec_from_json)
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (curvature_factor, derivative_factor_residual,
-                     likelihood_trace, periodic_autocorr, run_cli_one_blas_thread,
+                     likelihood_trace, periodic_autocorr, run_cli,
                      shift_correlation, shift_correlation_closed_form,
                      stacked_signal_matrix, steering_matrix, upper_diagonal_sums)
 
@@ -210,8 +210,8 @@ def test_criterion_8_runtime_gap():
 
 def test_criterion_9_byte_determinism(toy_cfg, toy_profile, tmp_path):
     """Identical (config, seed) gives identical CSV bytes across runs and
-    across BLAS thread counts: a child process limited to one BLAS thread
-    writes the bytes of this process at the machine's default."""
+    across BLAS thread counts: child processes at one and at two BLAS threads
+    write the bytes of this process."""
     spec = ExperimentSpec(
         config=toy_cfg, profile=toy_profile,
         estimators=("simplified:3", "ml_grid"), snr_points_db=(5.0, 15.0),
@@ -224,8 +224,10 @@ def test_criterion_9_byte_determinism(toy_cfg, toy_profile, tmp_path):
             "snr_points_db": list(spec.snr_points_db),
             "trials": spec.trials, "seed": spec.seed}
     assert spec_from_json(json.loads(json.dumps(data))) == spec
-    cfg_file, single = tmp_path / "spec.json", tmp_path / "single.csv"
+    cfg_file = tmp_path / "spec.json"
     cfg_file.write_text(json.dumps(data))
-    run_cli_one_blas_thread("mse-vs-snr", "--config", str(cfg_file), "--out", str(single))
-    assert single.read_bytes() == baseline
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}.csv"
+        run_cli(threads, "mse-vs-snr", "--config", str(cfg_file), "--out", str(out))
+        assert out.read_bytes() == baseline
     print("PASS criterion 9: byte-identical CSV across runs and BLAS thread counts")

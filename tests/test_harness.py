@@ -13,7 +13,7 @@ from cfolab.harness import (CSV_HEADER, PRESET_NAMES, ExperimentSpec, _stacked_f
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
 from cfolab.numerics import complex_normal
-from support import run_cli_one_blas_thread
+from support import run_cli
 
 
 # (field, value) pairs that must fail as a ConfigError, never be coerced
@@ -432,18 +432,19 @@ class TestRunMseVsSnr:
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REFERENCE_CSV_SHA256
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # the same reference-dimension campaign in a child process limited to
-        # one BLAS thread and in this process, at the machine's default
+        # the same reference-dimension campaign in this process and in child
+        # processes at one and at two BLAS threads
         cfg_file = tmp_path / "spec.json"
         cfg_file.write_text(json.dumps({
             "preset": "paper-fig3", "trials": 40, "seed": 11, "emcb_draws": 40,
             "snr_points_db": [5, 20],
             "estimators": ["simplified:7", "simplified_rs:7", "ml_grid", "emcb"]}))
-        single, default = tmp_path / "single.csv", tmp_path / "default.csv"
-        run_cli_one_blas_thread("mse-vs-snr", "--config", str(cfg_file), "--out",
-                                str(single))
-        assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(default)]) == 0
-        assert single.read_bytes() == default.read_bytes()
+        here = tmp_path / "here.csv"
+        assert cli_main(["mse-vs-snr", "--config", str(cfg_file), "--out", str(here)]) == 0
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.csv"
+            run_cli(threads, "mse-vs-snr", "--config", str(cfg_file), "--out", str(out))
+            assert out.read_bytes() == here.read_bytes()
 
     def test_bound_only_campaign(self, toy_spec):
         from dataclasses import replace
