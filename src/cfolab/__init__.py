@@ -17,7 +17,7 @@ from .estimator import (CfoEstimate, DegenerateDiagonalError, candidate_grid,
                         likelihood, stack)
 from .harness import (ExperimentSpec, ResultRow, preset_spec, run_bench,
                       run_emcb, run_mse_vs_iota, run_mse_vs_snr, write_csv)
-from .numerics import RandomSource, cyclic_shift, dft, phase_ramp
+from .numerics import RandomSource, dft
 from .training import (OFFSETS_A, OFFSETS_B, ConfigError, SystemConfig,
                        TrainingSet, build_training, chu_sequence,
                        period_gram, reference_config)

@@ -176,15 +176,13 @@ def _leakage_variance(cfg: SystemConfig, profile: ChannelProfile) -> np.ndarray:
     return var
 
 
-def optimal_diag_indices(gamma: float, cfg: SystemConfig,
-                         band: float = 0.2) -> tuple[int, ...]:
-    """Diagonal indices whose predicted MSE is within `band` of the minimum.
+def optimal_diag_indices(gamma: float, cfg: SystemConfig) -> tuple[int, ...]:
+    """Diagonal indices whose predicted MSE is within 20% of the minimum.
 
     Blind (degenerate) indices are excluded from the search rather than
-    raised.  The default band reports the near-optimal plateau as a set -
-    the members are typically mirror pairs plus Q/2 and sit well inside a
-    factor of two of each other, while the next tier is a factor ~2 away.
-    Pass band=0.0 (or tiny) for the strict minimiser set.
+    raised.  The 20% band reports the near-optimal plateau as a set - the
+    members are typically mirror pairs plus Q/2 and sit well inside a factor
+    of two of each other, while the next tier is a factor ~2 away.
     """
     q = cfg.n_periods
     values: dict[int, float] = {}
@@ -196,7 +194,7 @@ def optimal_diag_indices(gamma: float, cfg: SystemConfig,
     if not values:
         raise DegenerateDiagonalError("every diagonal index is blind for these offsets")
     best = min(values.values())
-    cutoff = best * (1.0 + band) * (1.0 + 1e-9)
+    cutoff = best * 1.2 * (1.0 + 1e-9)
     return tuple(sorted(i for i, v in values.items() if v <= cutoff))
 
 
@@ -231,13 +229,13 @@ def _bound_core(cfg: SystemConfig, profile: ChannelProfile, ts: TrainingSet) -> 
             - np.einsum("ik,ij->kj", a.conj(), a))
 
 
-def mean_inverse(eigenvalues: np.ndarray, n_rx: int, nodes: int = 417) -> float:
+def mean_inverse(eigenvalues: np.ndarray, n_rx: int) -> float:
     """E[1/X] for X = sum_k lambda_k G_k, the G_k independent Gamma(n_rx, 1):
-    int_0^inf prod_k (1 + s*lambda_k)^(-n_rx) ds, by the trapezoid rule in
-    u = log s, where the integrand decays exponentially at both ends, from 40
-    e-folds below 1/max(lambda) to 40 above 1/min(lambda).  Eigenvalues below
-    1e-10 of the largest count as zero.  With n_rx * rank <= 1 (one antenna,
-    one eigenvalue: X is exponential) the mean is infinite, a ConfigError.
+    int_0^inf prod_k (1 + s*lambda_k)^(-n_rx) ds, by a 417-node trapezoid rule in
+    u = log s, where the integrand decays exponentially at both ends, from 40 e-folds
+    below 1/max(lambda) to 40 above 1/min(lambda).  Eigenvalues below 1e-10 of the
+    largest count as zero.  With n_rx * rank <= 1 (one antenna, one eigenvalue: X
+    is exponential) the mean is infinite, a ConfigError.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 1e-10 * lam.max(initial=0.0)]
@@ -245,7 +243,7 @@ def mean_inverse(eigenvalues: np.ndarray, n_rx: int, nodes: int = 417) -> float:
         raise ConfigError(f"the bound diverges: n_rx * rank = {n_rx * lam.size} <= 1, "
                           "so its mean over channels is infinite")
     log_lam = np.log(lam)
-    u = np.linspace(-log_lam.max() - 40.0, -log_lam.min() + 40.0, nodes)
+    u = np.linspace(-log_lam.max() - 40.0, -log_lam.min() + 40.0, 417)
     f = np.exp(u - n_rx * np.logaddexp(0.0, u[:, None] + log_lam).sum(axis=1))
     return float((u[1] - u[0]) * f.sum())
 

@@ -34,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import phase_ramp
 from .training import (ConfigError, SystemConfig, TrainingSet, is_finite_number,
                        is_integer, json_text)
 
@@ -178,5 +177,5 @@ def model_receive(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
     cols = (cfg.chan_len * np.arange(cfg.n_tx)[:, None] + list(profile.delays)).ravel()
     s = model_matrix(ts, cfg)[:, cols]
     front = np.sqrt(n) * np.exp(2j * np.pi * cfo * ng / n)
-    ramp = phase_ramp(n, cfo, n)
+    ramp = np.exp(2j * np.pi * cfo * np.arange(n) / n)
     return np.vstack([front * ramp * (s @ taps[nu].reshape(-1)) for nu in range(cfg.n_rx)])

@@ -77,6 +77,12 @@ def _cmd_estimate(args) -> int:
     spec, _ = _spec_from_args(args)
     cfg = spec.config
     cfo, snr_db = _flag("--cfo", args.cfo), _flag("--snr-db", args.snr_db)
+    (low, high), half = harness.SNR_RANGE_DB, cfg.cfo_half_range
+    if not -half < cfo < half:
+        raise ConfigError(f"--cfo must be a number in (-{half}, {half}), got {args.cfo}")
+    if not low <= snr_db <= high:
+        raise ConfigError(f"--snr-db must be a number in [{low:g}, {high:g}] dB, "
+                          f"got {args.snr_db}")
     spec = replace(spec, estimators=("simplified:1",), snr_points_db=(snr_db,),
                    noiseless=args.noiseless)
     sf = harness.one_frame(spec, cfo)["cbts"]
@@ -103,8 +109,13 @@ def _cmd_mse_vs_snr(args) -> int:
 
 def _cmd_mse_vs_iota(args) -> int:
     spec, iotas = _spec_from_args(args)
+    name, given = "iotas", iotas
     if args.iotas is not None:  # text items: the estimator ids take only plain decimal
-        iotas = args.iotas.split(",")
+        name, given, iotas = "--iotas", args.iotas, args.iotas.split(",")
+        if "" in iotas:
+            raise ConfigError(f"--iotas must be comma-separated indices, got {json_text(given)}")
+    if iotas and len(set(iotas)) < len(iotas):
+        raise ConfigError(f"{name} may not repeat an index, got {json_text(given)}")
     _emit(harness.run_mse_vs_iota(spec, iotas or range(1, spec.config.n_periods)), args.out)
     return 0
 

@@ -95,6 +95,8 @@ class ExperimentSpec:
                            for v in self.snr_points_db)):
             raise ConfigError(f"snr_points_db must be a non-empty list of numbers in "
                               f"[{low:g}, {high:g}] dB, got {json_text(self.snr_points_db)}")
+        if len(set(self.snr_points_db)) < len(self.snr_points_db):
+            raise ConfigError(f"snr_points_db repeat a point: {json_text(self.snr_points_db)}")
         if (not isinstance(self.estimators, (tuple, list)) or not self.estimators
                 or not all(isinstance(e, str) for e in self.estimators)):
             raise ConfigError("estimators must be a non-empty list of estimator "

@@ -28,30 +28,14 @@ def dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.fft.fft(x) / np.sqrt(n)
 
 
-def phase_ramp(length: int, cycles: float, n: int) -> np.ndarray:
-    """Progressive phase vector: element m equals exp(j*2*pi*cycles*m/n).
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian draws of unit total variance.
 
-    `cycles` is measured in subcarrier spacings of an n-point grid; `length`
-    may differ from `n` (e.g. a pilot-length ramp on the full-grid clock).
-    """
-    if length < 1 or n < 1:
-        raise ValueError("phase_ramp requires length >= 1 and n >= 1")
-    return np.exp(2j * np.pi * cycles * np.arange(length) / n)
-
-
-def cyclic_shift(x: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic down-shift by m positions: output[k] = x[(k - m) mod len(x)]."""
-    return np.roll(np.asarray(x), m)
-
-
-def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian draws with the given total variance.
-
-    Real and imaginary parts are independent N(0, variance/2), taken from one
-    draw: all real parts, then all imaginary parts.  `shape` may be an int.
+    Real and imaginary parts are independent N(0, 1/2), taken from one draw:
+    all real parts, then all imaginary parts.  `shape` may be an int.
     """
     out = np.empty(shape, dtype=complex)
-    out.real, out.imag = np.sqrt(variance / 2.0) * rng.standard_normal((2, *out.shape))
+    out.real, out.imag = np.sqrt(0.5) * rng.standard_normal((2, *out.shape))
     return out
 
 

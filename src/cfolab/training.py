@@ -28,7 +28,7 @@ from typing import IO
 
 import numpy as np
 
-from .numerics import RandomSource, cyclic_shift, dft, phase_ramp
+from .numerics import RandomSource, dft
 
 
 class ConfigError(ValueError):
@@ -243,7 +243,7 @@ def build_training(cfg: SystemConfig, kind: str = "cbts",
     if kind == "cbts":
         s = chu_sequence(p, cfg.chu_root)
         for mu in range(cfg.n_tx):
-            pilots[mu] = np.sqrt(q / cfg.n_tx) * dft(cyclic_shift(s, mu * cfg.shift_stride))
+            pilots[mu] = np.sqrt(q / cfg.n_tx) * dft(np.roll(s, mu * cfg.shift_stride))
             grid[mu, cfg.lattice(mu)] = pilots[mu]
     elif kind == "rs":
         if rng is None:
@@ -273,7 +273,8 @@ def period_gram(ts: TrainingSet, cfg: SystemConfig, lags) -> np.ndarray:
     base = np.sqrt(cfg.n_tx / cfg.n_periods) * dft(ts.freq_pilots, inverse=True)
     # inter-comb spacing is fractional on the period clock: offset/Q cycles
     # per period, i.e. offset/N cycles per sample
-    ramp = np.vstack([phase_ramp(p, i, cfg.n_subcarriers) for i in cfg.offsets])
+    ramp = np.vstack([np.exp(2j * np.pi * i * np.arange(p) / cfg.n_subcarriers)
+                      for i in cfg.offsets])
     rows = (np.arange(p) - np.asarray(lags)[:, None]) % p  # cyclic shift per lag
     periods = base[:, rows] * ramp[:, None, :]              # (n_tx, len(lags), P)
     return np.einsum("akn,bmn->akbm", periods, periods.conj())

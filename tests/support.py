@@ -18,10 +18,11 @@ import numpy as np
 import cfolab
 from cfolab import (ChannelProfile, ConfigError, SystemConfig,
                     TrainingSet, build_training, diag_ratio,
-                    model_matrix, period_gram)
+                    model_matrix, optimal_diag_indices, period_gram,
+                    predicted_mse)
 from cfolab.channel import _check_cfo
 from cfolab.estimator import COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid
-from cfolab.numerics import complex_normal, phase_ramp
+from cfolab.numerics import complex_normal
 
 
 def dft_direct(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -103,15 +104,28 @@ def period_matrix(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 
 def sample_corr(frame: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Q x Q Hermitian sample correlation of the period rows, matrix @ matrix^H."""
+    """Q x Q sample correlation of the period rows, matrix @ matrix^H, Hermitian
+    by construction: the strict upper triangle of the product, its mirror and
+    the real part of its diagonal, since a BLAS kernel may round the product's
+    two triangles differently."""
     matrix = period_matrix(frame, cfg)
-    return matrix @ matrix.conj().T
+    corr = matrix @ matrix.conj().T
+    upper = np.triu(corr, 1)
+    return upper + upper.conj().T + np.diag(corr.diagonal().real)
 
 
 def upper_diagonal_sums(a: np.ndarray) -> np.ndarray:
     """Element q = sum of the q-th upper diagonal of a square matrix."""
     n = a.shape[0]
     return np.array([np.trace(a, offset=q) for q in range(n)])
+
+
+def strict_minimisers(gamma: float, cfg: SystemConfig) -> tuple[int, ...]:
+    """The members of `optimal_diag_indices`' 20% plateau whose predicted MSE
+    is its minimum, to within 1e-9 relative: the strict minimiser set."""
+    values = {i: predicted_mse(gamma, i, cfg) for i in optimal_diag_indices(gamma, cfg)}
+    best = min(values.values())
+    return tuple(i for i, v in values.items() if v <= best * (1.0 + 1e-9))
 
 
 def steering_matrix(cfo: float, cfg: SystemConfig) -> np.ndarray:
@@ -164,7 +178,7 @@ def stacked_signal_matrix(ts: TrainingSet, profile: ChannelProfile, taps: np.nda
     front = np.sqrt(p) * np.exp(2j * np.pi * cfo * cfg.cp_len / n)
     x = np.zeros((cfg.n_tx, cfg.n_rx * p), dtype=complex)
     for mu in range(cfg.n_tx):
-        ramp = phase_ramp(p, cfo + cfg.offsets[mu], n)
+        ramp = np.exp(2j * np.pi * (cfo + cfg.offsets[mu]) * np.arange(p) / n)
         # column nu: the period seen at receive antenna nu
         periods = idft @ (ts.freq_pilots[mu][:, None] * (responses[mu] @ taps[:, mu].T))
         x[mu] = (front * ramp * periods.T).reshape(-1)
@@ -286,10 +300,10 @@ def add_noise(frame: np.ndarray, noise_var: float, gen: np.random.Generator) -> 
 
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
                       gen: np.random.Generator) -> np.ndarray:
-    """The channel draw tap by tap in delay order, one `complex_normal` call per
-    tap, stacked on the last axis: (n_rx, n_tx, D)."""
+    """The channel draw tap by tap in delay order, one `complex_normal_two_calls`
+    draw of the tap's power per tap, stacked on the last axis: (n_rx, n_tx, D)."""
     profile.check_fits(cfg)
-    return np.stack([complex_normal(gen, (cfg.n_rx, cfg.n_tx), power)
+    return np.stack([complex_normal_two_calls(gen, (cfg.n_rx, cfg.n_tx), power)
                      for power in profile.powers_linear], axis=-1)
 
 

@@ -13,7 +13,7 @@ from cfolab import (ChannelProfile, ConfigError, DegenerateDiagonalError,
 from cfolab.analysis import _bound_core, _check_index, mean_inverse
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (bound_core_full, emcb_monte_carlo, full_taps, kron_model_matrix,
-                     projection_complement)
+                     projection_complement, strict_minimisers)
 
 
 class TestCrossTerm:
@@ -204,19 +204,16 @@ class TestOptimalIndices:
 
     def test_strict_minimisers(self):
         gamma = 10 ** 1.5 / 3
-        # offsets B: the mirror pair is an exact tie even with a zero band
-        assert optimal_diag_indices(gamma, reference_config(OFFSETS_B),
-                                    band=0.0) == (7, 9)
+        # offsets B: the mirror pair is an exact tie
+        assert strict_minimisers(gamma, reference_config(OFFSETS_B)) == (7, 9)
         # offsets A: index 8 wins strictly; 6 and 10 are ~12% above
-        assert optimal_diag_indices(gamma, reference_config(OFFSETS_A),
-                                    band=0.0) == (8,)
+        assert strict_minimisers(gamma, reference_config(OFFSETS_A)) == (8,)
 
     def test_single_antenna_minimiser(self):
         # the cross term grows with the index, pushing the strict optimum
         # below Q/2: for Q=16 the tied pair is {6, 10}, not {8}
         cfg = SystemConfig(256, 16, 1, 1, 20, 16, (0,))
-        got = optimal_diag_indices(10.0, cfg, band=0.0)
-        assert got == (6, 10)
+        assert strict_minimisers(10.0, cfg) == (6, 10)
         assert predicted_mse(10.0, 6, cfg) < predicted_mse(10.0, 8, cfg)
 
     def test_blind_indices_excluded(self):
@@ -227,7 +224,7 @@ class TestOptimalIndices:
     @pytest.mark.parametrize("snr_db", [5.0, 10.0, 15.0, 20.0, 25.0])
     def test_optimal_never_beaten(self, snr_db, ref_cfg_a):
         gamma = 10 ** (snr_db / 10) / ref_cfg_a.n_tx
-        best = optimal_diag_indices(gamma, ref_cfg_a, band=0.0)[0]
+        best = strict_minimisers(gamma, ref_cfg_a)[0]
         floor = predicted_mse(gamma, best, ref_cfg_a)
         for idx in range(1, ref_cfg_a.n_periods):
             assert predicted_mse(gamma, idx, ref_cfg_a) >= floor
@@ -314,15 +311,10 @@ class TestEmcb:
         mc, se = emcb_monte_carlo(cfg, profile, snr_db, 100_000, np.random.default_rng(5))
         assert np.all(np.abs(np.array(emcb(cfg, profile, snr_db)) - mc) < 4.0 * se)
 
-    def test_quadrature_converged(self, ref_cfg_b, ref_profile):
-        # the trapezoid rule in log s: two node counts on the reference
-        # eigenvalues, and two closed forms, E[1/X] = 1/(lambda (n_rx - 1))
-        # for one eigenvalue and log(a/b) / (a - b) for two with n_rx = 1
-        sd = np.sqrt(np.tile(ref_profile.powers_linear, ref_cfg_b.n_tx))
-        core = _bound_core(ref_cfg_b, ref_profile, build_training(ref_cfg_b, "cbts"))
-        lam = np.linalg.eigvalsh(sd[:, None] * core * sd)
-        assert mean_inverse(lam, 2, nodes=209) == pytest.approx(mean_inverse(lam, 2),
-                                                                rel=1e-10)
+    def test_quadrature_converged(self):
+        # the trapezoid rule in log s against two closed forms, E[1/X] =
+        # 1/(lambda (n_rx - 1)) for one eigenvalue and log(a/b) / (a - b) for
+        # two with n_rx = 1
         assert mean_inverse([4.0], 3) == pytest.approx(1.0 / 8.0, rel=1e-12)
         assert mean_inverse([3.0, 1e-3], 1) == pytest.approx(
             np.log(3e3) / (3.0 - 1e-3), rel=1e-12)

@@ -5,7 +5,6 @@ from cfolab import (ChannelProfile, ConfigError, RandomSource, SystemConfig,
                     build_training, draw_channel, model_matrix,
                     model_receive, reference_config, reference_profile,
                     transmit_receive)
-from cfolab.numerics import phase_ramp
 from cfolab.training import OFFSETS_A, OFFSETS_B
 from support import (add_noise, circular_convolve, draw_channel_loop, edge_offsets,
                      frame_to_csv, full_taps, period_matrix, stacked_signal_matrix,

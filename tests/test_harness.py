@@ -36,6 +36,8 @@ MALFORMED_SPEC_VALUES = [
     ("snr_points_db", [3100]),
     ("snr_points_db", [-3100]),
     ("trials", 5_000_000_000),
+    ("snr_points_db", [10, 10.0]),
+    ("snr_points_db", [0, -0.0]),
 ]
 MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v in MALFORMED_SPEC_VALUES]
 # the digits of an integer longer than Python's int() converts (4300 digits)
@@ -122,6 +124,9 @@ MALFORMED_CLI_CASES = {
     "iota-not-integer": (["mse-vs-iota", "--iotas", "a"], {"estimators": None}),
     "iotas-not-a-list": (["mse-vs-iota"], {"iotas": 5, "estimators": None}),
     "iotas-repeated": (["mse-vs-iota", "--iotas", "3,3"], {"estimators": None}),
+    "iotas-file-repeated": (["mse-vs-iota"], {"iotas": [3, 3], "estimators": None}),
+    "iotas-only-commas": (["mse-vs-iota", "--iotas", ","], {"estimators": None}),
+    "estimate-snr-out-of-range": (["estimate", "--snr-db", "-400"], {"estimators": None}),
     "config-not-utf8": (["mse-vs-snr"], b"\xff\xfe{}"),
     "snr-overflows": (["mse-vs-snr"], {"snr_points_db": [3100]}),
     "estimate-snr-overflows": (["estimate", "--snr-db", "3100"], {"estimators": None}),
@@ -167,6 +172,17 @@ MALFORMED_CLI_CASES = {
     **{f"preset={value!r}": (["mse-vs-snr"], json.dumps({**TOY_JSON, "preset": value}).encode())
        for value in ("", None, 0, False, [])},
 }
+# the text the config error of a MALFORMED_CLI_CASES case must hold, where it
+# names the input as the user gave it: the flag or the file's key and its value
+MALFORMED_CLI_TEXT = {
+    "iotas-repeated": '--iotas may not repeat an index, got "3,3"',
+    "iotas-file-repeated": "iotas may not repeat an index, got [3, 3]",
+    "iotas-only-commas": '--iotas must be comma-separated indices, got ","',
+    "iotas-empty-flag": '--iotas must be comma-separated indices, got ""',
+    "estimate-cfo-out-of-range": "--cfo must be a number in (-4.0, 4.0), got 100",
+    "estimate-snr-out-of-range": "--snr-db must be a number in [-300, 300] dB, got -400",
+    "estimate-snr-overflows": "--snr-db must be a number in [-300, 300] dB, got 3100",
+}
 
 # Command lines (given `--config FILE` after them), overrides of the toy config
 # file as MALFORMED_CLI_CASES gives them and the text its config error must
@@ -181,13 +197,16 @@ JSON_SPELLED_ERRORS = {
                           "config section must be a JSON object, got [1]"),
     "profile-unknown-key": (["mse-vs-snr"], {"profile": {**TOY_JSON["profile"], "bogus": 1}},
                             'unknown profile section keys: ["bogus"]'),
+    # points equal as floats would write identical rows
+    "snr-repeated": (["mse-vs-snr"], {"snr_points_db": [10, 10.0]},
+                     "snr_points_db repeat a point: [10, 10.0]"),
     "config-missing-keys": (["mse-vs-snr"], {"config": {"n_subcarriers": 64}},
                             'config section is missing keys: ["pilot_len", "n_tx", "n_rx", '
                             '"cp_len", "chan_len", "offsets"]'),
     # Q = 4, so the offset 2.3 lies outside (-2, 2)
     "estimate-cfo-past-half-range": (["estimate", "--cfo", "2.3"],
                                      {**DIVERGENT_BOUND, "estimators": None},
-                                     "cfo must be null or a number in (-2.0, 2.0), got 2.3"),
+                                     "--cfo must be a number in (-2.0, 2.0), got 2.3"),
     # estimate's flags set these keys, so a file's values would be ignored
     "estimate-cfo-key": (["estimate"], {"noiseless": True, "cfo": 1.25, "estimators": None},
                          "estimate takes no cfo key; give --cfo"),
@@ -918,14 +937,16 @@ class TestCli:
         assert texts[0] == texts[1] == texts[2] and texts[3] == texts[4]
         assert "true_cfo            -1.500000" in texts[0] and texts[0] != texts[3]
 
-    @pytest.mark.parametrize("argv,overrides", MALFORMED_CLI_CASES.values(),
+    @pytest.mark.parametrize("argv,overrides,text",
+                             [(*case, MALFORMED_CLI_TEXT.get(name, ""))
+                              for name, case in MALFORMED_CLI_CASES.items()],
                              ids=MALFORMED_CLI_CASES)
-    def test_malformed_input_exit_code(self, tmp_path, capsys, argv, overrides):
+    def test_malformed_input_exit_code(self, tmp_path, capsys, argv, overrides, text):
         cfg_file = tmp_path / "bad.json"
         self._write_case(cfg_file, overrides)
         assert cli_main([*argv, "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:")
+        assert err.startswith("config error:") and text in err
         assert "__init__()" not in err and "mapping" not in err
 
     def test_top_level_array_spelled_as_json(self, tmp_path, capsys):
