@@ -87,7 +87,7 @@ def _cmd_estimate(args) -> int:
                    noiseless=args.noiseless)
     sf = harness.one_frame(spec, cfo)["cbts"]
     if args.diag_index is not None:
-        idx = harness.parse_estimator_id(f"simplified:{args.diag_index}", cfg)[2]
+        idx = harness.diag_index(args.diag_index, cfg, "--diag-index")
     else:
         gamma = 1e6 if args.noiseless else 10.0 ** (snr_db / 10.0) / cfg.n_tx
         idx = analysis.optimal_diag_indices(gamma, cfg)[0]
@@ -114,7 +114,8 @@ def _cmd_mse_vs_iota(args) -> int:
         name, given, iotas = "--iotas", args.iotas, args.iotas.split(",")
         if "" in iotas:
             raise ConfigError(f"--iotas must be comma-separated indices, got {json_text(given)}")
-    if iotas and len(set(iotas)) < len(iotas):
+    iotas = [harness.diag_index(i, spec.config, name) for i in iotas or ()]
+    if len(set(iotas)) < len(iotas):
         raise ConfigError(f"{name} may not repeat an index, got {json_text(given)}")
     _emit(harness.run_mse_vs_iota(spec, iotas or range(1, spec.config.n_periods)), args.out)
     return 0

@@ -148,12 +148,19 @@ def parse_estimator_id(est_id: str, cfg: SystemConfig):
     if name in ("simplified", "simplified_rs"):
         if not arg:
             raise ConfigError(f'{name} needs a diagonal index, e.g. "{name}:7"')
-        # one spelling per index, so no two ids of one index pass the repeat check
-        if arg not in map(str, range(1, cfg.n_periods)):
-            raise ConfigError(f"diagonal index must be an integer in [1, {cfg.n_periods - 1}] "
-                              f"in plain decimal, got {json_text(arg)}")
-        return ("simplified", "cbts" if name == "simplified" else "rs", int(arg))
+        idx = diag_index(arg, cfg, f"estimator {json_text(est_id)}")
+        return ("simplified", "cbts" if name == "simplified" else "rs", idx)
     raise ConfigError(f"unknown estimator id {json_text(est_id)}")
+
+
+def diag_index(value, cfg: SystemConfig, name: str) -> int:
+    """`value`, text or an integer, as a diagonal index of `cfg`; `name` is the
+    input that gave it.  Text takes plain decimal alone, one spelling per index,
+    so no two spellings of one index pass a repeat check."""
+    if str(value) not in map(str, range(1, cfg.n_periods)):
+        raise ConfigError(f"{name} takes diagonal indices in [1, {cfg.n_periods - 1}] "
+                          f"in plain decimal, got {json_text(value)}")
+    return int(value)
 
 
 def campaign_training(spec: ExperimentSpec, kind: str) -> TrainingSet:
