@@ -159,6 +159,15 @@ MALFORMED_CLI_CASES = {
     # emcb_draws=0, which the exact bound never reads
     **{name: (["mse-vs-snr"], {"estimators": ["simplified:3", "emcb"], field: value}, text)
        for name, (field, value, text) in zip(MALFORMED_SPEC_IDS, MALFORMED_SPEC_VALUES)},
+    # values of each JSON kind beside the toy file's estimators, which request
+    # no emcb: each is spelled as the file wrote it
+    "true": (["mse-vs-snr"], {"trials": True}, "trials must be an integer >= 1, got true"),
+    "string": (["mse-vs-snr"], {"noiseless": "false"},
+               'noiseless must be true or false, got "false"'),
+    "snr-repeated": (["mse-vs-snr"], {"snr_points_db": [10, 10.0]},
+                     "snr_points_db repeat a point: [10, 10.0]"),
+    # a file whose one key is a null preset
+    "null": (["mse-vs-snr"], b'{"preset": null}', "unknown preset null;"),
     "snr-overflows": (["mse-vs-snr"], {"snr_points_db": [3100]}, ""),
     "estimators-out-of-range": (["mse-vs-snr"], {"estimators": ["simplified:99"]},
                                 'estimator "simplified:99" takes diagonal indices in [1, 7] '
