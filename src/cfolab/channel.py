@@ -15,11 +15,12 @@ oracle of the repository, so keep the paths independent.
 A frame is a plain (n_rx, N) complex array, and a channel realization a
 plain (n_rx, n_tx, D) array of taps on the profile's D delays
 (`draw_channel`).  Frames here are noiseless; ``harness`` adds the noise.
-In a campaign trial t's channel and offset come from spawn key (1, t) and its
-unit noise from (2, t), shared by every SNR point as the channel and offset
-are (common random numbers).  The noise variance is the expected frame power
-per sample, `TrainingSet.energy` / N (the taps' powers sum to 1), over the
-SNR, so no trial's frame depends on the trial count.
+In a campaign the taps, the unit noise and the offsets come from the streams
+of spawn keys (1,), (2,) and (3,), read trial after trial; a trial's noise is
+shared by every SNR point as its channel and offset are (common random
+numbers).  The noise variance is the expected frame power per sample,
+`TrainingSet.energy` / N (the taps' powers sum to 1), over the SNR, so no
+trial's frame depends on the trial count.
 
 Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
 rotation's phase reference is the start of the cyclic prefix, i.e. the kept

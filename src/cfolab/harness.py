@@ -4,25 +4,25 @@ Randomness is laid out here, and only here, as `SeedSequence` spawn keys
 under the campaign seed, so a campaign is a pure function of (spec, seed):
 
 * ``(0,)``: the random-training draw;
-* ``(1, t)``: trial t's channel taps, then its offset, unless the spec's
-  ``cfo`` fixes every trial's offset;
-* ``(2, t)``: trial t's unit noise, scaled per SNR point and training kind.
+* ``(1,)``: the channel taps, trial after trial;
+* ``(2,)``: the unit noise, trial after trial, scaled per SNR point and
+  training kind;
+* ``(3,)``: the offsets, trial after trial, unless the spec's ``cfo`` fixes
+  every trial's offset.
 
-No key depends on the trial count or the number of SNR points, and a point's
-noise variance is the training's expected frame power per sample over the
-SNR, as the bound takes it, so trials are prefix-stable: trials 0..T-1 of a
-longer campaign give the lag sums of a T-trial campaign.  Rows at different
+Each stream is one generator, read in trial order, and no key depends on the
+trial count or the number of SNR points.  A point's noise variance is the
+training's expected frame power per sample over the SNR, as the bound takes
+it, so trials are prefix-stable: trials 0..T-1 of a longer campaign give the
+lag sums of a T-trial campaign, whatever the chunk size.  Rows at different
 SNR points share each trial's noise, as they share its channel and offset
-(common random numbers), so each row keeps its law.  The (1, t) and the
-(2, t) keys are each hashed in one `RandomSource.generators` pass: the same
-keys and bits as one set-up per key.
+(common random numbers), so each row keeps its law.
 
 `_stacked_frames` is the one path from (spec, trial, SNR point) to noisy
 stacked frames: per point, a chunk of CHUNK_FRAMES trials as a (T, Q) array of
-lag sums per training kind.  A campaign holds one chunk per point and kind,
-its squared errors (8 B per trial, point and estimator) and its streams' seed
-words, never all its frames.  `bench` and `cfolab estimate` run on row 0 of
-the first chunk.
+lag sums per training kind.  A campaign holds one chunk per point and kind
+and its squared errors (8 B per trial, point and estimator), never all its
+frames.  `bench` and `cfolab estimate` run on row 0 of the first chunk.
 
 Campaigns estimate with the `estimate_*` functions that `bench` and `cfolab
 estimate` run: a group of simplified indices one call per chunk, a lone index
@@ -81,7 +81,9 @@ class ExperimentSpec:
             value = getattr(self, key)
             if not is_integer(value) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}, got {json_text(value)}")
-        if self.trials > 2**32:  # keys (1, t) and (2, t) hold t in one uint32 word
+        # past it the (points, estimators, trials) squared errors need over
+        # 32 GiB per point and estimator: a MemoryError traceback, not a config error
+        if self.trials > 2**32:
             raise ConfigError(f"trials must be at most 2**32, got {json_text(self.trials)}")
         if not isinstance(self.noiseless, bool):
             raise ConfigError(f"noiseless must be true or false, got {json_text(self.noiseless)}")
@@ -179,14 +181,13 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     """Yield (snr_index, trials, cfos, {kind: (T, Q) lag sums}) per chunk of
     CHUNK_FRAMES trials and SNR point; row t is trial trials.start + t.
 
-    Trial t draws its taps on the profile's delays, then its offset, on key
-    (1, t), simulates each training kind's noiseless frame once and adds its
-    unit noise of key (2, t), scaled per point and kind: the one place noise
-    enters a frame.  A point's and kind's noise variance is the expected
+    Trial t draws its taps on the profile's delays from stream (1,) and its
+    offset from (3,), simulates each training kind's noiseless frame once and
+    adds its unit noise from (2,), scaled per point and kind: the one place
+    noise enters a frame.  A point's and kind's noise variance is the expected
     noiseless power per sample, `TrainingSet.energy` over N, over the linear
     SNR, as the bound takes it, so no trial's frames depend on another's.
-    Each key prefix seeds its streams from one `generators` call.  Yields
-    nothing without a training.
+    Yields nothing without a training.
     """
     if not trainings:
         return
@@ -194,23 +195,21 @@ def _stacked_frames(spec: ExperimentSpec, trainings: dict[str, TrainingSet]):
     noise_std = [{kind: np.sqrt(0.0 if spec.noiseless
                                 else ts.energy / cfg.n_subcarriers / 10.0 ** (db / 10.0))
                   for kind, ts in trainings.items()} for db in spec.snr_points_db]
-    channels = RandomSource(spec.seed, (1,)).generators(spec.trials)
-    noise = RandomSource(spec.seed, (2,)).generators(spec.trials)
+    channels, noise, offsets = (RandomSource(spec.seed, (k,)).generator() for k in (1, 2, 3))
     for start in range(0, spec.trials, CHUNK_FRAMES):
         trials = slice(start, min(start + CHUNK_FRAMES, spec.trials))
         cfos = np.empty(trials.stop - start)
         sums = [{kind: np.empty((len(cfos), cfg.n_periods), dtype=complex)
                  for kind in trainings} for _ in noise_std]
-        # zip reads the range first, so it takes no stream past the chunk
-        for row, gen, noise_gen in zip(range(len(cfos)), channels, noise):
-            taps = draw_channel(spec.profile, cfg, gen)
+        for row in range(len(cfos)):
+            taps = draw_channel(spec.profile, cfg, channels)
             # uniform() is closed at the lower end; nudge the endpoint inward
-            cfos[row] = (np.nextafter(gen.uniform(-half, half), 0.0) if spec.cfo is None
+            cfos[row] = (np.nextafter(offsets.uniform(-half, half), 0.0) if spec.cfo is None
                          else spec.cfo)
             frames = {kind: transmit_receive(ts, spec.profile, taps, cfos[row], cfg)
                       for kind, ts in trainings.items()}
             # after the frames: drawn before them, single-point campaigns ran about 5% slower
-            unit = complex_normal(noise_gen, (cfg.n_rx, cfg.n_subcarriers))
+            unit = complex_normal(noise, (cfg.n_rx, cfg.n_subcarriers))
             for kind, frame in frames.items():
                 for at_point, std in zip(sums, noise_std):
                     at_point[kind][row] = estimator.stack(frame + std[kind] * unit, cfg)

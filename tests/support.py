@@ -17,9 +17,9 @@ import numpy as np
 
 import cfolab
 from cfolab import (ChannelProfile, ConfigError, SystemConfig,
-                    TrainingSet, build_training, diag_ratio,
+                    TrainingSet, build_training, diag_ratio, draw_channel,
                     model_matrix, optimal_diag_indices, period_gram,
-                    predicted_mse)
+                    predicted_mse, stack, transmit_receive)
 from cfolab.channel import _check_cfo
 from cfolab.estimator import COARSE_STEP, FINE_STEP, CfoEstimate, candidate_grid
 from cfolab.numerics import complex_normal
@@ -296,6 +296,31 @@ def add_noise(frame: np.ndarray, noise_var: float, gen: np.random.Generator) -> 
     campaign draws each trial's noise.  A zero variance leaves the samples as
     they are."""
     return frame + np.sqrt(noise_var) * complex_normal(gen, frame.shape)
+
+
+def per_trial_key_frames(spec, trainings: dict[str, TrainingSet]):
+    """`harness._stacked_frames` under the per-trial-key layout that the campaign
+    streams replaced, as one chunk of every trial per SNR point.  Trial t draws
+    its taps, then its offset, from numpy's own `SeedSequence(seed,
+    spawn_key=(1, t))` and its unit noise from (2, t); the noise scale and the
+    sharing of each trial's draws by every point and kind are the campaign's."""
+    cfg, half = spec.config, spec.config.cfo_half_range
+    cfos = np.empty(spec.trials)
+    sums = [{kind: np.empty((spec.trials, cfg.n_periods), dtype=complex) for kind in trainings}
+            for _ in spec.snr_points_db]
+    for t in range(spec.trials):
+        gen, noise = (np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(k, t)))
+                      for k in (1, 2))
+        taps = draw_channel(spec.profile, cfg, gen)
+        cfos[t] = np.nextafter(gen.uniform(-half, half), 0.0) if spec.cfo is None else spec.cfo
+        unit = complex_normal(noise, (cfg.n_rx, cfg.n_subcarriers))
+        for kind, ts in trainings.items():
+            frame = transmit_receive(ts, spec.profile, taps, cfos[t], cfg)
+            for at_point, db in zip(sums, spec.snr_points_db):
+                power = 0.0 if spec.noiseless else ts.energy / cfg.n_subcarriers
+                at_point[kind][t] = stack(frame + np.sqrt(power / 10.0 ** (db / 10.0)) * unit, cfg)
+    for s_idx, at_point in enumerate(sums):
+        yield s_idx, slice(0, spec.trials), cfos, at_point
 
 
 def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,

@@ -16,7 +16,7 @@ from cfolab.harness import (CSV_HEADER, PRESET_NAMES, ExperimentSpec, _stacked_f
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
 from cfolab.numerics import complex_normal
-from support import package_env, run_cli
+from support import package_env, per_trial_key_frames, run_cli
 
 
 # (field, value, text): values that must fail as a ConfigError, never be
@@ -59,6 +59,20 @@ MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v, _ in MALFORMED_SPEC_VALUES]
 # bound.  A change that moves any byte updates this text and says so.
 GOLDEN_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
+simplified:3,10,3,20,9.69640843305e-05,0.000156327767164,,,0
+simplified_rs:3,10,3,20,6.33509427138,,,,0
+ml_grid,10,,20,9.21024998489e-05,,,,0
+simplified:3,20,3,20,9.18621462997e-06,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,7.2080207506,,,,0
+ml_grid,20,,20,8.29409566233e-06,,,,0
+emcb,10,,10,,,0.000142507071733,,0
+emcb,20,,10,,,1.42507071733e-05,,0
+"""
+
+# CSV of the GOLDEN_TOY_CSV campaign under the per-trial-key layout that the
+# campaign streams replaced: the bytes `support.per_trial_key_frames` must give.
+PER_TRIAL_KEY_TOY_CSV = """\
+estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
 simplified:3,10,3,20,0.000178811064452,0.000156327767164,,,0
 simplified_rs:3,10,3,20,5.21601567119,,,,0
 ml_grid,10,,20,0.000149909463316,,,,0
@@ -73,28 +87,28 @@ emcb,20,,10,,,1.42507071733e-05,,0
 # campaign scales its unit noise by zero, so no noise layout moves these bytes.
 GOLDEN_NOISELESS_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
-simplified:3,10,3,20,2.46841542361e-07,,,,0
-simplified_rs:3,10,3,20,6.12329500718,,,,0
-ml_grid,10,,20,4.87404908321e-10,,,,0
-simplified:3,20,3,20,2.46841542361e-07,,,,0
-simplified_rs:3,20,3,20,6.12329500718,,,,0
-ml_grid,20,,20,4.87404908321e-10,,,,0
+simplified:3,10,3,20,3.89998635193e-07,,,,0
+simplified_rs:3,10,3,20,7.07465253806,,,,0
+ml_grid,10,,20,7.04079043173e-10,,,,0
+simplified:3,20,3,20,3.89998635193e-07,,,,0
+simplified_rs:3,20,3,20,7.07465253806,,,,0
+ml_grid,20,,20,7.04079043173e-10,,,,0
 """
 
 # sha256 of the CSV of a 30-trial reference-dimension campaign with both
 # training kinds, ml_grid and the bound; the same rule as GOLDEN_TOY_CSV.
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "1046de0d9ea11b91cde38b976145f8da9bbfb5ac1939476fa89408942ffeca1b")
+    "6b86aa543c419fad3d606c89b044cd17096f9360da01ece86d99e6b0239ad78e")
 
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
 GOLDEN_ESTIMATE_TEXT = """\
 true_cfo            +2.300000
-estimated_cfo       +2.300915
+estimated_cfo       +2.292193
 diag_index          3
-diag_ratio          -3.045069e-01+9.191564e-01j
-candidates          -3.6991 -2.6991 -1.6991 -0.6991 +0.3009 +1.3009 +2.3009 +3.3009
-scores              1.229453e+04 2.421783e+04 1.229299e+04 4.628914e+04 1.242440e+04 1.227492e+04 5.809986e+04 1.232990e+04
+diag_ratio          -2.674763e-01+9.851940e-01j
+candidates          -3.7078 -2.7078 -1.7078 -0.7078 +0.2922 +1.2922 +2.2922 +3.2922
+scores              1.696200e+04 3.633161e+04 1.698658e+04 6.129540e+04 1.710759e+04 1.704204e+04 8.070401e+04 1.709114e+04
 """
 
 TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
@@ -385,24 +399,53 @@ class TestRunMseVsSnr:
         assert all(np.array_equal(a, b) for a, b in zip(units, units2[:5]))
         assert all(sums[key].tobytes() == sums2[key][:5].tobytes() for key in sums)
 
-    def test_streams_seeded_one_pass_per_key_prefix(self, toy_spec, monkeypatch):
-        # the campaign hashes its (1, t) keys in one `generators` call and its
-        # (2, t) keys in one more, and seeds no stream key by key
-        calls = []
-        generators = RandomSource.generators
+    def test_one_generator_per_stream(self, toy_spec, monkeypatch):
+        # a campaign builds one generator on each of its stream keys, taps (1,),
+        # noise (2,) and offsets (3,), and the rs training one on (0,); with
+        # `cfo` fixed the offsets' stream is built and left unread
+        keys = []
+        generator = RandomSource.generator
+        monkeypatch.setattr(RandomSource, "generator",
+                            lambda source: keys.append((source.seed, source.key)) or generator(source))
+        run_mse_vs_snr(replace(toy_spec, trials=6))
+        assert sorted(keys) == [(7, (1,)), (7, (2,)), (7, (3,))]
+        keys.clear()
+        run_mse_vs_snr(replace(toy_spec, trials=6, cfo=0.5,
+                               estimators=("simplified:3", "simplified_rs:3")))
+        assert sorted(keys) == [(7, (0,)), (7, (1,)), (7, (2,)), (7, (3,))]
 
-        def spy(source, n):
-            calls.append((source.seed, source.key, n))
-            return generators(source, n)
+    def test_streams_keep_the_law_of_per_trial_keys(self, toy_spec, toy_cfg, toy_profile,
+                                                    monkeypatch):
+        """The campaign streams draw from the law of the per-trial keys they
+        replaced, `support.per_trial_key_frames`, which gives the old layout's
+        bytes.  4000 trials at 15 dB per layout: the mean frame energy c_0 and
+        the mean squared error of `simplified:3` agree within Z = 4 combined
+        standard errors.  At the measured coefficients of variation, 0.32 for
+        c_0 and 1.55 for the squared error, a relative shift of the mean of
+        (Z + 1.28) * sqrt(2) * CV / sqrt(4000), 3.8% for c_0 and 18% for the
+        MSE, fails the test with 90% power.
+        """
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_stacked_frames", per_trial_key_frames)
+            assert rows_to_csv(run_mse_vs_snr(golden_toy_spec(toy_cfg, toy_profile))) == (
+                PER_TRIAL_KEY_TOY_CSV)
+        spec = replace(toy_spec, estimators=("simplified:3",), snr_points_db=(15.0,),
+                       trials=4000)
+        cfg, trainings = spec.config, _trainings_for(spec)
 
-        def per_key(source):
-            raise AssertionError(f"per-key generator() for key {source.key}")
+        def samples(frames):
+            energy, errors = [], []
+            for _, _, cfos, at in frames:
+                energy.append(at["cbts"][:, 0].real)
+                errors.append(estimator.estimate_simplified(at["cbts"], (3,), cfg)[:, 0] - cfos)
+            errors = estimator.wrap_offset(np.concatenate(errors), cfg.n_periods)
+            return np.concatenate(energy), errors * errors
 
-        monkeypatch.setattr(RandomSource, "generators", spy)
-        monkeypatch.setattr(RandomSource, "generator", per_key)
-        spec = replace(toy_spec, trials=6)
-        run_mse_vs_snr(spec)
-        assert calls == [(7, (1,), 6), (7, (2,), 6)]
+        streams = samples(_stacked_frames(spec, trainings))
+        keys = samples(per_trial_key_frames(spec, trainings))
+        for new, old in zip(streams, keys):
+            se = np.sqrt((np.var(new, ddof=1) + np.var(old, ddof=1)) / spec.trials)
+            assert abs(new.mean() - old.mean()) <= 4.0 * se
 
     @staticmethod
     def _added_noise(spec, monkeypatch):
@@ -423,8 +466,8 @@ class TestRunMseVsSnr:
 
     def test_points_and_kinds_share_each_trial_unit_noise(self, toy_spec, monkeypatch):
         # each frame's added noise over its point's and kind's noise standard
-        # deviation is the unit draw of key (2, t): one array for every SNR
-        # point and both training kinds
+        # deviation is trial t's unit draw, the t-th of stream (2,): one array
+        # for every SNR point and both training kinds
         spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"), trials=5)
         cfg, snrs = spec.config, np.array(spec.snr_points_db)
         noise = self._added_noise(spec, monkeypatch)
@@ -432,9 +475,9 @@ class TestRunMseVsSnr:
         # variance is a fraction
         power = np.array([ts.energy for ts in _trainings_for(spec).values()]) / cfg.n_subcarriers
         scale = np.sqrt(power[:, None] / 10.0 ** (snrs / 10.0))[:, :, None, None]
+        noise_gen = RandomSource(spec.seed, (2,)).generator()
         for t in range(spec.trials):
-            unit = complex_normal(RandomSource(spec.seed, (2, t)).generator(),
-                                  (cfg.n_rx, cfg.n_subcarriers))
+            unit = complex_normal(noise_gen, (cfg.n_rx, cfg.n_subcarriers))
             assert np.allclose(noise[t] / scale, unit, rtol=0, atol=1e-9)
 
     def test_noise_variance_is_the_bound_energy(self, toy_spec, monkeypatch):
@@ -448,15 +491,15 @@ class TestRunMseVsSnr:
         spec = replace(toy_spec, estimators=("simplified:3", "simplified_rs:3"), trials=1)
         cfg, snrs = spec.config, 10.0 ** (np.array(spec.snr_points_db) / 10.0)
         noise = self._added_noise(spec, monkeypatch)[0].reshape(2, len(snrs), -1)
-        unit = complex_normal(RandomSource(spec.seed, (2, 0)).generator(),
+        unit = complex_normal(RandomSource(spec.seed, (2,)).generator(),
                               cfg.n_rx * cfg.n_subcarriers)
         std = (noise @ unit.conj()).real / np.vdot(unit, unit).real
         assert np.allclose(std ** 2 * cfg.n_subcarriers * snrs, bound_energy, rtol=1e-12, atol=0)
 
     def test_memory_flat_in_trials(self, ref_cfg_b, ref_profile):
         # trials stream through the campaign: it holds one chunk of lag sums
-        # and grows only by the squared errors and the streams' seed words,
-        # never all the frames (32 KB per trial and training kind here)
+        # and grows only by the squared errors (8 B per trial here), never all
+        # the frames (32 KB per trial and training kind here)
         import tracemalloc
 
         def peak(trials):
@@ -793,8 +836,9 @@ class TestSpecPlumbing:
 
 
     def test_trials_up_to_the_key_limit(self, toy_spec):
-        # keys (1, t) and (2, t) hold t in one uint32 word; only the spec is
-        # built, so no campaign of that size runs
+        # the limit keeps the (points, estimators, trials) squared errors from
+        # a MemoryError traceback; only the spec is built, so no campaign of
+        # that size runs
         assert replace(toy_spec, trials=2**32).trials == 2**32
         with pytest.raises(ConfigError, match=r"trials must be at most 2\*\*32, got 4294967297"):
             replace(toy_spec, trials=2**32 + 1)
