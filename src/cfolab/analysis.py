@@ -201,15 +201,15 @@ def optimal_diag_indices(gamma: float, cfg: SystemConfig) -> tuple[int, ...]:
 def _bound_core(cfg: SystemConfig, profile: ChannelProfile, ts: TrainingSet) -> np.ndarray:
     """Core C of the bound's denominator X = sum_r h_r^H C h_r, h_r the taps on
     the profile's D delays, transmit-major.  C = W^H (I - U U^H) W with
-    W = diag(n + N_g) S, S the model matrix (`model_matrix`) and U a basis of
-    its columns.  S = Fbar^H M, Fbar the comb rows of the unitary DFT and M the
-    block-diagonal comb response, so C = M^H B_2 M - (B_1 M)^H Pi (B_1 M), with
-    B_k[a, b] = g_k[comb_a - comb_b], g_k = fft((n + N_g)^k) / N, and Pi the
-    projector onto M's columns.  Each P x P block of B_k is circulant (comb =
-    offset + Q*p), so B_k M is a P-point FFT convolution.  On a comb, M's
-    columns are spanned by the constant-modulus pilots times the first
-    min(L, P) P-point DFT columns, so Pi's factor is an inverse FFT of the
-    phase-stripped rows (Pi = I if L >= P).
+    W = diag(n) S, S the model matrix (`model_matrix`) and U a basis of its
+    columns: the projector removes S, so no time origin of n changes C.
+    S = Fbar^H M, Fbar the comb rows of the unitary DFT and M the block-diagonal
+    comb response, so C = M^H B_2 M - (B_1 M)^H Pi (B_1 M), with B_k[a, b] =
+    g_k[comb_a - comb_b], g_k = fft(n^k) / N, and Pi the projector onto M's
+    columns.  Each P x P block of B_k is circulant (comb = offset + Q*p), so
+    B_k M is a P-point FFT convolution.  On a comb, M's columns are spanned by
+    the constant-modulus pilots times the first min(L, P) P-point DFT columns,
+    so Pi's factor is an inverse FFT of the phase-stripped rows (Pi = I if L >= P).
     """
     n, p, k = cfg.n_subcarriers, cfg.pilot_len, cfg.n_tx * len(profile.delays)
     offsets = np.asarray(cfg.offsets)
@@ -217,7 +217,7 @@ def _bound_core(cfg: SystemConfig, profile: ChannelProfile, ts: TrainingSet) -> 
     # M's diagonal blocks on the delays, (n_tx, P, D)
     m = ts.freq_pilots[..., None] * np.exp(
         -2j * np.pi * combs[..., None] * np.asarray(profile.delays) / n)
-    g = np.fft.fft(np.arange(cfg.cp_len, cfg.cp_len + n) ** np.array([[1.0], [2.0]])) / n
+    g = np.fft.fft(np.arange(n) ** np.array([[1.0], [2.0]])) / n
     # first column of the circulant block (mu, nu) of B_1 and B_2
     first_col = g[:, combs[:, None] - offsets[:, None]]
     b1m, b2m = np.fft.ifft(np.fft.fft(first_col)[..., None] * np.fft.fft(m, axis=1),

@@ -14,18 +14,14 @@ oracle of the repository, so keep the paths independent.
 
 A frame is a plain (n_rx, N) complex array, and a channel realization a
 plain (n_rx, n_tx, D) array of taps on the profile's D delays
-(`draw_channel`).  Frames here are noiseless; ``harness`` adds the noise.
-In a campaign the taps, the unit noise and the offsets come from the streams
-of spawn keys (1,), (2,) and (3,), read trial after trial; a trial's noise is
-shared by every SNR point as its channel and offset are (common random
-numbers).  The noise variance is the expected frame power per sample,
-`TrainingSet.energy` / N (the taps' powers sum to 1), over the SNR, so no
-trial's frame depends on the trial count.
+(`draw_channel`).  Frames here are noiseless; ``harness`` adds the noise and
+lays out the random streams.
 
-Conventions. The CFO `cfo` is normalised by the subcarrier spacing and the
-rotation's phase reference is the start of the cyclic prefix, i.e. the kept
-sample n (0-based after prefix removal) is rotated by
-exp(j*2*pi*cfo*(n + cp_len)/N).  Channel taps are constant over the frame.
+Conventions. The CFO `cfo` is normalised by the subcarrier spacing; the kept
+sample n (0-based after prefix removal) is rotated by exp(j*2*pi*cfo*n/N).
+The prefix is taken to cover the channel, the circular model's premise; its
+length would only add a common phase, which no lag sum and no bound sees.
+Channel taps are constant over the frame.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ class ChannelProfile:
         return self.delays[-1] + 1
 
     def check_fits(self, cfg: SystemConfig) -> None:
-        """Refuse a profile whose last delay lies past chan_len (<= cp_len)."""
+        """Refuse a profile whose last delay lies past chan_len."""
         if self.length > cfg.chan_len:
             raise ConfigError(
                 f"profile length {self.length} exceeds configured chan_len {cfg.chan_len}"
@@ -174,9 +170,8 @@ def model_receive(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
     """
     _check_cfo(cfo, cfg)
     profile.check_fits(cfg)
-    n, ng = cfg.n_subcarriers, cfg.cp_len
+    n = cfg.n_subcarriers
     cols = (cfg.chan_len * np.arange(cfg.n_tx)[:, None] + list(profile.delays)).ravel()
     s = model_matrix(ts, cfg)[:, cols]
-    front = np.sqrt(n) * np.exp(2j * np.pi * cfo * ng / n)
-    ramp = np.exp(2j * np.pi * cfo * np.arange(n) / n)
-    return np.vstack([front * ramp * (s @ taps[nu].reshape(-1)) for nu in range(cfg.n_rx)])
+    ramp = np.sqrt(n) * np.exp(2j * np.pi * cfo * np.arange(n) / n)
+    return np.vstack([ramp * (s @ taps[nu].reshape(-1)) for nu in range(cfg.n_rx)])

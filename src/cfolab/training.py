@@ -63,10 +63,9 @@ class SystemConfig:
     Attributes:
         n_subcarriers: full OFDM grid size N.
         pilot_len:     pilots per antenna P; the time-domain period length.
-        n_tx, n_rx:    antenna counts.
-        cp_len:        cyclic prefix length in samples.
-        chan_len:      maximum channel impulse response length L in samples.
-        offsets:       per-antenna comb offsets, distinct, in [0, Q-1].
+        n_rx:          receive antenna count.
+        chan_len:      maximum channel impulse response length L in samples, <= N.
+        offsets:       per-antenna comb offsets, distinct, in [0, Q-1]; n_tx is their count.
         chu_root:      generator-sequence root, coprime with pilot_len.
 
     The repetition count Q = N/P must be even (N divisible by 2P) and larger
@@ -80,16 +79,13 @@ class SystemConfig:
 
     n_subcarriers: int
     pilot_len: int
-    n_tx: int
     n_rx: int
-    cp_len: int
     chan_len: int
     offsets: tuple[int, ...]
     chu_root: int = 1
 
     def __post_init__(self):
-        for key in ("n_subcarriers", "pilot_len", "n_tx", "n_rx", "cp_len", "chan_len",
-                    "chu_root"):
+        for key in ("n_subcarriers", "pilot_len", "n_rx", "chan_len", "chu_root"):
             if not is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer, got {json_text(getattr(self, key))}")
         offsets = self.offsets
@@ -99,15 +95,18 @@ class SystemConfig:
         n, p = self.n_subcarriers, self.pilot_len
         if p < 2 or n < p:
             raise ConfigError(f"need n_subcarriers >= pilot_len >= 2, got {n}, {p}")
+        # one (n_rx, N) frame of 2**20 samples is 16 MiB, 512 times the reference
+        # config's; far larger ones end in a MemoryError traceback, not a config error
+        if self.n_rx * n > 2**20:
+            raise ConfigError(f"n_rx * n_subcarriers must be at most 2**20, got {self.n_rx * n}")
         if n % (2 * p) != 0:
             raise ConfigError(f"n_subcarriers must be a multiple of 2*pilot_len ({n} vs {p})")
         q = n // p
         if not (0 < self.n_tx < q):
-            raise ConfigError(f"n_tx must satisfy 0 < n_tx < Q={q}, got {self.n_tx}")
+            raise ConfigError(f"need 1 to Q-1={q - 1} comb offsets, one per transmit antenna, "
+                              f"got {json_text(offsets)}")
         if self.n_rx < 1:
             raise ConfigError("n_rx must be >= 1")
-        if len(self.offsets) != self.n_tx:
-            raise ConfigError("need exactly one comb offset per transmit antenna")
         if len(set(self.offsets)) != self.n_tx:
             raise ConfigError(f"comb offsets must be distinct, got {json_text(offsets)}")
         if any(not (0 <= i <= q - 1) for i in self.offsets):
@@ -117,15 +116,17 @@ class SystemConfig:
                               f"shift mod Q={q}, which aliases every estimator's score")
         if math.gcd(self.chu_root, p) != 1:
             raise ConfigError(f"chu_root={self.chu_root} must be coprime with pilot_len={p}")
-        if self.chan_len < 1 or self.chan_len > self.cp_len:
-            raise ConfigError(
-                f"chan_len={self.chan_len} must be in [1, cp_len={self.cp_len}]"
-            )
+        if not 1 <= self.chan_len <= n:
+            raise ConfigError(f"chan_len={self.chan_len} must be in [1, n_subcarriers={n}]")
 
     @property
     def n_periods(self) -> int:
         """Q: number of length-P periods in one training frame."""
         return self.n_subcarriers // self.pilot_len
+
+    @property
+    def n_tx(self) -> int:
+        return len(self.offsets)
 
     @cached_property
     def comb_phase_sums(self) -> np.ndarray:
@@ -138,10 +139,10 @@ class SystemConfig:
 
     @cached_property
     def ramp_samples(self) -> np.ndarray:
-        """The CFO ramp's sample indices from the prefix start: each period's first
-        kept sample, then the offsets within a period (read-only)."""
+        """The CFO ramp's sample indices from the first kept sample: each period's
+        first sample, then the offsets within a period (read-only)."""
         p = self.pilot_len
-        samples = np.concatenate([p * np.arange(self.n_periods) + self.cp_len, np.arange(p)])
+        samples = np.concatenate([p * np.arange(self.n_periods), np.arange(p)])
         samples.flags.writeable = False
         return samples
 
@@ -166,9 +167,7 @@ def reference_config(offsets: tuple[int, ...] = OFFSETS_B) -> SystemConfig:
     return SystemConfig(
         n_subcarriers=1024,
         pilot_len=64,
-        n_tx=3,
         n_rx=2,
-        cp_len=80,
         chan_len=75,
         offsets=offsets,
     )

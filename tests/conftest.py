@@ -16,16 +16,14 @@ def toy_cfg() -> SystemConfig:
     index 4 is blind); offsets a Q/2 apart would alias the likelihood, and
     `SystemConfig` refuses them.
     """
-    return SystemConfig(n_subcarriers=64, pilot_len=8, n_tx=2, n_rx=2,
-                        cp_len=10, chan_len=8, offsets=(1, 6))
+    return SystemConfig(n_subcarriers=64, pilot_len=8, n_rx=2, chan_len=8, offsets=(1, 6))
 
 
 @pytest.fixture(scope="session")
 def q12_cfg() -> SystemConfig:
     """The toy config at N=96: Q=12, an even Q whose 1/Q is not exact in
     binary, so a division by Q and a product with 1/Q can round apart."""
-    return SystemConfig(n_subcarriers=96, pilot_len=8, n_tx=2, n_rx=2,
-                        cp_len=10, chan_len=8, offsets=(1, 6))
+    return SystemConfig(n_subcarriers=96, pilot_len=8, n_rx=2, chan_len=8, offsets=(1, 6))
 
 
 @pytest.fixture(scope="session")

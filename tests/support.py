@@ -175,13 +175,12 @@ def stacked_signal_matrix(ts: TrainingSet, profile: ChannelProfile, taps: np.nda
     taps = full_taps(profile, taps, cfg)
     n, p = cfg.n_subcarriers, cfg.pilot_len
     idft, responses = _period_bases(cfg)
-    front = np.sqrt(p) * np.exp(2j * np.pi * cfo * cfg.cp_len / n)
     x = np.zeros((cfg.n_tx, cfg.n_rx * p), dtype=complex)
     for mu in range(cfg.n_tx):
         ramp = np.exp(2j * np.pi * (cfo + cfg.offsets[mu]) * np.arange(p) / n)
         # column nu: the period seen at receive antenna nu
         periods = idft @ (ts.freq_pilots[mu][:, None] * (responses[mu] @ taps[:, mu].T))
-        x[mu] = (front * ramp * periods.T).reshape(-1)
+        x[mu] = (np.sqrt(p) * ramp * periods.T).reshape(-1)
     return x
 
 
@@ -333,13 +332,16 @@ def draw_channel_loop(profile: ChannelProfile, cfg: SystemConfig,
 
 
 def transmit_receive_direct(ts: TrainingSet, profile: ChannelProfile, taps: np.ndarray,
-                            cfo: float, cfg: SystemConfig) -> np.ndarray:
+                            cfo: float, cfg: SystemConfig, ng: int) -> np.ndarray:
     """Noiseless frame sample by sample: per receive antenna, the linear
-    convolution of each CP-extended time sequence with its chan_len-sample
-    impulse responses (`full_taps`), the N samples after the prefix, rotated
-    by the CFO ramp."""
+    convolution of each time sequence, extended by an explicit cyclic prefix of
+    `ng` >= chan_len samples, with its chan_len-sample impulse responses
+    (`full_taps`), the N samples after the prefix, rotated by the CFO ramp whose
+    phase reference is the start of the prefix."""
     _check_cfo(cfo, cfg)
-    n, ng = cfg.n_subcarriers, cfg.cp_len
+    n = cfg.n_subcarriers
+    if not cfg.chan_len <= ng <= n:
+        raise ConfigError(f"prefix length {ng} must lie in [chan_len={cfg.chan_len}, N={n}]")
     taps = full_taps(profile, taps, cfg)
     rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
     out = np.zeros((cfg.n_rx, n), dtype=complex)
@@ -358,8 +360,8 @@ def transmit_receive_fft(ts: TrainingSet, profile: ChannelProfile, taps: np.ndar
     and of every column of the chan_len-sample impulse responses
     (`full_taps`), zero or not, rotated by the CFO ramp over all N samples."""
     _check_cfo(cfo, cfg)
-    n, ng = cfg.n_subcarriers, cfg.cp_len
-    rot = np.exp(2j * np.pi * cfo * (np.arange(n) + ng) / n)
+    n = cfg.n_subcarriers
+    rot = np.exp(2j * np.pi * cfo * np.arange(n) / n)
     spectra = np.fft.fft(ts.time_sequences) * np.fft.fft(full_taps(profile, taps, cfg), n)
     return rot * np.fft.ifft(spectra.sum(axis=1))
 
@@ -396,12 +398,12 @@ def projection_complement(basis: np.ndarray) -> np.ndarray:
     return np.eye(basis.shape[0]) - ur @ ur.conj().T
 
 
-def bound_core_full(cfg: SystemConfig, profile: ChannelProfile) -> np.ndarray:
+def bound_core_full(cfg: SystemConfig, profile: ChannelProfile, origin: int = 0) -> np.ndarray:
     """The bound's core W^H (I - U U^H) W from the N-row model matrix S and its
-    SVD projector, W = diag(n + N_g) S, on the columns of the profile's delays."""
+    SVD projector, W = diag(n + origin) S, on the columns of the profile's delays."""
     s = model_matrix(build_training(cfg, "cbts"), cfg)
-    n, ng = cfg.n_subcarriers, cfg.cp_len
-    weighted = np.arange(ng, ng + n, dtype=float)[:, None] * s
+    n = cfg.n_subcarriers
+    weighted = np.arange(origin, origin + n, dtype=float)[:, None] * s
     core = weighted.conj().T @ projection_complement(s) @ weighted
     cols = (cfg.chan_len * np.arange(cfg.n_tx)[:, None] + list(profile.delays)).ravel()
     return core[np.ix_(cols, cols)]

@@ -158,7 +158,7 @@ def test_criterion_6_sequence_and_factorisation_properties():
         worst_faded = max(worst_faded, derivative_factor_residual(sf_t, 7, cfg))
     assert worst_faded < 5e-2
 
-    single = SystemConfig(1024, 64, 1, 1, 80, 64, (0,))
+    single = SystemConfig(1024, 64, 1, 64, (0,))
     ts1 = build_training(single, "cbts")
     frame1 = transmit_receive(ts1, unit, np.ones((1, 1, 1), complex), 1.7, single)
     assert derivative_factor_residual(stack(frame1, single), 9, single) < 1e-6
@@ -183,7 +183,7 @@ def test_criterion_7_noiseless_exactness():
         assert abs(ml - cfo) < 1e-2
 
     rng = np.random.default_rng(71)
-    toy = SystemConfig(64, 8, 2, 2, 10, 8, (1, 6))
+    toy = SystemConfig(64, 8, 2, 8, (1, 6))
     grid = np.arange(-4, 4, 0.01)
     for _ in range(100):
         y = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))

@@ -18,7 +18,7 @@ from support import (bound_core_full, emcb_monte_carlo, full_taps, kron_model_ma
 
 class TestCrossTerm:
     def test_single_antenna_collapses(self):
-        cfg = SystemConfig(64, 8, 1, 1, 10, 8, (3,))
+        cfg = SystemConfig(64, 8, 1, 8, (3,))
         for idx in range(1, 8):
             assert cross_term(idx, cfg) == pytest.approx(2 * min(idx, 8 - idx), abs=1e-12)
 
@@ -36,7 +36,7 @@ class TestCrossTerm:
             assert v == pytest.approx(cross_term(16 - idx, cfg), rel=1e-12)
 
     def test_blind_index_raises(self):
-        cfg = SystemConfig(64, 8, 2, 2, 10, 8, (0, 2))
+        cfg = SystemConfig(64, 8, 2, 8, (0, 2))
         with pytest.raises(DegenerateDiagonalError):
             cross_term(2, cfg)
 
@@ -45,7 +45,7 @@ class TestPredictedMse:
     def test_hand_value(self):
         # one antenna each side, Q = P = 2, index 1, gamma 1:
         # (2*(2+2) + 2) / (8 pi^2 * 2 * 1 * 1 * 1) = 10 / (16 pi^2)
-        cfg = SystemConfig(4, 2, 1, 1, 2, 1, (0,))
+        cfg = SystemConfig(4, 2, 1, 1, (0,))
         assert predicted_mse(1.0, 1, cfg) == pytest.approx(10 / (16 * np.pi ** 2),
                                                            rel=1e-12)
 
@@ -78,7 +78,7 @@ class TestPredictedMse:
 
 class TestBiasFloor:
     def test_zero_for_single_antenna(self, toy_profile):
-        cfg = SystemConfig(64, 8, 1, 1, 10, 8, (3,))
+        cfg = SystemConfig(64, 8, 1, 8, (3,))
         for idx in range(1, 8):
             assert bias_floor(idx, cfg, toy_profile) == 0.0
 
@@ -127,7 +127,7 @@ class TestBiasFloor:
             f"index {idx}: floor {floor:.3e} vs Monte Carlo {mc:.3e}")
 
     def test_blind_index_refused(self):
-        blind = SystemConfig(64, 8, 2, 2, 10, 8, (0, 2))
+        blind = SystemConfig(64, 8, 2, 8, (0, 2))
         with pytest.raises(DegenerateDiagonalError):
             bias_floor(2, blind, ChannelProfile(delays=(0,), powers_db=(0.0,)))
 
@@ -146,7 +146,7 @@ class TestCombSumCanVanish:
         # Q = 8 positions: a gap of exactly half the circle counts only when
         # the phasors are two antipodal points
         def flagged(offsets, idx=1):
-            cfg = SystemConfig(64, 8, len(offsets), 1, 10, 8, offsets)
+            cfg = SystemConfig(64, 8, 1, 8, offsets)
             return comb_sum_can_vanish(idx, cfg)
         assert not flagged((3,))
         assert flagged((0, 3, 5))          # gaps 3, 2, 3: 0 inside the hull
@@ -165,7 +165,7 @@ class TestCombSumCanVanish:
             for n_tx in range(1, q):
                 for offsets in combinations(range(q), n_tx):
                     try:
-                        cfg = SystemConfig(2 * q, 2, n_tx, 1, 1, 1, offsets)
+                        cfg = SystemConfig(2 * q, 2, 1, 1, offsets)
                     except ConfigError:  # a cyclic shift maps the set onto itself
                         continue
                     for idx in range(1, q):
@@ -212,12 +212,12 @@ class TestOptimalIndices:
     def test_single_antenna_minimiser(self):
         # the cross term grows with the index, pushing the strict optimum
         # below Q/2: for Q=16 the tied pair is {6, 10}, not {8}
-        cfg = SystemConfig(256, 16, 1, 1, 20, 16, (0,))
+        cfg = SystemConfig(256, 16, 1, 16, (0,))
         assert strict_minimisers(10.0, cfg) == (6, 10)
         assert predicted_mse(10.0, 6, cfg) < predicted_mse(10.0, 8, cfg)
 
     def test_blind_indices_excluded(self):
-        cfg = SystemConfig(64, 8, 2, 2, 10, 8, (0, 2))
+        cfg = SystemConfig(64, 8, 2, 8, (0, 2))
         got = optimal_diag_indices(10.0, cfg)
         assert 2 not in got and 6 not in got
 
@@ -234,7 +234,7 @@ class TestOptimalIndices:
         # them onto themselves, so every score repeats with period 4 in the
         # offset: the config is refused before any index is searched
         with pytest.raises(ConfigError, match="cyclic shift"):
-            SystemConfig(64, 8, 2, 2, 10, 8, (0, 4))
+            SystemConfig(64, 8, 2, 8, (0, 4))
 
 
 class TestEmcb:
@@ -251,8 +251,7 @@ class TestEmcb:
         # system on the bound's quadratic form
         ts = build_training(toy_cfg, "cbts")
         s = model_matrix(ts, toy_cfg)
-        n, ng = toy_cfg.n_subcarriers, toy_cfg.cp_len
-        ramp = np.arange(ng, ng + n, dtype=float)
+        ramp = np.arange(toy_cfg.n_subcarriers, dtype=float)
         core = (s.conj().T * ramp) @ projection_complement(s) @ (ramp[:, None] * s)
         full = kron_model_matrix(s, toy_cfg.n_rx)
         ramp_full = np.tile(ramp, toy_cfg.n_rx)
@@ -284,15 +283,18 @@ class TestEmcb:
     def test_core_matches_model_matrix(self, toy_cfg, toy_profile, ref_cfg_b, ref_profile):
         # the core from the pilot combs, with Pi in closed form, against the
         # N-row model matrix and its SVD projector; `short` has
-        # chan_len < pilot_len, so Pi is not the identity there
-        short = SystemConfig(64, 16, 2, 2, 10, 8, (0, 1))
+        # chan_len < pilot_len, so Pi is not the identity there.  The projector
+        # removes the model's columns, so the time index's origin (0 or N/2,
+        # as a prefix would move it) leaves the core as it is
+        short = SystemConfig(64, 16, 2, 8, (0, 1))
         rank = np.linalg.matrix_rank(model_matrix(build_training(short, "cbts"), short))
         assert rank < short.n_tx * short.pilot_len
         for cfg, profile in ((toy_cfg, toy_profile), (ref_cfg_b, ref_profile),
                              (short, ChannelProfile((0, 3, 7), (0.0, -3.0, -6.0)))):
             got = _bound_core(cfg, profile, build_training(cfg, "cbts"))
-            want = bound_core_full(cfg, profile)
-            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+            for origin in (0, cfg.n_subcarriers // 2):
+                want = bound_core_full(cfg, profile, origin)
+                assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", ["reference", "short", "one-rx-two-taps", "two-tx"])
     def test_exact_matches_monte_carlo(self, case, ref_cfg_b, ref_profile, toy_cfg,
@@ -301,9 +303,9 @@ class TestEmcb:
         # within 4 standard errors of their mean at every SNR point
         cfg, profile = {
             "reference": (ref_cfg_b, ref_profile),
-            "short": (SystemConfig(64, 16, 2, 2, 10, 8, (0, 1)),
+            "short": (SystemConfig(64, 16, 2, 8, (0, 1)),
                       ChannelProfile((0, 3, 7), (0.0, -3.0, -6.0))),
-            "one-rx-two-taps": (SystemConfig(64, 8, 2, 1, 10, 8, (1, 6)),
+            "one-rx-two-taps": (SystemConfig(64, 8, 1, 8, (1, 6)),
                                 ChannelProfile((0, 5), (0.0, -3.0))),
             "two-tx": (toy_cfg, toy_profile),
         }[case]
@@ -335,7 +337,7 @@ class TestEmcb:
     def test_divergent_bound_rejected(self):
         # one receive antenna and one tap on one transmit antenna: X is
         # exponential, E[1/X] is infinite, and no finite bound is reported
-        cfg = SystemConfig(64, 16, 1, 1, 8, 8, (0,))
+        cfg = SystemConfig(64, 16, 1, 8, (0,))
         with pytest.raises(ConfigError, match="diverges"):
             emcb(cfg, ChannelProfile((0,), (0.0,)), (10.0,))
         with pytest.raises(ConfigError, match="diverges"):

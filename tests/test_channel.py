@@ -52,7 +52,7 @@ class TestDrawChannel:
         assert np.all(taps != 0)
 
     def test_unit_tap_energy(self):
-        cfg = SystemConfig(64, 8, 2, 2, 10, 8, (1, 6))
+        cfg = SystemConfig(64, 8, 2, 8, (1, 6))
         prof = ChannelProfile(delays=(0,), powers_db=(0.0,))
         gen = RandomSource(2, (0,)).generator()
         acc = 0.0
@@ -103,7 +103,7 @@ class TestOracleEquivalence:
             assert np.max(np.abs(td - mm)) < 1e-11
 
     def test_identity_channel_returns_time_sequence(self):
-        cfg = SystemConfig(64, 8, 1, 1, 10, 8, (0,))
+        cfg = SystemConfig(64, 8, 1, 8, (0,))
         ts = build_training(cfg, "cbts")
         unit = ChannelProfile(delays=(0,), powers_db=(0.0,))
         frame = transmit_receive(ts, unit, np.ones((1, 1, 1), complex), 0.0, cfg)
@@ -114,8 +114,8 @@ class TestOracleEquivalence:
         ch = draw_channel(toy_profile, toy_cfg, RandomSource(4, (2,)).generator())
         rotated = transmit_receive(ts, toy_profile, ch, 2.3, toy_cfg)
         base = transmit_receive(ts, toy_profile, ch, 0.0, toy_cfg)
-        n, ng = toy_cfg.n_subcarriers, toy_cfg.cp_len
-        counter = np.conj(np.exp(2j * np.pi * 2.3 * (np.arange(n) + ng) / n))
+        n = toy_cfg.n_subcarriers
+        counter = np.conj(np.exp(2j * np.pi * 2.3 * np.arange(n) / n))
         assert np.max(np.abs(rotated * counter - base)) < 1e-12
 
     def test_cp_removal_equals_circular_convolution(self, toy_cfg, toy_profile):
@@ -144,19 +144,24 @@ class TestFftSimulation:
     FFT oracle, and the one-call channel draw against the tap-by-tap loop."""
 
     @pytest.mark.parametrize("kind", ["cbts", "rs"])
-    @pytest.mark.parametrize("cfg,profile", [
-        (SystemConfig(64, 8, 2, 2, 10, 8, (1, 6)), TOY_PROFILE),
-        (SystemConfig(64, 8, 2, 2, 8, 8, (1, 6)), TOY_PROFILE),  # chan_len == cp_len
-        (reference_config(OFFSETS_A), reference_profile()),
-        (reference_config(OFFSETS_B), reference_profile()),
+    @pytest.mark.parametrize("cfg,profile,prefix", [
+        (SystemConfig(64, 8, 2, 8, (1, 6)), TOY_PROFILE, 10),
+        (SystemConfig(64, 8, 2, 8, (1, 6)), TOY_PROFILE, 8),  # prefix == chan_len
+        (reference_config(OFFSETS_A), reference_profile(), 80),
+        (reference_config(OFFSETS_B), reference_profile(), 80),
     ], ids=["toy", "toy-full-prefix", "reference-a", "reference-b"])
-    def test_matches_direct_convolution(self, cfg, profile, kind):
+    def test_matches_direct_convolution(self, cfg, profile, prefix, kind):
+        # the loop sends an explicit prefix and rotates from its start; for any
+        # prefix that covers the channel (toy: two lengths) its frame is the
+        # simulated one times one common phase, which no lag sum and no bound
+        # sees, so the model needs no prefix length
         ts = build_training(cfg, kind, RandomSource(3, (0,)) if kind == "rs" else None)
         for seed in range(3):
             ch = draw_channel(profile, cfg, RandomSource(seed, (1,)).generator())
             for cfo in edge_offsets(cfg):
-                direct = transmit_receive_direct(ts, profile, ch, cfo, cfg)
-                fft = transmit_receive(ts, profile, ch, cfo, cfg)
+                direct = transmit_receive_direct(ts, profile, ch, cfo, cfg, prefix)
+                phase = np.exp(2j * np.pi * cfo * prefix / cfg.n_subcarriers)
+                fft = phase * transmit_receive(ts, profile, ch, cfo, cfg)
                 assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("kind", ["cbts", "rs"])
@@ -202,8 +207,10 @@ class TestFftSimulation:
             ch = draw_channel(profile, toy_cfg, RandomSource(seed, (1,)).generator())
             assert np.all(ch[..., 1] == 0) and np.all(ch[..., 0] != 0)
             for cfo in edge_offsets(toy_cfg):
-                want = transmit_receive_direct(ts, profile, ch, cfo, toy_cfg)
-                got = transmit_receive(ts, profile, ch, cfo, toy_cfg)
+                # the direct loop's phase reference is the start of its prefix
+                want = transmit_receive_direct(ts, profile, ch, cfo, toy_cfg, 8)
+                got = np.exp(2j * np.pi * cfo * 8 / 64) * transmit_receive(ts, profile, ch, cfo,
+                                                                           toy_cfg)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_frame_kernel_zero_taps_zero_frame(self, toy_cfg, toy_profile):

@@ -42,7 +42,7 @@ def unit_taps(cfg):
 
 class TestStack:
     def test_index_arithmetic(self):
-        cfg = SystemConfig(4, 2, 1, 1, 2, 1, (0,))
+        cfg = SystemConfig(4, 2, 1, 1, (0,))
         frame = np.array([[1 + 0j, 2, 3, 4]])
         c = stack(frame, cfg)
         assert np.array_equal(period_matrix(frame, cfg), [[1, 2], [3, 4]])
@@ -703,7 +703,7 @@ class TestDerivativeFactorisation:
         assert worst < 5e-2
 
     def test_exact_for_single_antenna(self):
-        cfg = SystemConfig(64, 8, 1, 1, 10, 8, (0,))
+        cfg = SystemConfig(64, 8, 1, 8, (0,))
         ts = build_training(cfg, "cbts")
         frame = transmit_receive(ts, UNIT_PROFILE, unit_taps(cfg), 1.2, cfg)
         sf = stack(frame, cfg)
@@ -760,7 +760,7 @@ class TestNoiselessDiagonalStructure:
 
 @pytest.fixture(scope="module")
 def blind_cfg():
-    return SystemConfig(64, 8, 2, 2, 10, 8, (0, 2))
+    return SystemConfig(64, 8, 2, 8, (0, 2))
 
 
 class TestDegenerateDesignSweep:

@@ -11,8 +11,8 @@ import pytest
 from cfolab import (ChannelProfile, ConfigError, RandomSource, TrainingSet, analysis,
                     bias_floor, draw_channel, estimator, harness, predicted_mse)
 from cfolab.cli import main as cli_main
-from cfolab.harness import (CSV_HEADER, PRESET_NAMES, ExperimentSpec, _stacked_frames,
-                            _trainings_for, one_frame, parse_estimator_id,
+from cfolab.harness import (CSV_FIELDS, CSV_HEADER, PRESET_NAMES, ExperimentSpec,
+                            _stacked_frames, _trainings_for, one_frame, parse_estimator_id,
                             preset_spec, rows_to_csv, run_bench, run_emcb,
                             run_mse_vs_iota, run_mse_vs_snr, spec_from_json)
 from cfolab.numerics import complex_normal
@@ -59,12 +59,12 @@ MALFORMED_SPEC_IDS = [f"{f}={v!r}" for f, v, _ in MALFORMED_SPEC_VALUES]
 # bound.  A change that moves any byte updates this text and says so.
 GOLDEN_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
-simplified:3,10,3,20,9.69640843305e-05,0.000156327767164,,,0
-simplified_rs:3,10,3,20,6.33509427138,,,,0
-ml_grid,10,,20,9.21024998489e-05,,,,0
-simplified:3,20,3,20,9.18621462997e-06,1.51876324022e-05,,,0
-simplified_rs:3,20,3,20,7.2080207506,,,,0
-ml_grid,20,,20,8.29409566233e-06,,,,0
+simplified:3,10,3,20,0.000142833085113,0.000156327767164,,,0
+simplified_rs:3,10,3,20,4.95197993612,,,,0
+ml_grid,10,,20,0.000142595739591,,,,0
+simplified:3,20,3,20,1.29292931226e-05,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,7.09499163647,,,,0
+ml_grid,20,,20,1.27305737827e-05,,,,0
 emcb,10,,10,,,0.000142507071733,,0
 emcb,20,,10,,,1.42507071733e-05,,0
 """
@@ -73,12 +73,12 @@ emcb,20,,10,,,1.42507071733e-05,,0
 # campaign streams replaced: the bytes `support.per_trial_key_frames` must give.
 PER_TRIAL_KEY_TOY_CSV = """\
 estimator,snr_db,iota,trials,empirical_mse,analytic_mse,emcb,mean_runtime_us,degenerate_count
-simplified:3,10,3,20,0.000178811064452,0.000156327767164,,,0
-simplified_rs:3,10,3,20,5.21601567119,,,,0
-ml_grid,10,,20,0.000149909463316,,,,0
-simplified:3,20,3,20,1.72461673419e-05,1.51876324022e-05,,,0
-simplified_rs:3,20,3,20,6.05479352892,,,,0
-ml_grid,20,,20,1.37509187847e-05,,,,0
+simplified:3,10,3,20,0.000165896732867,0.000156327767164,,,0
+simplified_rs:3,10,3,20,6.02969890758,,,,0
+ml_grid,10,,20,0.000132496410864,,,,0
+simplified:3,20,3,20,1.76420483371e-05,1.51876324022e-05,,,0
+simplified_rs:3,20,3,20,6.23294541205,,,,0
+ml_grid,20,,20,1.34808350345e-05,,,,0
 emcb,10,,10,,,0.000142507071733,,0
 emcb,20,,10,,,1.42507071733e-05,,0
 """
@@ -98,21 +98,20 @@ ml_grid,20,,20,7.04079043173e-10,,,,0
 # sha256 of the CSV of a 30-trial reference-dimension campaign with both
 # training kinds, ml_grid and the bound; the same rule as GOLDEN_TOY_CSV.
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "6b86aa543c419fad3d606c89b044cd17096f9360da01ece86d99e6b0239ad78e")
+    "eaab107c36ff2255a14fc2f32d2b4c65b5b5e0eb03591dbc685319a62dee5376")
 
 # `cfolab estimate` on the toy config of TestCli with the default flags
 # (offset 2.3, 15 dB, index chosen by the closed form).
 GOLDEN_ESTIMATE_TEXT = """\
 true_cfo            +2.300000
-estimated_cfo       +2.292193
+estimated_cfo       +2.305152
 diag_index          3
-diag_ratio          -2.674763e-01+9.851940e-01j
-candidates          -3.7078 -2.7078 -1.7078 -0.7078 +0.2922 +1.2922 +2.2922 +3.2922
-scores              1.696200e+04 3.633161e+04 1.698658e+04 6.129540e+04 1.710759e+04 1.704204e+04 8.070401e+04 1.709114e+04
+diag_ratio          -3.481979e-01+9.642609e-01j
+candidates          -3.6948 -2.6948 -1.6948 -0.6948 +0.3052 +1.3052 +2.3052 +3.3052
+scores              1.748550e+04 3.503902e+04 1.753020e+04 6.574092e+04 1.762271e+04 1.758129e+04 8.332769e+04 1.760486e+04
 """
 
-TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2, "n_rx": 2,
-              "cp_len": 10, "chan_len": 8, "offsets": [1, 6]}
+TOY_SYSTEM = {"n_subcarriers": 64, "pilot_len": 8, "n_rx": 2, "chan_len": 8, "offsets": [1, 6]}
 # the toy config file of TestCli; `estimate` refuses its estimators key, so the
 # estimate tests drop it (estimators=None)
 TOY_JSON = {"config": TOY_SYSTEM,
@@ -120,11 +119,11 @@ TOY_JSON = {"config": TOY_SYSTEM,
             "estimators": ["simplified:3"], "trials": 5, "seed": 2}
 # one transmit antenna, one receive antenna and one tap: the bound's mean over
 # channels is infinite
-DIVERGENT_BOUND = {"config": {"n_subcarriers": 64, "pilot_len": 16, "n_tx": 1, "n_rx": 1,
-                              "cp_len": 8, "chan_len": 8, "offsets": [0]},
+DIVERGENT_BOUND = {"config": {"n_subcarriers": 64, "pilot_len": 16, "n_rx": 1, "chan_len": 8,
+                              "offsets": [0]},
                    "profile": {"delays": [0], "powers_db": [0]}}
-# profiles of the toy config (chan_len 8, cp_len 10) whose last delay lies past
-# chan_len, past the cyclic prefix and past any array index
+# profiles of the toy config (chan_len 8) whose last delay lies just past
+# chan_len, far past it and past any array index
 UNFIT_DELAYS = [(0, 3, 9), (0, 3, 40), (0, 3, 10**20)]
 # diagonal indices of the toy config in any spelling but the plain decimal one
 NON_CANONICAL_IDS = ["simplified:03", "simplified:+3", "simplified: 3", "simplified:3 ",
@@ -143,8 +142,25 @@ MALFORMED_CLI_CASES = {
     "config-not-object": (["mse-vs-snr"], {"config": [1]},
                           "config section must be a JSON object, got [1]"),
     "config-missing-keys": (["mse-vs-snr"], {"config": {"n_subcarriers": 64}},
-                            'config section is missing keys: ["pilot_len", "n_tx", "n_rx", '
-                            '"cp_len", "chan_len", "offsets"]'),
+                            'config section is missing keys: ["pilot_len", "n_rx", "chan_len", '
+                            '"offsets"]'),
+    # the transmit antenna count is the number of offsets, and a prefix length
+    # changes no law: a file that names either key fails, never runs with it dropped
+    **{f"config-names-{key}": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, key: value}},
+                               f'unknown config section keys: ["{key}"]')
+       for key, value in (("n_tx", 2), ("cp_len", 10))},
+    "config-no-offsets": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "offsets": []}},
+                          "need 1 to Q-1=7 comb offsets, one per transmit antenna, got []"),
+    "config-chan-len-past-n": (["mse-vs-snr"], {"config": {**TOY_SYSTEM, "chan_len": 65}},
+                               "chan_len=65 must be in [1, n_subcarriers=64]"),
+    # dimensions whose frame numpy cannot allocate or shape
+    **{name: (["mse-vs-snr"], {"config": {**TOY_SYSTEM, **dims}},
+              f"n_rx * n_subcarriers must be at most 2**20, got {product}")
+       for name, dims, product in (
+           ("n_rx=10**9", {"n_rx": 10**9}, 64 * 10**9),
+           ("n_rx=10**20", {"n_rx": 10**20}, 64 * 10**20),
+           ("n_subcarriers=2**40", {"n_subcarriers": 2**40, "pilot_len": 2**39, "n_rx": 1,
+                                    "offsets": [0]}, 2**40))},
     "config-aliasing-offsets": (["mse-vs-snr"],
                                 {"config": {**TOY_SYSTEM, "offsets": [0, 4]}}, ""),
     "profile-without-powers": (["mse-vs-snr"], {"profile": {"delays": [0, 2, 7]}}, ""),
@@ -796,8 +812,8 @@ class TestSpecPlumbing:
 
     def test_json_explicit_config(self, toy_cfg):
         data = {
-            "config": {"n_subcarriers": 64, "pilot_len": 8, "n_tx": 2,
-                       "n_rx": 2, "cp_len": 10, "chan_len": 8, "offsets": [1, 6]},
+            "config": {"n_subcarriers": 64, "pilot_len": 8, "n_rx": 2, "chan_len": 8,
+                       "offsets": [1, 6]},
             "profile": {"delays": [0, 2, 7], "powers_db": [0, -3, -6]},
             "estimators": ["simplified:3"], "snr_points_db": [10],
             "trials": 3, "seed": 2,
@@ -933,6 +949,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "median_us" in out and "speedup" in out
+
+    def test_bench_out_writes_campaign_rows(self, tmp_path, capsys):
+        # one row per Monte Carlo estimator in the campaign schema, none for
+        # the bound, with the repetitions in the trials column
+        cfg_file, out = tmp_path / "toy.json", tmp_path / "bench.csv"
+        self._write_toy_json(cfg_file, estimators=["simplified:3", "ml_grid", "emcb"])
+        assert cli_main(["bench", "--config", str(cfg_file), "--repetitions", "7",
+                         "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        rows = [dict(zip(CSV_FIELDS, line.split(","))) for line in lines]
+        assert header == CSV_HEADER
+        assert [r["estimator"] for r in rows] == ["simplified:3", "ml_grid"]
+        assert all(r["trials"] == "7" and float(r["mean_runtime_us"]) > 0 for r in rows)
 
     def test_emcb_subcommand(self, tmp_path, capsys):
         cfg_file = tmp_path / "toy.json"

@@ -1,13 +1,11 @@
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import cfolab
 from cfolab.numerics import RandomSource, complex_normal, dft
-from support import complex_normal_two_calls, dft_direct, dft_matrix
+from support import complex_normal_two_calls, dft_direct, dft_matrix, package_env
 
 
 class TestDft:
@@ -128,8 +126,7 @@ class TestSeedingOracle:
     def test_import_leaves_numpy_random_unloaded(self):
         # `generator` loads numpy.random on first use, since importing it
         # takes tens of milliseconds of every command's start-up
-        src = os.path.dirname(os.path.dirname(cfolab.__file__))
         code = "import sys, cfolab; assert 'numpy.random' not in sys.modules, sorted(sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                             env=package_env(), timeout=120)
         assert run.returncode == 0, run.stderr

@@ -27,26 +27,24 @@ class TestSystemConfig:
     def test_even_period_count_required(self):
         # N = 3P is divisible by P but not 2P; the candidate grid needs Q even
         with pytest.raises(ConfigError, match="multiple"):
-            SystemConfig(n_subcarriers=24, pilot_len=8, n_tx=2, n_rx=1,
-                         cp_len=8, chan_len=4, offsets=(0, 1))
+            SystemConfig(n_subcarriers=24, pilot_len=8, n_rx=1, chan_len=4, offsets=(0, 1))
 
     @pytest.mark.parametrize("bad", [
         dict(n_subcarriers=72),                      # 72 % (2*8) != 0
-        dict(n_tx=8, offsets=tuple(range(8))),       # n_tx == Q
+        dict(offsets=tuple(range(8))),               # n_tx == Q
         dict(offsets=(1, 1)),                        # duplicate offsets
         dict(offsets=(1, 9)),                        # offset out of [0, Q-1]
         dict(offsets=(-1, 5)),                       # negative offset
         dict(chu_root=2),                            # gcd(2, 8) != 1
-        dict(chan_len=11),                           # longer than cp_len
+        dict(chan_len=65),                           # longer than N
         dict(chan_len=0),
         dict(n_rx=0),
         dict(offsets=(1, 5)),                        # aliases: shift by 4 mod Q=8
-        dict(n_tx=4, offsets=(0, 2, 4, 6)),          # aliases: shift by 2
-        dict(n_tx=4, offsets=(1, 2, 5, 6)),          # aliases: shift by 4
+        dict(offsets=(0, 2, 4, 6)),                  # aliases: shift by 2
+        dict(offsets=(1, 2, 5, 6)),                  # aliases: shift by 4
     ])
     def test_invalid_configs_raise(self, bad):
-        base = dict(n_subcarriers=64, pilot_len=8, n_tx=2, n_rx=2,
-                    cp_len=10, chan_len=8, offsets=(1, 6))
+        base = dict(n_subcarriers=64, pilot_len=8, n_rx=2, chan_len=8, offsets=(1, 6))
         SystemConfig(**base)
         base.update(bad)
         with pytest.raises(ConfigError):
@@ -88,8 +86,7 @@ class TestChuSequence:
 
 class TestBuildTraining:
     def test_comb_support(self):
-        cfg = SystemConfig(n_subcarriers=8, pilot_len=2, n_tx=1, n_rx=1,
-                           cp_len=2, chan_len=1, offsets=(1,))
+        cfg = SystemConfig(n_subcarriers=8, pilot_len=2, n_rx=1, chan_len=1, offsets=(1,))
         ts = build_training(cfg, "cbts")
         support = np.flatnonzero(np.abs(ts.grid_vectors[0]) > 1e-12)
         assert list(support) == [1, 5]
@@ -101,8 +98,7 @@ class TestBuildTraining:
             assert energy == pytest.approx(1024 / 3, rel=1e-12)
 
     def test_single_antenna_no_shift(self):
-        cfg = SystemConfig(n_subcarriers=32, pilot_len=4, n_tx=1, n_rx=1,
-                           cp_len=4, chan_len=2, offsets=(0,))
+        cfg = SystemConfig(n_subcarriers=32, pilot_len=4, n_rx=1, chan_len=2, offsets=(0,))
         ts = build_training(cfg, "cbts")
         expected = np.sqrt(8) * dft(chu_sequence(4, 1))
         assert np.allclose(ts.freq_pilots[0], expected, atol=1e-13)
